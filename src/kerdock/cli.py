@@ -18,8 +18,6 @@ import numpy as np
 
 from kerdock.codebook import (
     CodewordLabel,
-    HankelMat,
-    format_label,
     kerdock_set,
     pack_hex,
     parse_label,

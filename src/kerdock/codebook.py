@@ -14,7 +14,6 @@ linear-feedback family gives a Kerdock codebook.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, List, Sequence, Union
 
 import numpy as np
@@ -25,18 +24,19 @@ __all__ = [
     "SymMat",
     "HankelMat",
     "CodewordLabel",
-    "sym_from_rows",
     "quad_form",
     "phase_exponent",
     "eval_codeword",
-    "dense_exponents",
     "exponents_at",
+    "hankel_exponents_batch",
+    "demodulate",
+    "diag_chunks",
+    "I_POWERS",
     "dense_codeword",
     "gf2_rank",
     "gf2_rank_batch",
     "gf2_inv",
     "gf2_matmul",
-    "gray_bits",
     "gray_exp",
     "gray_codeword",
     "z4_to_z2_label",
@@ -46,14 +46,14 @@ __all__ = [
     "lf_kerdock",
     "trace_kerdock",
     "kerdock_set",
-    "trace_gram",
     "format_label",
     "parse_label",
     "pack_hex",
     "unpack_hex",
 ]
 
-_I_POWERS = np.array([1, 1j, -1, -1j], dtype=np.complex128)
+# i^e for e in Z4; the only copy of this table in the package
+I_POWERS = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -126,10 +126,6 @@ class HankelMat:
 MatLike = Union[SymMat, HankelMat]
 
 
-def sym_from_rows(rows: Sequence[int]) -> SymMat:
-    return SymMat(len(rows), tuple(rows))
-
-
 @dataclass(frozen=True)
 class CodewordLabel:
     """Index (Q, ell, eps) of one codeword; n is Q.n."""
@@ -171,35 +167,37 @@ def phase_exponent(label: CodewordLabel, y: int) -> int:
 
 def eval_codeword(label: CodewordLabel, y: int) -> complex:
     """Codeword value at one position, i^exponent / sqrt(N)."""
-    return _I_POWERS[phase_exponent(label, y)] / np.sqrt(1 << label.n)
+    return I_POWERS[phase_exponent(label, y)] / np.sqrt(1 << label.n)
 
 
-def dense_exponents(q: MatLike, n: int | None = None) -> np.ndarray:
-    """y^T Q y mod 4 for every y in [0, 2^n), as uint8."""
-    n = q.n if n is None else n
-    if n > 20:
-        raise ValueError("dense evaluation limited to n <= 20")
-    ys = np.arange(1 << n, dtype=np.uint32)
-    total = np.zeros(1 << n, dtype=np.uint32)
-    rows = q.rows if isinstance(q, SymMat) else [q.row(i) for i in range(n)]
-    for i, row in enumerate(rows):
-        sel = (ys >> np.uint32(i)) & np.uint32(1)
-        total += sel * np.bitwise_count(ys & np.uint32(row))
-    return (total & 3).astype(np.uint8)
+def _quad_exponents(rows: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """y^T Q y mod 4 as uint8, from the row bitmasks of Q.
+
+    rows[i] holds row i of Q and broadcasts against ys (uint64), so one
+    matrix or a stack of matrices is evaluated by the same loop. Diagonal
+    bits count once and off-diagonal pairs twice, as in quad_form.
+    """
+    shifts = np.arange(len(rows), dtype=np.uint64).reshape((-1,) + (1,) * ys.ndim)
+    # bit i of every y, cast to uint8 as it is written: no uint64 temporary
+    bits = np.empty((len(rows),) + ys.shape, dtype=np.uint8)
+    np.right_shift(ys, shifts, out=bits, casting="unsafe")
+    bits &= 1
+    # uint8 wraparound is mod 256, a multiple of 4, so the mod-4 value survives
+    total = np.zeros(np.broadcast_shapes(rows.shape[1:], ys.shape), dtype=np.uint8)
+    for row, sel in zip(rows, bits):
+        total += sel * np.bitwise_count(row & ys)
+    return total & 3
 
 
 def exponents_at(label: CodewordLabel, ys: np.ndarray) -> np.ndarray:
     """Phase exponents mod 4 at the given positions, vectorized."""
-    ys = np.asarray(ys, dtype=np.uint32)
-    total = np.zeros(ys.shape, dtype=np.uint32)
+    ys = np.asarray(ys, dtype=np.uint64)
     q = label.q
-    rows = q.rows if isinstance(q, SymMat) else [q.row(i) for i in range(q.n)]
-    for i, row in enumerate(rows):
-        sel = (ys >> np.uint32(i)) & np.uint32(1)
-        total += sel * np.bitwise_count(ys & np.uint32(row))
-    total += 2 * (np.bitwise_count(ys & np.uint32(label.ell)) & 1)
-    total += np.uint32(label.eps)
-    return (total & 3).astype(np.uint8)
+    rows = np.array(q.rows, dtype=np.uint64).reshape((q.n,) + (1,) * ys.ndim)
+    total = _quad_exponents(rows, ys)
+    total += np.uint8(2) * (np.bitwise_count(ys & np.uint64(label.ell)) & np.uint8(1))
+    total += np.uint8(label.eps)
+    return total & 3
 
 
 def hankel_exponents_batch(diags: np.ndarray, j: int, ys: np.ndarray) -> np.ndarray:
@@ -211,24 +209,39 @@ def hankel_exponents_batch(diags: np.ndarray, j: int, ys: np.ndarray) -> np.ndar
     """
     diags = np.asarray(diags, dtype=np.uint64)
     ys = np.asarray(ys, dtype=np.uint64)
-    mask = np.uint64((1 << j) - 1)
-    # uint8 wraparound is mod 256, a multiple of 4, so the mod-4 value survives
-    total = np.zeros((len(diags), len(ys)), dtype=np.uint8)
-    for a in range(j):
-        rows = ((diags >> np.uint64(a)) & mask)[:, None]
-        sel = ((ys >> np.uint64(a)) & np.uint64(1)).astype(np.uint8)[None, :]
-        total += sel * (np.bitwise_count(rows & ys[None, :]).astype(np.uint8))
-    return total & 3
+    shifts = np.arange(j, dtype=np.uint64)[:, None, None]
+    rows = (diags[None, :, None] >> shifts) & np.uint64((1 << j) - 1)
+    return _quad_exponents(rows, ys[None, :])
+
+
+def demodulate(values: np.ndarray, diags: np.ndarray, j: int, ys: np.ndarray) -> np.ndarray:
+    """values * i^(-y^T H y) for every j x j Hankel diag, positions ys.
+
+    values has ys as its last axis; the output gains a leading axis over
+    diags, so a Walsh-Hadamard transform along the last axis turns the
+    quadratic component H of each slice into a pure tone.
+    """
+    values = np.asarray(values)
+    phases = I_POWERS[(-hankel_exponents_batch(diags, j, ys).astype(np.int16)) & 3]
+    return values[None, ...] * np.expand_dims(phases, tuple(range(1, values.ndim)))
+
+
+def diag_chunks(diags: np.ndarray, row_elems: int) -> List[np.ndarray]:
+    """Split diags into batches whose demodulated rows take at most 48 MB.
+
+    row_elems is the number of complex values demodulate produces per diag.
+    """
+    size = max(1, (48 << 20) // (16 * row_elems))
+    return [diags[i : i + size] for i in range(0, len(diags), size)]
 
 
 def dense_codeword(label: CodewordLabel) -> np.ndarray:
     """All N values of the codeword as a complex vector of unit norm."""
     n = label.n
+    if n > 20:
+        raise ValueError("dense evaluation limited to n <= 20")
     ys = np.arange(1 << n, dtype=np.uint32)
-    e = dense_exponents(label.q).astype(np.uint32)
-    e += 2 * (np.bitwise_count(ys & np.uint32(label.ell)) & 1)
-    e += np.uint32(label.eps)
-    return _I_POWERS[e & 3] / np.sqrt(1 << n)
+    return I_POWERS[exponents_at(label, ys)] / np.sqrt(1 << n)
 
 
 # GF(2) linear algebra on int-bitset rows --------------------------------
@@ -334,11 +347,6 @@ def gf2_matmul(a_rows: Sequence[int], b_rows: Sequence[int]) -> List[int]:
 _GRAY = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
 
 
-def gray_bits(v: int) -> tuple:
-    """Gray image of one Z4 symbol as a bit pair."""
-    return _GRAY[v & 3]
-
-
 def gray_exp(v: int) -> tuple:
     """Exponentiated Gray image of i^v as a pair of signs."""
     b0, b1 = _GRAY[v & 3]
@@ -386,11 +394,9 @@ def pair_dot(a: CodewordLabel, b: CodewordLabel) -> complex:
         raise ValueError("labels live on different domains")
     if a.n > 14:
         raise ValueError("exact pair_dot capped at n <= 14")
-    ea = dense_exponents(a.q).astype(np.int64)
-    eb = dense_exponents(b.q).astype(np.int64)
     ys = np.arange(1 << a.n, dtype=np.uint32)
-    ea += 2 * (np.bitwise_count(ys & np.uint32(a.ell)) & 1) + a.eps
-    eb += 2 * (np.bitwise_count(ys & np.uint32(b.ell)) & 1) + b.eps
+    ea = exponents_at(a, ys).astype(np.int64)
+    eb = exponents_at(b, ys).astype(np.int64)
     counts = np.bincount((ea - eb) & 3, minlength=4)
     num = complex(int(counts[0]) - int(counts[2]), int(counts[1]) - int(counts[3]))
     return num / (1 << a.n)
@@ -501,11 +507,6 @@ def kerdock_set(ctx: FieldContext) -> List[HankelMat]:
     return [lf_kerdock(ctx, r) for r in range(1 << ctx.n)]
 
 
-def trace_gram(ctx: FieldContext) -> SymMat:
-    """Gram-type matrix V^T V with entries trace(xi^(i+j)); equals K_1."""
-    return trace_kerdock(ctx, 1).to_sym()
-
-
 # Text form ----------------------------------------------------------------
 
 
@@ -526,14 +527,19 @@ def format_label(label: CodewordLabel) -> str:
 
     Hankel matrices pack their 2n-1 antidiagonal bits; general symmetric
     matrices pack all n^2 entries row-major. The two widths differ for every
-    n > 1, which is how parse_label tells them apart.
+    n > 2, which is how parse_label tells them apart. At n <= 2 every
+    symmetric matrix is Hankel, so the Hankel form is always written there.
     """
     n = label.n
-    if isinstance(label.q, HankelMat):
-        qtext = pack_hex(label.q.diag, 2 * n - 1)
+    q = label.q
+    if isinstance(q, SymMat) and n <= 2:
+        # antidiagonals 0..n-1 run along the first row, n..2n-2 along the last
+        q = HankelMat(n, q.rows[0] | ((q.rows[-1] >> 1) << n))
+    if isinstance(q, HankelMat):
+        qtext = pack_hex(q.diag, 2 * n - 1)
     else:
         packed = 0
-        for i, row in enumerate(label.q.rows):
+        for i, row in enumerate(q.rows):
             packed |= row << (i * n)
         qtext = pack_hex(packed, n * n)
     return f"{n};Q={qtext};l={pack_hex(label.ell, n)};e={label.eps}"
@@ -548,6 +554,9 @@ def parse_label(text: str) -> CodewordLabel:
     for p in parts[1:]:
         key, _, val = p.partition("=")
         fields[key.strip()] = val.strip()
+    missing = [key for key in ("Q", "l", "e") if key not in fields]
+    if missing:
+        raise ValueError(f"label lacks the field(s) {', '.join(missing)}")
     qtext = fields["Q"]
     diag_w = (2 * n - 1 + 3) // 4
     full_w = (n * n + 3) // 4

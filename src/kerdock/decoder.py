@@ -7,6 +7,12 @@ the two new reverse-diagonal bits, so the search tree has branching
 factor four, and survivors at full size get their linear parts recovered
 by tone decoding and their coefficients estimated and pruned.
 
+Whenever the full domain is small enough to read outright, the finish is
+exact: the whole signal is demodulated by a batch of diags at a time and
+transformed, so every tone of every diag yields its exact dot. The same
+exact finish decodes degenerate inputs (n < 2 or k >= 2^n), run over
+every Hankel diag instead of the survivors.
+
 Two sampling regimes share this skeleton. The robust regime follows the
 two-sided testing contract (energy gate, per-suffix tone test, pass
 fraction) with budgets sized for adversarial noise; restricted slices
@@ -23,14 +29,16 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from kerdock.codebook import (
+    I_POWERS,
     CodewordLabel,
     HankelMat,
-    hankel_exponents_batch,
+    demodulate,
+    diag_chunks,
     pack_hex,
 )
 from kerdock.rm1 import KmParams, km_list
@@ -44,8 +52,6 @@ from kerdock.signal import (
     estimate_sq_norm,
     fwht,
 )
-
-_IPOW = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
 
 class CandidateOverflow(RuntimeError):
@@ -73,12 +79,16 @@ class DecoderParams:
     k sets the heaviness scale 1/k. c1 (drop-side slack, in (0,1)) and
     c2 (threshold relaxation, > 1) shape the two-sided suffix test; c3
     scales the per-suffix energy gate (k/c3) 2^(j-n) hint^2 and defaults
-    to c1/40; c4 is the incoherence budget mu*k <= c4 and must stay at
-    most 1/6. suffix_samples defaults to ceil(8k/c1) * ceil(log(2n /
+    to c1/40. suffix_samples defaults to ceil(8k/c1) * ceil(log(2n /
     delta)) and degenerates to exhaustive enumeration whenever 2^(n-j)
     is smaller. Restricted slices of size up to exact_read_limit are
     read in full and tested by transform (deterministic); larger ones
-    fall back to the sampled tone search. candidate_cap (default 64 k^3)
+    fall back to the sampled tone search. The finish reads all 2^n
+    positions and transforms every survivor exactly when 2^n is at most
+    4 exact_read_limit, and otherwise recovers linear parts by sampled
+    tone search and estimates coefficients from samples; degenerate
+    inputs (n < 2 or k >= 2^n, n <= 7) skip the levels and run the exact
+    finish over every Hankel diag. candidate_cap (default 64 k^3)
     aborts the run via CandidateOverflow instead of trimming.
 
     profile "lean" switches to the pooled probe regime with pool_bases
@@ -89,7 +99,6 @@ class DecoderParams:
     c1: float = 0.5
     c2: float = 2.0
     c3: Optional[float] = None
-    c4: float = 1.0 / 6.0
     delta: float = 0.01
     suffix_samples: Optional[int] = None
     repeats: int = 1
@@ -110,8 +119,6 @@ class DecoderParams:
             raise ValueError("c2 must exceed 1")
         if self.c3 is not None and self.c3 <= 0.0:
             raise ValueError("c3 must be positive")
-        if not 0.0 < self.c4 <= 1.0 / 6.0 + 1e-12:
-            raise ValueError("c4 must lie in (0, 1/6]")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if self.repeats < 1 or self.repeats % 2 == 0:
@@ -212,22 +219,15 @@ def _exact_level_keep(
     if len(views) == 0 or gated >= need:
         return np.ones(len(diags), dtype=bool)
 
-    diag_arr = np.asarray(list(diags), dtype=np.uint64)
     bar = tau_sq * width
 
     def run(chunk: np.ndarray) -> np.ndarray:
-        exps = hankel_exponents_batch(chunk, j, ys)
-        demod = _IPOW[(-exps.astype(np.int16)) & 3]
-        w = views[None, :, :] * demod[:, None, :]
-        spec = fwht(w, axis=-1)
+        spec = fwht(demodulate(views, chunk, j, ys), axis=-1)
         power = (spec.real**2 + spec.imag**2).max(axis=-1)
         passes = (power >= bar).sum(axis=1) + gated
         return passes >= need
 
-    budget = max(1, (48 << 20) // (max(len(views), 1) * width * 16))
-    chunks = [
-        diag_arr[i : i + budget] for i in range(0, len(diag_arr), budget)
-    ]
+    chunks = diag_chunks(np.asarray(list(diags), dtype=np.uint64), views.size)
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(run, chunks))
@@ -331,24 +331,8 @@ def _robust_finish(
 ) -> List[Tuple[CodewordLabel, complex]]:
     """Recover linear parts for full-size survivors and prune by dot."""
     n = oracle.n
-    hint_sq = oracle.norm_hint**2
-    prune = hint_sq / (2.0 * params.k)
     if (1 << n) <= 4 * params.exact_read_limit:
-        ys = np.arange(1 << n, dtype=np.uint32)
-        vals = oracle.query_many(ys)
-        results = []
-        for diag in survivors:
-            exps = hankel_exponents_batch([diag], n, ys)[0]
-            spec = fwht(vals * _IPOW[(-exps.astype(np.int16)) & 3])
-            dots = spec / math.sqrt(1 << n)
-            for ell in np.flatnonzero(np.abs(dots) ** 2 >= prune):
-                results.append(
-                    (
-                        CodewordLabel(HankelMat(n, int(diag)), int(ell), 0),
-                        complex(dots[ell]),
-                    )
-                )
-        return results
+        return _exact_finish(oracle, params, survivors)
 
     theta = min(1.0, 1.0 / (params.k * params.c2))
     sub = KmParams(
@@ -371,6 +355,7 @@ def _robust_finish(
         )
     if not labels:
         return []
+    prune = oracle.norm_hint**2 / (2.0 * params.k)
     samples = min(1 << n, 1 << 14)
     dots = estimate_dots(
         oracle, labels, samples, seed=int(child_rng(seed, "prune").integers(1 << 30))
@@ -380,6 +365,27 @@ def _robust_finish(
         for lab, c in zip(labels, dots)
         if abs(c) ** 2 >= prune
     ]
+
+
+def _exact_finish(
+    oracle: SampleOracle, params: DecoderParams, diags: Sequence[int]
+) -> List[Tuple[CodewordLabel, complex]]:
+    """Exact dots of every (diag, ell) from one read of the whole domain.
+
+    Batches of diags are demodulated together and transformed in one call;
+    each tone whose squared dot clears hint^2 / 2k becomes a result.
+    """
+    n = oracle.n
+    ys = np.arange(1 << n, dtype=np.uint32)
+    vals = oracle.query_many(ys)
+    prune = oracle.norm_hint**2 / (2.0 * params.k)
+    results = []
+    for chunk in diag_chunks(np.asarray(diags, dtype=np.uint64), 1 << n):
+        dots = fwht(demodulate(vals, chunk, n, ys), axis=-1) / math.sqrt(1 << n)
+        for a, ell in zip(*np.nonzero(np.abs(dots) ** 2 >= prune)):
+            label = CodewordLabel(HankelMat(n, int(chunk[a])), int(ell), 0)
+            results.append((label, complex(dots[a, ell])))
+    return results
 
 
 def _lean_decode(
@@ -426,20 +432,16 @@ def _lean_decode(
             pool.append(p2)
             v2 = oracle.query_many(p2)
         diag_arr = np.asarray(test_set, dtype=np.uint64)
-        e_base = hankel_exponents_batch(diag_arr, j, bases)
-        e_p1 = hankel_exponents_batch(diag_arr, j, p1)
-        w0 = v_base[None, :] * _IPOW[(-e_base.astype(np.int16)) & 3]
-        w1 = v1[None, :] * _IPOW[(-e_p1.astype(np.int16)) & 3]
+        w0 = demodulate(v_base, diag_arr, j, bases)
+        w1 = demodulate(v1, diag_arr, j, p1)
         t1 = w1 * np.conj(w0)
         sq = t1 * t1
         norm = np.mean(np.abs(sq), axis=1)
         s_diag = np.mean(sq.real, axis=1) / np.maximum(norm, 1e-300)
         keep = s_diag >= bar
         if j >= 2:
-            e_p2 = hankel_exponents_batch(diag_arr, j, p2)
-            e_prev = hankel_exponents_batch(diag_arr, j, bases ^ (d1 >> 1))
-            w2 = v2[None, :] * _IPOW[(-e_p2.astype(np.int16)) & 3]
-            wp = v_prev[None, :] * _IPOW[(-e_prev.astype(np.int16)) & 3]
+            w2 = demodulate(v2, diag_arr, j, p2)
+            wp = demodulate(v_prev, diag_arr, j, bases ^ (d1 >> 1))
             mixed = w2 * np.conj(w1) * np.conj(wp) * w0
             norm = np.mean(np.abs(mixed), axis=1)
             s_off = np.mean(mixed.real, axis=1) / np.maximum(norm, 1e-300)
@@ -459,9 +461,8 @@ def _lean_decode(
     results: List[Tuple[CodewordLabel, complex]] = []
     positions = np.unique(np.concatenate(pool))
     pos_vals = oracle.query_many(positions)
-    for diag in kept:
-        exps = hankel_exponents_batch([diag], n, positions)[0]
-        wall = pos_vals * _IPOW[(-exps.astype(np.int16)) & 3]
+    walls = demodulate(pos_vals, np.asarray(kept, dtype=np.uint64), n, positions)
+    for diag, wall in zip(kept, walls):
         base_idx = np.searchsorted(positions, bases)
         ell = 0
         for r in range(n):
@@ -471,7 +472,7 @@ def _lean_decode(
                 ell |= 1 << r
         label = CodewordLabel(HankelMat(n, int(diag)), ell, 0)
         eell = 2 * (np.bitwise_count(positions & np.uint32(ell)) & 1)
-        phases = wall * _IPOW[(-eell.astype(np.int16)) & 3]
+        phases = wall * I_POWERS[(-eell.astype(np.int16)) & 3]
         chat = complex(np.mean(phases) * math.sqrt(1 << n))
         if abs(chat) ** 2 >= hint_sq / (2.0 * params.k):
             results.append((label, chat))
@@ -496,7 +497,9 @@ def list_decode_hankel(
     stats = DecodeStats(n=n, k=params.k, profile=params.profile)
 
     if n < 2 or params.k >= (1 << n):
-        results = _dense_fallback(cached, params)
+        if n > 7:
+            raise ValueError("dense fallback limited to n <= 7")
+        results = _exact_finish(cached, params, range(1 << (2 * n - 1)))
     elif params.profile == "lean":
         results = _lean_decode(cached, params, seed, stats)
     else:
@@ -510,34 +513,10 @@ def list_decode_hankel(
     return results, stats
 
 
-def _dense_fallback(
-    oracle: SampleOracle, params: DecoderParams
-) -> List[Tuple[CodewordLabel, complex]]:
-    n = oracle.n
-    if n > 7:
-        raise ValueError("dense fallback limited to n <= 7")
-    ys = np.arange(1 << n, dtype=np.uint32)
-    vals = oracle.query_many(ys)
-    prune = oracle.norm_hint**2 / (2.0 * params.k)
-    results = []
-    for diag in range(1 << (2 * n - 1)):
-        exps = hankel_exponents_batch([diag], n, ys)[0]
-        spec = fwht(vals * _IPOW[(-exps.astype(np.int16)) & 3])
-        dots = spec / math.sqrt(1 << n)
-        for ell in np.flatnonzero(np.abs(dots) ** 2 >= prune):
-            results.append(
-                (
-                    CodewordLabel(HankelMat(n, diag), int(ell), 0),
-                    complex(dots[ell]),
-                )
-            )
-    return results
-
-
 def format_decode_report(
     results: Sequence[Tuple[CodewordLabel, complex]], stats: DecodeStats
 ) -> str:
-    """Line-oriented report: one output per line, then the stats block.
+    """Line-oriented report: one Hankel output per line, then the stats block.
 
     Wall time is deliberately excluded so identical runs are
     byte-identical; callers wanting timing print stats.seconds
@@ -546,12 +525,7 @@ def format_decode_report(
     n = stats.n
     lines = []
     for label, c in results:
-        diag = label.q.diag if isinstance(label.q, HankelMat) else None
-        qhex = (
-            pack_hex(diag, 2 * n - 1)
-            if diag is not None
-            else pack_hex(sum(r << (i * n) for i, r in enumerate(label.q.rows)), n * n)
-        )
+        qhex = pack_hex(label.q.diag, 2 * n - 1)
         lines.append(
             f"{qhex} {label.ell:x} {c.real:.12g} {c.imag:.12g} {abs(c)**2:.12g}"
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -178,8 +178,8 @@ def primitive_poly(n: int) -> int:
 class FieldContext:
     """GF(2^n) with a fixed primitive modulus.
 
-    Frozen and hashable; vectorization tables are built lazily and cached in
-    a side slot so sharing a context across threads is safe (idempotent
+    Frozen and hashable; the trace mask is built lazily and cached in a
+    side slot so sharing a context across threads is safe (idempotent
     builds, last write wins with identical content).
     """
 
@@ -200,16 +200,9 @@ class FieldContext:
             raise ValueError("h must be primitive: xi has to generate the units")
 
     @property
-    def order(self) -> int:
-        return 1 << self.n
-
-    @property
     def xi(self) -> int:
         """The class of t, a multiplicative generator."""
         return poly_mod(2, self.h)
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
 
     def mul(self, a: int, b: int) -> int:
         return poly_mod(poly_mul(a, b), self.h)
@@ -226,9 +219,6 @@ class FieldContext:
             base = self.mul(base, base)
             e >>= 1
         return result
-
-    def xi_pow(self, e: int) -> int:
-        return self.pow(self.xi, e)
 
     def sqrt(self, a: int) -> int:
         """Unique square root, a^(2^(n-1)); inverse of squaring."""
@@ -247,9 +237,6 @@ class FieldContext:
             raise AssertionError("trace landed outside GF(2); modulus not primitive?")
         return acc
 
-    def elements(self) -> Iterable[int]:
-        return range(self.order)
-
     # vectorized paths ----------------------------------------------------
 
     @property
@@ -267,43 +254,3 @@ class FieldContext:
         """Trace of many elements at once."""
         arr = np.asarray(xs, dtype=np.uint32)
         return (np.bitwise_count(arr & np.uint32(self.trace_mask)) & 1).astype(np.uint8)
-
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        tabs = self._cache.get("tables")
-        if tabs is None:
-            if self.n > 20:
-                raise ValueError("exp/log tables limited to n <= 20")
-            size = self.order
-            exp = np.zeros(size - 1, dtype=np.uint32)
-            log = np.zeros(size, dtype=np.int64)
-            x = 1
-            for i in range(size - 1):
-                exp[i] = x
-                log[x] = i
-                x = self.mul(x, self.xi)
-            if x != 1:
-                raise AssertionError("xi is not a generator; modulus not primitive")
-            tabs = (exp, log)
-            self._cache["tables"] = tabs
-        return tabs
-
-    def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise field product via exp/log tables."""
-        exp, log = self._tables()
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.uint32)
-        idx = (log[a[..., None][nz[..., None]]] + log[b[..., None][nz[..., None]]]) % (
-            self.order - 1
-        )
-        out[nz] = exp[idx]
-        return out
-
-    def square_table(self) -> np.ndarray:
-        """square_table()[x] = x*x; handy for iterated squaring on arrays."""
-        tab = self._cache.get("square_table")
-        if tab is None:
-            tab = np.array([self.mul(x, x) for x in range(self.order)], dtype=np.uint32)
-            self._cache["square_table"] = tab
-        return tab

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -19,8 +19,10 @@ from kerdock.codebook import (
     HankelMat,
     SymMat,
     check_commute,
+    demodulate,
     dense_codeword,
-    dense_exponents,
+    diag_chunks,
+    exponents_at,
     gf2_inv,
     gf2_matmul,
     gf2_rank,
@@ -51,8 +53,6 @@ __all__ = [
     "verify_homomorphism",
 ]
 
-_I_POWERS = np.array([1, 1j, -1, -1j], dtype=np.complex128)
-
 # family name -> iterator over Hankel diag values (None = single zero matrix)
 _FAMILIES = ("rm1", "kerdock", "hankel")
 
@@ -69,41 +69,25 @@ def _family_diags(family: str, ctx: Optional[FieldContext], n: int) -> np.ndarra
     raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
 
 
-def _hankel_exponents_block(diags: np.ndarray, n: int) -> np.ndarray:
-    """Quadratic exponents mod 4, shape (len(diags), 2^n), vectorized."""
-    ys = np.arange(1 << n, dtype=np.uint32)[None, :]
-    mask = np.uint32((1 << n) - 1)
-    d = diags.astype(np.uint32)[:, None]
-    total = np.zeros((len(diags), 1 << n), dtype=np.uint32)
-    for i in range(n):
-        sel = (ys >> np.uint32(i)) & np.uint32(1)
-        rows = (d >> np.uint32(i)) & mask
-        total += sel * np.bitwise_count(rows & ys)
-    return (total & 3).astype(np.uint8)
-
-
 def dense_dot_table(
     values: np.ndarray,
     family: str = "hankel",
     ctx: Optional[FieldContext] = None,
-    block: int = 4096,
 ):
     """Exact <s, phi_(Q,l)> for every label of the family, eps = 0.
 
     Yields (diags_block, dots_block) with dots of shape (len(block), 2^n);
     dots_block[a, l] is the inner product against the codeword (Q_a, l).
+    Blocks are sized to the decoder's demodulate-and-transform budget.
     """
     values = np.asarray(values, dtype=np.complex128)
     n = int(values.size - 1).bit_length()
     if values.size != 1 << n:
         raise ValueError("signal length must be a power of two")
-    diags = _family_diags(family, ctx, n)
+    ys = np.arange(1 << n, dtype=np.uint32)
     scale = 1.0 / np.sqrt(1 << n)
-    for start in range(0, len(diags), block):
-        chunk = diags[start : start + block]
-        exps = _hankel_exponents_block(chunk, n)
-        demod = values[None, :] * np.conj(_I_POWERS[exps])
-        dots = fwht(demod, axis=1) * scale
+    for chunk in diag_chunks(_family_diags(family, ctx, n), 1 << n):
+        dots = fwht(demodulate(values, chunk, n, ys), axis=1) * scale
         yield chunk, dots
 
 
@@ -127,15 +111,14 @@ def dense_heavy_set(
 def restricted_max_tone(values: np.ndarray, q, j: int) -> np.ndarray:
     """For each (n-j)-bit suffix, the exact max over tones of |<R demod, psi>|^2.
 
-    The demodulation uses the zero extension of the leading j x j block of q,
-    so this is the quantity the prefix tests estimate.
+    q is a HankelMat; the demodulation uses the zero extension of its leading
+    j x j block, so this is the quantity the prefix tests estimate.
     """
     values = np.asarray(values, dtype=np.complex128)
     n = int(values.size - 1).bit_length()
-    sub = HankelMat(j, q.diag & ((1 << (2 * j - 1)) - 1)) if isinstance(q, HankelMat) else q
-    exps = dense_exponents(sub, j).astype(np.uint8)
     resh = values.reshape(1 << (n - j), 1 << j)
-    demod = resh * np.conj(_I_POWERS[exps])[None, :]
+    prefix = q.diag & ((1 << (2 * j - 1)) - 1)
+    demod = demodulate(resh, [prefix], j, np.arange(1 << j, dtype=np.uint32))[0]
     dots = fwht(demod, axis=1) / np.sqrt(1 << j)
     return np.max(np.abs(dots) ** 2, axis=1)
 
@@ -294,12 +277,9 @@ def _kerdock_codeword_values(ctx: FieldContext) -> np.ndarray:
     rows = np.empty((N * N * 4, N), dtype=np.int8)
     i = 0
     for m in kerdock_set(ctx):
-        qe = dense_exponents(m).astype(np.int64)
         for ell in range(N):
-            lin = 2 * (np.bitwise_count(ys & np.uint32(ell)) & 1).astype(np.int64)
-            base = (qe + lin) & 3
             for eps in range(4):
-                rows[i] = (base + eps) & 3
+                rows[i] = exponents_at(CodewordLabel(m, ell, eps), ys)
                 i += 1
     return rows
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import List, Optional, TextIO, Tuple
 
 import numpy as np
 
 from kerdock.codebook import (
+    I_POWERS,
     CodewordLabel,
     HankelMat,
     exponents_at,
@@ -30,8 +31,6 @@ from kerdock.decoder import DecoderParams, list_decode_hankel
 from kerdock.field import FieldContext
 from kerdock.rng import child_rng
 from kerdock.signal import SampleOracle, estimate_dots, estimate_sq_norm
-
-_IPOW = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class Representation:
         n = self.terms[0][0].n
         root = math.sqrt(1 << n)
         for lab, c in self.terms:
-            out += c * _IPOW[exponents_at(lab, ys)] / root
+            out += c * I_POWERS[exponents_at(lab, ys)] / root
         return out
 
 

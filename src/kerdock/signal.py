@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from kerdock.codebook import CodewordLabel, dense_codeword, exponents_at
+from kerdock.codebook import I_POWERS, CodewordLabel, dense_codeword, exponents_at
 from kerdock.rng import child_rng, hashed_normals
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "fwht",
     "restrict_dense",
 ]
-
-_I_POWERS = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
 
 class SampleOracle:
@@ -116,7 +114,7 @@ class SyntheticOracle(SampleOracle):
         scale = 1.0 / np.sqrt(1 << self.n)
         out = np.zeros(ys.shape, dtype=np.complex128)
         for label, coeff in self.terms:
-            out += coeff * scale * _I_POWERS[exponents_at(label, ys)]
+            out += coeff * scale * I_POWERS[exponents_at(label, ys)]
         if self.noise_energy > 0:
             g = hashed_normals(self.seed, "plant-noise", ys)
             sigma = np.sqrt(self.noise_energy / (2 << self.n))
@@ -213,7 +211,7 @@ class DemodulatedOracle(SampleOracle):
 
     def _values(self, ys: np.ndarray) -> np.ndarray:
         vals = self.base.query_many(ys.astype(np.int64))
-        return vals * np.conj(_I_POWERS[exponents_at(self.label, ys)])
+        return vals * np.conj(I_POWERS[exponents_at(self.label, ys)])
 
 
 def make_noisy(
@@ -254,17 +252,22 @@ def write_signal(path: str, values: np.ndarray) -> None:
 
 
 def read_signal(path: str) -> np.ndarray:
+    """Inverse of write_signal; n is capped at 20 before anything is allocated."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("n="):
             raise ValueError("signal file must start with 'n=<int>'")
         n = int(header[2:])
+        if not 0 <= n <= 20:
+            raise ValueError(f"signal header n={n} outside 0..20")
         values = np.empty(1 << n, dtype=np.complex128)
         for i in range(1 << n):
             parts = fh.readline().split()
             if len(parts) != 2:
                 raise ValueError(f"bad line at position {i}")
             values[i] = complex(float(parts[0]), float(parts[1]))
+        if any(line.strip() for line in fh):
+            raise ValueError(f"trailing data after the {1 << n} positions")
     return values
 
 
@@ -301,7 +304,7 @@ def estimate_dots(
     scale = 1.0 / np.sqrt(1 << o.n)
     out = np.empty(len(labels), dtype=np.complex128)
     for i, label in enumerate(labels):
-        phases = np.conj(_I_POWERS[exponents_at(label, ys)]) * scale
+        phases = np.conj(I_POWERS[exponents_at(label, ys)]) * scale
         if exact:
             out[i] = np.sum(vals * phases)
         else:

@@ -92,6 +92,15 @@ def test_decode_plant_requires_n(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_decode_bad_inputs_exit_two(tmp_path, capsys):
+    assert main(["decode", "--k", "2", "--n", "3", "--plant", "3;Q=1f;x=1;e=0:1.0"]) == 2
+    huge = tmp_path / "huge.sig"
+    huge.write_text("n=40\n")
+    assert main(["decode", "--k", "2", "--in", str(huge)]) == 2
+    err = capsys.readouterr().err
+    assert "lacks the field" in err and "n=40" in err
+
+
 def test_decode_from_plant_is_byte_deterministic(capsys):
     n = 6
     spec = _plant_spec(n, [0x17], ["1.0"], ell=5)

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from kerdock.codebook import CodewordLabel, HankelMat, dense_codeword, kerdock_set
+from kerdock.codebook import (
+    CodewordLabel,
+    HankelMat,
+    SymMat,
+    demodulate,
+    dense_codeword,
+    kerdock_set,
+    pair_dot,
+)
 from kerdock.decoder import (
     CandidateOverflow,
     DecodeStats,
@@ -12,7 +20,7 @@ from kerdock.decoder import (
 )
 from kerdock.field import FieldContext
 from kerdock.oracle import dense_heavy_set
-from kerdock.signal import CachingOracle, DenseOracle, SyntheticOracle, make_noisy
+from kerdock.signal import CachingOracle, DenseOracle, SyntheticOracle, fwht, make_noisy
 
 
 def _kerdock_terms(n, picks, coeffs, seed=0):
@@ -45,8 +53,6 @@ def test_params_validation():
         DecoderParams(k=2, c1=1.0)
     with pytest.raises(ValueError):
         DecoderParams(k=2, c2=1.0)
-    with pytest.raises(ValueError):
-        DecoderParams(k=2, c4=0.5)
     with pytest.raises(ValueError):
         DecoderParams(k=2, repeats=2)
     with pytest.raises(ValueError):
@@ -210,3 +216,58 @@ def test_caller_supplied_cache_is_reused():
     o = CachingOracle(SyntheticOracle(n, _kerdock_terms(n, [5], [1.0], seed=1)))
     _, stats = list_decode_hankel(o, DecoderParams(k=2), seed=0)
     assert stats.queries == o.distinct_count
+
+
+# exact kernel ---------------------------------------------------------------
+#
+# With n even, 1/sqrt(N) is a power of two, so a signal of Z4 codewords with
+# dyadic coefficients has dyadic values, every sum in a transform is exact,
+# and the kernel must agree with the scalar pair_dot reference bit for bit.
+
+
+def _dyadic_terms(n):
+    # two Hankel words (one with eps = 1) and identity + anti-identity, not Hankel at n = 4
+    sym = SymMat(n, tuple((1 << i) | (1 << (n - 1 - i)) for i in range(n)))
+    return [
+        (CodewordLabel(HankelMat(n, 0b101), 1, 0), 1.0),
+        (CodewordLabel(HankelMat(n, (1 << (2 * n - 1)) - 1), 2, 1), -0.5),
+        (CodewordLabel(sym, 3, 3), 0.25j),
+    ]
+
+
+def _exact_dot(terms, label):
+    return sum(c * pair_dot(lab, label) for lab, c in terms)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_demodulate_transform_equals_pair_dot_exactly(n):
+    terms = _dyadic_terms(n)
+    vals = sum(c * dense_codeword(lab) for lab, c in terms)
+    ys = np.arange(1 << n, dtype=np.uint32)
+    diags = np.arange(1 << (2 * n - 1))
+    dots = fwht(demodulate(vals, diags, n, ys), axis=-1) / np.sqrt(1 << n)
+    for diag in diags.tolist():
+        for ell in range(1 << n):
+            want = _exact_dot(terms, CodewordLabel(HankelMat(n, diag), ell, 0))
+            assert dots[diag, ell] == want
+
+
+@pytest.mark.parametrize("n, k", [(4, 2), (2, 4), (4, 16)])
+def test_exact_finish_coefficients_equal_pair_dot(n, k):
+    # k = 2 at n = 4 runs the levels and finishes the survivors exactly;
+    # k >= 2^n skips the levels and finishes every Hankel diag
+    terms = _dyadic_terms(n)
+    oracle = DenseOracle(sum(c * dense_codeword(lab) for lab, c in terms))
+    results, stats = list_decode_hankel(oracle, DecoderParams(k=k))
+    assert results and len(stats.g) == (n if k < 1 << n else 0)
+    for lab, c in results:
+        assert c == _exact_dot(terms, lab)
+    if k >= 1 << n:
+        prune = oracle.norm_hint**2 / (2.0 * k)
+        want = {
+            (d, ell)
+            for d in range(1 << (2 * n - 1))
+            for ell in range(1 << n)
+            if abs(_exact_dot(terms, CodewordLabel(HankelMat(n, d), ell, 0))) ** 2 >= prune
+        }
+        assert {(lab.q.diag, lab.ell) for lab, _ in results} == want

@@ -5,9 +5,9 @@ from kerdock.codebook import (
     CodewordLabel,
     HankelMat,
     dense_codeword,
-    dense_exponents,
     gf2_rank,
     kerdock_set,
+    quad_form,
 )
 from kerdock.field import FieldContext
 from kerdock.oracle import (
@@ -84,7 +84,7 @@ def test_restricted_max_tone_matches_manual_restriction():
     q = HankelMat(n, int(rng.integers(1 << (2 * n - 1))))
     got = restricted_max_tone(vals, q, j)
     sub = HankelMat(j, q.diag & ((1 << (2 * j - 1)) - 1))
-    phases = np.conj(_I[dense_exponents(sub, j)])
+    phases = np.conj(_I[[quad_form(sub, y) for y in range(1 << j)]])
     for suffix in range(1 << (n - j)):
         block = vals[suffix << j : (suffix + 1) << j]
         dots = fwht(block * phases) / np.sqrt(1 << j)

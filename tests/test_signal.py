@@ -187,6 +187,25 @@ def test_read_signal_rejects_bad_header(tmp_path):
         read_signal(str(p))
 
 
+def test_read_signal_rejects_oversized_header_before_allocating(tmp_path):
+    p = tmp_path / "huge.txt"
+    p.write_text("n=40\n0 0\n")
+    with pytest.raises(ValueError, match="n=40"):
+        read_signal(str(p))
+
+
+def test_read_signal_rejects_trailing_data(tmp_path):
+    p = tmp_path / "long.txt"
+    write_signal(str(p), np.ones(4, dtype=np.complex128))
+    with open(p, "a") as fh:
+        fh.write("\n")
+    assert (read_signal(str(p)) == 1.0).all()  # blank lines are harmless
+    with open(p, "a") as fh:
+        fh.write("1 0\n")
+    with pytest.raises(ValueError, match="trailing"):
+        read_signal(str(p))
+
+
 # estimators -------------------------------------------------------------------
 
 
