@@ -53,13 +53,11 @@ __all__ = [
     "verify_homomorphism",
 ]
 
-# family name -> iterator over Hankel diag values (None = single zero matrix)
-_FAMILIES = ("rm1", "kerdock", "hankel")
+# the families dense_dot_table enumerates; _family_diags lists each one's diags
+_FAMILIES = ("kerdock", "hankel")
 
 
 def _family_diags(family: str, ctx: Optional[FieldContext], n: int) -> np.ndarray:
-    if family == "rm1":
-        return np.array([0], dtype=np.int64)
     if family == "kerdock":
         if ctx is None:
             ctx = FieldContext.default(n)

@@ -30,7 +30,7 @@ from kerdock.codebook import (
 from kerdock.decoder import DecoderParams, list_decode_hankel
 from kerdock.field import FieldContext
 from kerdock.rng import child_rng
-from kerdock.signal import SampleOracle, estimate_dots, estimate_sq_norm
+from kerdock.signal import CachingOracle, SampleOracle, estimate_dots, estimate_sq_norm
 
 
 @dataclass(frozen=True)
@@ -97,23 +97,18 @@ class Representation:
 class ResidualOracle(SampleOracle):
     """Original signal minus the running representation, per query.
 
-    Each query costs one base query plus O(k n^2) phase evaluations; the
+    Each position served costs one base query plus O(k n^2) phase
+    evaluations and is charged to query_count like any oracle's; the
     representation is never materialized. The norm hint must be supplied
-    by the caller (the base hint no longer applies once terms are
-    subtracted).
+    by the caller (the base hint no longer applies once terms are subtracted).
     """
 
-    def __init__(
-        self,
-        base: SampleOracle,
-        rep: Representation,
-        norm_hint: float,
-    ):
+    def __init__(self, base: SampleOracle, rep: Representation, norm_hint: float):
         super().__init__(base.n, norm_hint)
         self.base = base
         self.rep = rep
 
-    def query_many(self, ys: np.ndarray) -> np.ndarray:
+    def _values(self, ys: np.ndarray) -> np.ndarray:
         return self.base.query_many(ys) - self.rep.evaluate(ys)
 
 
@@ -135,8 +130,9 @@ def sparse_approx(
     admit the largest new coefficients up to the budget, then re-estimate
     every kept coefficient against the original oracle so errors do not
     compound. Residual norm hints for later rounds come from a sampled
-    energy estimate with head-room; a residual estimated at zero ends the
-    loop early.
+    energy estimate with head-room. A full budget of k terms (no later
+    round could admit one) or a residual estimated at zero ends the loop
+    early. All reads share one cache: each position is read at most once.
     """
     n = oracle.n
     if ctx is None:
@@ -146,12 +142,15 @@ def sparse_approx(
     inner = params.resolved_inner()
     est_samples = min(1 << n, 1 << 14)
     rep = Representation()
+    cached = oracle if isinstance(oracle, CachingOracle) else CachingOracle(oracle)
 
     for rnd in range(params.resolved_rounds()):
+        if len(rep.terms) == params.k:
+            break
         if rnd == 0:
-            residual: SampleOracle = oracle
+            residual: SampleOracle = cached
         else:
-            probe = ResidualOracle(oracle, rep, oracle.norm_hint)
+            probe = ResidualOracle(cached, rep, oracle.norm_hint)
             est = estimate_sq_norm(
                 probe,
                 max(256, 16 * params.k),
@@ -159,7 +158,7 @@ def sparse_approx(
             )
             if est <= 1e-18 * max(oracle.norm_hint**2, 1.0):
                 break
-            residual = ResidualOracle(oracle, rep, math.sqrt(2.0 * est))
+            residual = ResidualOracle(cached, rep, math.sqrt(2.0 * est))
         found, _ = list_decode_hankel(
             residual, inner, seed=int(child_rng(seed, "round", rnd).integers(1 << 30))
         )
@@ -176,7 +175,7 @@ def sparse_approx(
             continue
         labels = [lab for lab, _ in rep.terms] + [lab for lab, _ in fresh[:room]]
         dots = estimate_dots(
-            oracle,
+            cached,
             labels,
             est_samples,
             seed=int(child_rng(seed, "coeff", rnd).integers(1 << 30)),

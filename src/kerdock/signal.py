@@ -314,19 +314,20 @@ def estimate_dots(
 
 def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform: out[l] = sum_y (-1)^(l.y) a[y]."""
-    a = np.array(a, dtype=np.complex128, copy=True)
-    a = np.moveaxis(a, axis, -1)
-    m = a.shape[-1]
+    # one C-contiguous copy, transform axis last; each stage writes back in place
+    out = np.array(np.moveaxis(np.asarray(a), axis, -1), dtype=np.complex128, order="C")
+    m = out.shape[-1]
     if m & (m - 1):
         raise ValueError("length must be a power of two")
     h = 1
     while h < m:
-        a = a.reshape(a.shape[:-1] + (m // (2 * h), 2, h))
-        top = a[..., 0, :] + a[..., 1, :]
-        bot = a[..., 0, :] - a[..., 1, :]
-        a = np.stack([top, bot], axis=-2).reshape(a.shape[:-3] + (m,))
+        pairs = out.reshape(out.shape[:-1] + (m // (2 * h), 2, h))
+        top, bot = pairs[..., 0, :], pairs[..., 1, :]
+        total = top + bot
+        np.subtract(top, bot, out=bot)
+        top[...] = total
         h *= 2
-    return np.moveaxis(a, -1, axis)
+    return np.moveaxis(out, -1, axis)
 
 
 def restrict_dense(values: np.ndarray, j: int, suffix: int) -> np.ndarray:

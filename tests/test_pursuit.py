@@ -1,8 +1,10 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import kerdock.pursuit as pursuit_mod
 from kerdock.codebook import CodewordLabel, HankelMat, dense_codeword, kerdock_set
 from kerdock.decoder import DecoderParams
 from kerdock.field import FieldContext
@@ -16,7 +18,7 @@ from kerdock.pursuit import (
     sparse_approx,
     write_representation,
 )
-from kerdock.signal import DenseOracle, SyntheticOracle, make_noisy
+from kerdock.signal import DenseOracle, SampleOracle, SyntheticOracle, make_noisy
 
 
 def _terms(n, picks, coeffs, ell_seed=0):
@@ -81,6 +83,8 @@ def test_residual_oracle_subtracts_the_representation():
     want = vals - terms[0][1] * dense_codeword(terms[0][0])
     assert np.allclose(got, want, atol=1e-12)
     assert res.norm_hint == 1.0
+    assert res.query_count == 1 << n
+    assert base.query_count == 1 << n
 
 
 def test_is_kerdock_label_matches_the_family():
@@ -184,3 +188,76 @@ def test_read_representation_skips_comments_and_blanks():
     lab, c = rep.terms[0]
     assert lab.q.diag == 0x3F and lab.ell == 0x2A and lab.eps == 1
     assert c == 1 - 0.5j
+
+
+# query bill and early stop ----------------------------------------------------
+
+
+class _PositionLog(SampleOracle):
+    """Delegating oracle that records every position it serves."""
+
+    def __init__(self, base):
+        super().__init__(base.n, base.norm_hint)
+        self.base = base
+        self.served = []
+
+    def _values(self, ys):
+        self.served.append(ys.copy())
+        return self.base.query_many(ys)
+
+
+def _two_round_case():
+    # noisy n=9 input whose second term is admitted by the second round
+    n = 9
+    terms = _terms(n, [3, 40], [1.0, 0.5], ell_seed=2)
+    vals = make_noisy(n, terms, noise_energy=0.2, seed=5)
+    return vals, PursuitParams(k=2, eps=0.1)
+
+
+def _spy_decodes(monkeypatch):
+    """Replace the inner decoder with a pass-through that logs (oracle, stats)."""
+    seen = []
+    real = pursuit_mod.list_decode_hankel
+
+    def spy(oracle, params, seed=0):
+        results, stats = real(oracle, params, seed)
+        seen.append((oracle, stats))
+        return results, stats
+
+    monkeypatch.setattr(pursuit_mod, "list_decode_hankel", spy)
+    return seen
+
+
+def test_pursuit_stops_once_the_budget_is_full(monkeypatch):
+    vals, params = _two_round_case()
+    seen = _spy_decodes(monkeypatch)
+    short = sparse_approx(DenseOracle(vals), replace(params, rounds=2), seed=0)
+    assert len(short.terms) == params.k
+    seen.clear()
+    long = sparse_approx(DenseOracle(vals), replace(params, rounds=5), seed=0)
+    assert [(l.q.diag, l.ell, l.eps, c) for l, c in long.terms] == [
+        (l.q.diag, l.ell, l.eps, c) for l, c in short.terms
+    ]
+    # terms held at each inner decode: none runs after the round that filled the budget
+    sizes = [len(getattr(o, "rep", Representation()).terms) for o, _ in seen]
+    assert sizes == [0, 1]
+
+
+def test_residual_decodes_report_their_reads(monkeypatch):
+    vals, params = _two_round_case()
+    seen = _spy_decodes(monkeypatch)
+    sparse_approx(DenseOracle(vals), params, seed=0)
+    residual, stats = seen[1]
+    assert isinstance(residual, ResidualOracle)
+    assert stats.queries > 0
+    assert residual.query_count == stats.queries
+
+
+def test_pursuit_reads_each_base_position_at_most_once():
+    vals, params = _two_round_case()
+    log = _PositionLog(DenseOracle(vals))
+    rep = sparse_approx(log, params, seed=0)
+    assert len(rep.terms) == params.k
+    reads = np.concatenate(log.served)
+    assert reads.size <= vals.size
+    assert np.unique(reads).size == reads.size

@@ -263,6 +263,56 @@ def test_fwht_involution(n):
     assert np.allclose(fwht(fwht(a)), (1 << n) * a, atol=1e-9)
 
 
+def _fwht_stack_reference(a, axis=-1):
+    """The stage-by-stage np.stack butterfly that the in-place fwht replaced."""
+    a = np.array(a, dtype=np.complex128, copy=True)
+    a = np.moveaxis(a, axis, -1)
+    m = a.shape[-1]
+    h = 1
+    while h < m:
+        a = a.reshape(a.shape[:-1] + (m // (2 * h), 2, h))
+        top = a[..., 0, :] + a[..., 1, :]
+        bot = a[..., 0, :] - a[..., 1, :]
+        a = np.stack([top, bot], axis=-2).reshape(a.shape[:-3] + (m,))
+        h *= 2
+    return np.moveaxis(a, -1, axis)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.complex128).view(np.uint64)
+
+
+@pytest.mark.parametrize("m", [1 << t for t in range(11)])
+def test_fwht_equals_stack_butterfly_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+
+    def draw(shape):
+        # magnitudes spread over 12 decades, so any reordered sum shows in the low bits
+        scale = 10.0 ** rng.uniform(-6, 6, size=shape)
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+
+    cases = [
+        (draw((m,)), -1),
+        (draw((m,)).real, 0),
+        (draw((3, m)), -1),
+        (draw((m, 3)), 0),
+        (draw((2, 3, m)), -1),
+        (draw((m, 2, 3)), 0),
+        (draw((3, m)).T, 0),  # transposed views
+        (draw((m, 3)).T, -1),
+        (draw((4, 2 * m))[:, ::2], -1),  # strided along the transform axis
+        (draw((2 * m, 3))[::2], 0),
+        (draw((6, 2, m))[::2], -1),  # strided across rows
+    ]
+    for a, axis in cases:
+        snapshot = a.copy()
+        got = fwht(a, axis=axis)
+        want = _fwht_stack_reference(a, axis=axis)
+        assert got.shape == want.shape
+        assert (_bits(got) == _bits(want)).all()
+        assert (_bits(a) == _bits(snapshot)).all()
+
+
 def test_fwht_does_not_mutate_and_respects_axis():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((3, 4)).astype(np.complex128)
