@@ -137,9 +137,6 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    oracle = _load_oracle(args)
-    if args.norm_hint is not None:
-        oracle.norm_hint = args.norm_hint
     params = DecoderParams(
         k=args.k,
         c1=args.c1,
@@ -149,6 +146,9 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         threads=args.threads,
         profile=args.profile,
     )
+    oracle = _load_oracle(args)
+    if args.norm_hint is not None:
+        oracle.norm_hint = args.norm_hint
     try:
         results, stats = list_decode_hankel(oracle, params, seed=args.seed)
     except CandidateOverflow as exc:
@@ -160,8 +160,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_sparse_approx(args: argparse.Namespace) -> int:
-    oracle = _load_oracle(args)
     params = PursuitParams(k=args.k, eps=args.eps)
+    oracle = _load_oracle(args)
     try:
         rep = sparse_approx(oracle, params, seed=args.seed)
     except CandidateOverflow as exc:

@@ -45,9 +45,8 @@ from kerdock.rm1 import KmParams, km_list
 from kerdock.rng import child_rng
 from kerdock.signal import (
     CachingOracle,
-    DemodulatedOracle,
-    RestrictedOracle,
     SampleOracle,
+    SliceOracle,
     estimate_dots,
     estimate_sq_norm,
     fwht,
@@ -72,43 +71,43 @@ class CandidateOverflow(RuntimeError):
         self.cap = cap
 
 
+# restricted slices up to this size are read in full and tested by transform;
+# the finish is exact while 2^n is at most four times it
+EXACT_READ_LIMIT = 1 << 12
+# anchor positions of the lean profile's probe pool
+POOL_BASES = 4
+
+
 @dataclass(frozen=True)
 class DecoderParams:
     """Decoder configuration.
 
     k sets the heaviness scale 1/k. c1 (drop-side slack, in (0,1)) and
-    c2 (threshold relaxation, > 1) shape the two-sided suffix test; c3
-    scales the per-suffix energy gate (k/c3) 2^(j-n) hint^2 and defaults
-    to c1/40. suffix_samples defaults to ceil(8k/c1) * ceil(log(2n /
-    delta)) and degenerates to exhaustive enumeration whenever 2^(n-j)
-    is smaller. Restricted slices of size up to exact_read_limit are
-    read in full and tested by transform (deterministic); larger ones
+    c2 (threshold relaxation, > 1) shape the two-sided suffix test; the
+    per-suffix energy gate is (40 k/c1) 2^(j-n) hint^2. Each level tests
+    ceil(8k/c1) * ceil(log(2n / delta)) suffixes, or every suffix when
+    2^(n-j) is smaller. Restricted slices of size up to EXACT_READ_LIMIT
+    are read in full and tested by transform (deterministic); larger ones
     fall back to the sampled tone search. The finish reads all 2^n
     positions and transforms every survivor exactly when 2^n is at most
-    4 exact_read_limit, and otherwise recovers linear parts by sampled
+    4 EXACT_READ_LIMIT, and otherwise recovers linear parts by sampled
     tone search and estimates coefficients from samples; degenerate
     inputs (n < 2 or k >= 2^n, n <= 7) skip the levels and run the exact
     finish over every Hankel diag. candidate_cap (default 64 k^3)
-    aborts the run via CandidateOverflow instead of trimming.
+    aborts the run via CandidateOverflow instead of trimming; threads
+    splits the exact level test across diag batches.
 
-    profile "lean" switches to the pooled probe regime with pool_bases
+    profile "lean" switches to the pooled probe regime with POOL_BASES
     anchor positions; see the module docstring for what that trades away.
     """
 
     k: int
     c1: float = 0.5
     c2: float = 2.0
-    c3: Optional[float] = None
     delta: float = 0.01
-    suffix_samples: Optional[int] = None
-    repeats: int = 1
     candidate_cap: Optional[int] = None
-    exact_read_limit: int = 1 << 12
-    km_samples: Optional[int] = None
-    km_repeats: Optional[int] = None
     threads: int = 1
     profile: str = "robust"
-    pool_bases: int = 4
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -117,19 +116,14 @@ class DecoderParams:
             raise ValueError("c1 must lie in (0, 1)")
         if self.c2 <= 1.0:
             raise ValueError("c2 must exceed 1")
-        if self.c3 is not None and self.c3 <= 0.0:
-            raise ValueError("c3 must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.repeats < 1 or self.repeats % 2 == 0:
-            raise ValueError("repeats must be odd and positive")
+        if self.candidate_cap is not None and self.candidate_cap < 1:
+            raise ValueError("candidate_cap must be at least 1")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
         if self.profile not in ("robust", "lean"):
             raise ValueError("profile must be 'robust' or 'lean'")
-        if self.pool_bases < 2:
-            raise ValueError("pool_bases must be at least 2")
-
-    def resolved_c3(self) -> float:
-        return self.c3 if self.c3 is not None else self.c1 / 40.0
 
     def resolved_cap(self) -> int:
         return (
@@ -139,8 +133,6 @@ class DecoderParams:
         )
 
     def resolved_suffix_samples(self, n: int) -> int:
-        if self.suffix_samples is not None:
-            return self.suffix_samples
         per = math.ceil(8.0 * self.k / self.c1)
         return per * math.ceil(math.log(2.0 * n / self.delta))
 
@@ -174,19 +166,18 @@ def _thresholds(
     """Per-suffix tone threshold, energy gate, and pass-fraction bar."""
     scale = 2.0 ** (j - n) * hint_sq
     tau_sq = scale / (4.0 * params.k * params.c2)
-    gate = (params.k / params.resolved_c3()) * scale
+    gate = (params.k / (params.c1 / 40.0)) * scale
     frac = (1.0 + params.c1) / (8.0 * params.k)
     return tau_sq, gate, frac
 
 
-def _suffix_draw(
-    n: int, j: int, limit: int, seed: int, rep: int
-) -> np.ndarray:
+def _suffix_draw(n: int, j: int, limit: int, seed: int) -> np.ndarray:
     """Suffixes to test at one level: exhaustive when they fit the budget."""
     count = 1 << (n - j)
     if count <= limit:
         return np.arange(count, dtype=np.uint32)
-    rng = child_rng(seed, "suffix", j, rep)
+    # the trailing 0 is part of the stream key: dropping it changes every draw
+    rng = child_rng(seed, "suffix", j, 0)
     return rng.integers(0, count, size=limit, dtype=np.uint32)
 
 
@@ -258,25 +249,19 @@ def _km_level_keep(
     need = math.ceil(frac * len(suffixes) - 1e-12)
     gate_samples = max(64, 8 * params.k)
     for si, suffix in enumerate(suffixes.tolist()):
-        ro = RestrictedOracle(oracle, int(suffix), j)
         energy = estimate_sq_norm(
-            ro, gate_samples, seed=int(child_rng(seed, "gate", j, si).integers(1 << 30))
+            SliceOracle(oracle, suffix, j),
+            gate_samples,
+            seed=int(child_rng(seed, "gate", j, si).integers(1 << 30)),
         )
         if energy > gate:
             passes += 1
             continue
         hint = math.sqrt(max(energy, tau_sq))
-        theta = min(1.0, 2.0 * tau_sq / hint**2)
-        sub = KmParams(
-            theta=theta,
-            delta=params.delta,
-            samples_per_test=params.km_samples,
-            repeats=params.km_repeats,
-        )
+        sub = KmParams(theta=min(1.0, 2.0 * tau_sq / hint**2), delta=params.delta)
         for ci, diag in enumerate(diags):
-            label = CodewordLabel(HankelMat(j, int(diag)), 0, 0)
             found = km_list(
-                DemodulatedOracle(ro, label),
+                SliceOracle(oracle, suffix, j, int(diag)),
                 sub,
                 seed=int(child_rng(seed, "subtest", j, si, ci).integers(1 << 30)),
             )
@@ -296,22 +281,16 @@ def _robust_levels(
     kept: List[int] = []
     for j in range(1, n + 1):
         tau_sq, gate, frac = _thresholds(params, n, j, hint_sq)
-        votes = np.zeros(len(test_set), dtype=np.int64)
-        for rep in range(params.repeats):
-            suffixes = _suffix_draw(n, j, limit, seed, rep)
-            if (1 << j) <= params.exact_read_limit:
-                keep = _exact_level_keep(
-                    oracle, j, test_set, suffixes, tau_sq, gate, frac,
-                    params.threads,
-                )
-            else:
-                keep = _km_level_keep(
-                    oracle, j, test_set, suffixes, tau_sq, gate, frac,
-                    params, seed,
-                )
-            votes += keep
-        mask = votes * 2 > params.repeats
-        kept = [d for d, m in zip(test_set, mask) if m]
+        suffixes = _suffix_draw(n, j, limit, seed)
+        if (1 << j) <= EXACT_READ_LIMIT:
+            keep = _exact_level_keep(
+                oracle, j, test_set, suffixes, tau_sq, gate, frac, params.threads
+            )
+        else:
+            keep = _km_level_keep(
+                oracle, j, test_set, suffixes, tau_sq, gate, frac, params, seed
+            )
+        kept = [d for d, m in zip(test_set, keep) if m]
         stats.g.append(len(test_set))
         stats.f.append(len(kept))
         if len(kept) > cap:
@@ -331,21 +310,14 @@ def _robust_finish(
 ) -> List[Tuple[CodewordLabel, complex]]:
     """Recover linear parts for full-size survivors and prune by dot."""
     n = oracle.n
-    if (1 << n) <= 4 * params.exact_read_limit:
+    if (1 << n) <= 4 * EXACT_READ_LIMIT:
         return _exact_finish(oracle, params, survivors)
 
-    theta = min(1.0, 1.0 / (params.k * params.c2))
-    sub = KmParams(
-        theta=theta,
-        delta=params.delta,
-        samples_per_test=params.km_samples,
-        repeats=params.km_repeats,
-    )
+    sub = KmParams(theta=min(1.0, 1.0 / (params.k * params.c2)), delta=params.delta)
     labels = []
     for diag in survivors:
-        base = CodewordLabel(HankelMat(n, int(diag)), 0, 0)
         found = km_list(
-            DemodulatedOracle(oracle, base),
+            SliceOracle(oracle, 0, n, int(diag)),
             sub,
             seed=int(child_rng(seed, "ells", diag).integers(1 << 30)),
         )
@@ -405,16 +377,15 @@ def _lean_decode(
     anchor positions. Probes nest across levels, the linear part falls
     out of the same pair products after full demodulation, and the
     coefficient is read off the whole pool, so the run touches
-    O(pool_bases * n) positions total.
+    O(POOL_BASES * n) positions total.
     """
     n = oracle.n
     hint_sq = oracle.norm_hint**2
     cap = params.resolved_cap()
     rng = child_rng(seed, "pool")
-    nbases = params.pool_bases
-    bases = np.unique(rng.integers(0, 1 << n, size=4 * nbases, dtype=np.uint64))
+    bases = np.unique(rng.integers(0, 1 << n, size=4 * POOL_BASES, dtype=np.uint64))
     rng.shuffle(bases)
-    bases = bases[:nbases].astype(np.uint32)
+    bases = bases[:POOL_BASES].astype(np.uint32)
     v_base = oracle.query_many(bases)
     pool: List[np.ndarray] = [bases]
     bar = 0.2

@@ -35,35 +35,29 @@ from kerdock.signal import CachingOracle, SampleOracle, estimate_dots, estimate_
 
 @dataclass(frozen=True)
 class PursuitParams:
-    """Term budget k, target accuracy eps, and the inner decoder knobs.
+    """Term budget k and target accuracy eps.
 
-    rounds defaults to ceil(log(1/eps)) + 1; inner defaults to the plain
-    decoder at heaviness k. The coherence regime check (k at most
-    sqrt(N)/6, so that mu*k <= 1/6 and per-term estimates stay inside
-    half a coefficient) happens at decode time, when n is known.
+    eps sets the round count, max(1, ceil(log(1/eps)) + 1); every round
+    decodes the residual with the plain decoder at heaviness k. The
+    coherence regime check (k at most sqrt(N)/6, so that mu*k <= 1/6 and
+    per-term estimates stay inside half a coefficient) happens at decode
+    time, when n is known.
     """
 
     k: int
     eps: float
-    rounds: Optional[int] = None
-    inner: Optional[DecoderParams] = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.eps <= 0.0:
             raise ValueError("eps must be positive")
-        if self.rounds is not None and self.rounds < 1:
-            raise ValueError("rounds must be at least 1")
 
     def resolved_rounds(self) -> int:
-        if self.rounds is not None:
-            return self.rounds
-        return math.ceil(math.log(1.0 / self.eps)) + 1
+        # eps > e would give no round at all
+        return max(1, math.ceil(math.log(1.0 / self.eps)) + 1)
 
     def resolved_inner(self) -> DecoderParams:
-        if self.inner is not None:
-            return self.inner
         # small-k residual decodes see noisy mid-level transients well above
         # 64 k^3 before the candidate set contracts; the floor keeps the
         # guardrail from tripping on legitimate pursuit inputs

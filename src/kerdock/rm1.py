@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,21 +27,18 @@ def rm1_label(m: int, ell: int, eps: int = 0) -> CodewordLabel:
 
 @dataclass(frozen=True)
 class KmParams:
-    """Knobs for the tone search.
+    """Threshold and failure probability of the tone search.
 
     theta is the heaviness threshold relative to the squared norm hint;
-    delta the target failure probability. samples_per_test and repeats
-    default to values sized for the theta/4 estimation gap (Chebyshev
-    within one repetition, median across repetitions); pass explicit
-    values to trade accuracy for queries. At most ceil(4/theta) prefixes
-    survive any level, which is the Parseval budget at threshold theta/2
-    with a factor-2 norm-hint slack.
+    delta the target failure probability. The samples per bucket test and
+    the repeats per level are sized for the theta/4 estimation gap
+    (Chebyshev within one repetition, median across repetitions). At most
+    ceil(4/theta) prefixes survive any level, which is the Parseval budget
+    at threshold theta/2 with a factor-2 norm-hint slack.
     """
 
     theta: float
     delta: float = 0.01
-    samples_per_test: Optional[int] = None
-    repeats: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.theta <= 1.0:
@@ -54,13 +51,9 @@ class KmParams:
         return math.ceil(4.0 / self.theta)
 
     def resolved_samples(self) -> int:
-        if self.samples_per_test is not None:
-            return self.samples_per_test
         return max(16, math.ceil(48.0 / self.theta**2))
 
     def resolved_repeats(self, m: int) -> int:
-        if self.repeats is not None:
-            return self.repeats
         tests = (m + 1) * max(self.cap, 2)
         return max(7, math.ceil(2.0 * math.log(tests / self.delta)))
 

@@ -12,7 +12,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from kerdock.codebook import I_POWERS, CodewordLabel, dense_codeword, exponents_at
+from kerdock.codebook import (
+    I_POWERS,
+    CodewordLabel,
+    demodulate,
+    dense_codeword,
+    exponents_at,
+)
 from kerdock.rng import child_rng, hashed_normals
 
 __all__ = [
@@ -20,8 +26,7 @@ __all__ = [
     "DenseOracle",
     "SyntheticOracle",
     "CachingOracle",
-    "RestrictedOracle",
-    "DemodulatedOracle",
+    "SliceOracle",
     "make_noisy",
     "write_signal",
     "read_signal",
@@ -175,43 +180,35 @@ class CachingOracle(SampleOracle):
         return out.reshape(ys.shape)
 
 
-class RestrictedOracle(SampleOracle):
-    """Restriction to a fixed (n-j)-bit suffix: position y' reads s(y' + suffix 2^j)."""
+class SliceOracle(SampleOracle):
+    """A restricted, prefix-demodulated slice of a signal on j-bit positions.
 
-    def __init__(self, base: SampleOracle, suffix: int, j: int):
+    Position y' reads s(y' + suffix 2^j) i^(-y'^T H y'), where H is the
+    j x j Hankel matrix with reverse-diagonal bits diag. Demodulating turns
+    the quadratic component H of the slice into a pure tone:
+    <slice, phi_(0,ell)> = <restricted s, phi_(H,ell)>. diag = 0 is the
+    plain restriction; suffix = 0 with j = n demodulates the whole signal.
+    """
+
+    def __init__(self, base: SampleOracle, suffix: int, j: int, diag: int = 0):
         if not 0 <= j <= base.n:
             raise ValueError("prefix length out of range")
         if suffix >> (base.n - j):
             raise ValueError("suffix has bits beyond n-j")
+        if diag >> max(2 * j - 1, 0):
+            raise ValueError("diag has bits beyond 2j-1")
         # average restricted energy is 2^(j-n) ||s||^2
         super().__init__(j, base.norm_hint * np.sqrt(2.0 ** (j - base.n)))
         self.base = base
         self.suffix = suffix
         self.j = j
+        self.diag = diag
 
     def _values(self, ys: np.ndarray) -> np.ndarray:
-        return self.base.query_many(
-            ys.astype(np.int64) | (self.suffix << self.j)
-        )
-
-
-class DemodulatedOracle(SampleOracle):
-    """Pointwise product with the conjugate unit phase of a codeword label.
-
-    Demodulating by (P, 0, 0) turns the quadratic component P of the signal
-    into a pure tone: <demod(s), phi_(0,ell)> = <s, phi_(P,ell)>.
-    """
-
-    def __init__(self, base: SampleOracle, label: CodewordLabel):
-        if label.n != base.n:
-            raise ValueError("label dimension mismatch")
-        super().__init__(base.n, base.norm_hint)
-        self.base = base
-        self.label = label
-
-    def _values(self, ys: np.ndarray) -> np.ndarray:
-        vals = self.base.query_many(ys.astype(np.int64))
-        return vals * np.conj(I_POWERS[exponents_at(self.label, ys)])
+        flat = ys.ravel()
+        vals = self.base.query_many(flat.astype(np.int64) | (self.suffix << self.j))
+        diags = np.array([self.diag], dtype=np.uint64)
+        return demodulate(vals, diags, self.j, flat)[0].reshape(ys.shape)
 
 
 def make_noisy(

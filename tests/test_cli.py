@@ -146,6 +146,15 @@ def test_decode_overflow_exits_one(capsys):
     assert "decode aborted" in err
 
 
+@pytest.mark.parametrize("flag", ["--cap", "--threads"])
+def test_decode_rejects_nonpositive_cap_and_threads(flag, capsys):
+    spec = _plant_spec(6, [0x2B], ["1.0"])
+    argv = ["decode", "--plant", spec, "--n", "6", "--k", "2", flag, "0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "at least 1" in err
+
+
 def test_sparse_approx_writes_representation(tmp_path, capsys):
     n = 9
     spec = _plant_spec(n, [0x10F, 0x071], ["1.0", "0.5"], ell=4)

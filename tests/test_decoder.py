@@ -1,13 +1,18 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import kerdock.decoder as decoder_mod
 from kerdock.codebook import (
     CodewordLabel,
     HankelMat,
     SymMat,
     demodulate,
     dense_codeword,
+    diag_chunks,
     kerdock_set,
+    lf_kerdock,
     pair_dot,
 )
 from kerdock.decoder import (
@@ -20,7 +25,14 @@ from kerdock.decoder import (
 )
 from kerdock.field import FieldContext
 from kerdock.oracle import dense_heavy_set
-from kerdock.signal import CachingOracle, DenseOracle, SyntheticOracle, fwht, make_noisy
+from kerdock.signal import (
+    CachingOracle,
+    DenseOracle,
+    SampleOracle,
+    SyntheticOracle,
+    fwht,
+    make_noisy,
+)
 
 
 def _kerdock_terms(n, picks, coeffs, seed=0):
@@ -54,16 +66,15 @@ def test_params_validation():
     with pytest.raises(ValueError):
         DecoderParams(k=2, c2=1.0)
     with pytest.raises(ValueError):
-        DecoderParams(k=2, repeats=2)
-    with pytest.raises(ValueError):
         DecoderParams(k=2, profile="fast")
     with pytest.raises(ValueError):
-        DecoderParams(k=2, profile="lean", pool_bases=1)
+        DecoderParams(k=2, candidate_cap=0)
+    with pytest.raises(ValueError):
+        DecoderParams(k=2, threads=0)
 
 
 def test_params_resolved_defaults():
     p = DecoderParams(k=3)
-    assert p.resolved_c3() == p.c1 / 40.0
     assert p.resolved_cap() == 64 * 27
     assert DecoderParams(k=3, candidate_cap=10).resolved_cap() == 10
     # ceil(8k/c1) * ceil(log(2n/delta)) at the defaults
@@ -195,6 +206,81 @@ def test_decode_is_deterministic_and_thread_invariant():
 
     assert run(1) == run(1)
     assert run(1) == run(2)
+
+
+def test_threaded_level_test_matches_serial(monkeypatch):
+    # at n = 6 every level fits one default diag batch; tiny batches make the
+    # level test hand several of them to the thread pool
+    n = 6
+    terms = _kerdock_terms(n, [3, 17], [1.0, -0.7j], seed=3)
+    vals = make_noisy(n, terms, noise_energy=0.5, seed=4)
+    batches, pools = [], []
+
+    def small_chunks(diags, row_elems):
+        out = diag_chunks(diags, row_elems)
+        out = [d[i : i + 3] for d in out for i in range(0, len(d), 3)]
+        batches.append(len(out))
+        return out
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(decoder_mod, "diag_chunks", small_chunks)
+    monkeypatch.setattr(decoder_mod, "ThreadPoolExecutor", CountingPool)
+
+    def run(threads):
+        params = DecoderParams(k=5, threads=threads)
+        results, stats = list_decode_hankel(DenseOracle(vals), params, seed=3)
+        return format_decode_report(results, stats)
+
+    serial = run(1)
+    assert not pools and max(batches) > 1
+    assert run(2) == serial
+    assert pools
+
+
+class _PositionLog(SampleOracle):
+    """Delegating oracle that records every position it serves."""
+
+    def __init__(self, base):
+        super().__init__(base.n, base.norm_hint)
+        self.base = base
+        self.served = []
+
+    def _values(self, ys):
+        self.served.append(ys.copy())
+        return self.base.query_many(ys)
+
+
+@pytest.mark.slow
+def test_sampled_levels_and_finish_recover_a_clean_word(monkeypatch):
+    # slices above 16 positions take the sampled level test (j = 5..7), and
+    # 2^7 > 4 * 16 sends the finish through km_list and estimate_dots
+    n = 7
+    lab = CodewordLabel(lf_kerdock(FieldContext.default(n), 0x2B), 5, 0)
+    log = _PositionLog(SyntheticOracle(n, [(lab, 1.0)]))
+    monkeypatch.setattr(decoder_mod, "EXACT_READ_LIMIT", 16)
+    km_sizes, dot_calls = [], []
+    real_km, real_dots = decoder_mod.km_list, decoder_mod.estimate_dots
+
+    def km_spy(oracle, params, seed=0):
+        km_sizes.append(oracle.n)
+        return real_km(oracle, params, seed)
+
+    def dots_spy(oracle, labels, samples, seed=0):
+        dot_calls.append(len(labels))
+        return real_dots(oracle, labels, samples, seed)
+
+    monkeypatch.setattr(decoder_mod, "km_list", km_spy)
+    monkeypatch.setattr(decoder_mod, "estimate_dots", dots_spy)
+    results, stats = list_decode_hankel(log, DecoderParams(k=1), seed=0)
+    assert (lab.q.diag, lab.ell) in _keys(results)
+    assert {5, 6, 7} <= set(km_sizes)
+    assert dot_calls
+    reads = np.concatenate(log.served)
+    assert stats.queries == reads.size == np.unique(reads).size
 
 
 def test_report_layout():

@@ -6,7 +6,6 @@ import pytest
 
 import kerdock.pursuit as pursuit_mod
 from kerdock.codebook import CodewordLabel, HankelMat, dense_codeword, kerdock_set
-from kerdock.decoder import DecoderParams
 from kerdock.field import FieldContext
 from kerdock.oracle import best_k_kerdock
 from kerdock.pursuit import (
@@ -31,6 +30,10 @@ def _terms(n, picks, coeffs, ell_seed=0):
     ]
 
 
+def _keys(pairs):
+    return {(lab.q.diag, lab.ell) for lab, _ in pairs}
+
+
 def _dense(n, rep):
     return rep.evaluate(np.arange(1 << n, dtype=np.uint32))
 
@@ -40,16 +43,16 @@ def test_params_validation_and_defaults():
         PursuitParams(k=0, eps=0.1)
     with pytest.raises(ValueError):
         PursuitParams(k=2, eps=0.0)
-    with pytest.raises(ValueError):
-        PursuitParams(k=2, eps=0.1, rounds=0)
     p = PursuitParams(k=3, eps=0.05)
     assert p.resolved_rounds() == 4
-    assert PursuitParams(k=3, eps=0.05, rounds=2).resolved_rounds() == 2
+    assert PursuitParams(k=3, eps=0.5).resolved_rounds() == 2
+    assert PursuitParams(k=3, eps=0.02).resolved_rounds() == 5
+    # eps above e still runs one round
+    assert PursuitParams(k=3, eps=3.0).resolved_rounds() == 1
+    assert PursuitParams(k=3, eps=10.0).resolved_rounds() == 1
     inner = p.resolved_inner()
     assert inner.k == 3
     assert inner.resolved_cap() == 4096  # floor dominates 64 k^3 at small k
-    custom = DecoderParams(k=7)
-    assert PursuitParams(k=3, eps=0.1, inner=custom).resolved_inner() is custom
 
 
 def test_coherence_regime_guard():
@@ -121,6 +124,13 @@ def test_pursuit_single_term():
     lab, c = rep.terms[0]
     assert (lab.q.diag, lab.ell) == (terms[0][0].q.diag, terms[0][0].ell)
     assert abs(c - 1.5j) < 1e-6
+
+
+def test_pursuit_with_loose_eps_still_decodes():
+    n = 6
+    terms = _terms(n, [21], [1.0], ell_seed=11)
+    rep = sparse_approx(SyntheticOracle(n, terms), PursuitParams(k=1, eps=3.0), seed=0)
+    assert _keys(rep.terms) == _keys(terms)
 
 
 def test_pursuit_noisy_error_within_budget():
@@ -231,10 +241,10 @@ def _spy_decodes(monkeypatch):
 def test_pursuit_stops_once_the_budget_is_full(monkeypatch):
     vals, params = _two_round_case()
     seen = _spy_decodes(monkeypatch)
-    short = sparse_approx(DenseOracle(vals), replace(params, rounds=2), seed=0)
+    short = sparse_approx(DenseOracle(vals), replace(params, eps=0.5), seed=0)
     assert len(short.terms) == params.k
     seen.clear()
-    long = sparse_approx(DenseOracle(vals), replace(params, rounds=5), seed=0)
+    long = sparse_approx(DenseOracle(vals), replace(params, eps=0.02), seed=0)
     assert [(l.q.diag, l.ell, l.eps, c) for l, c in long.terms] == [
         (l.q.diag, l.ell, l.eps, c) for l, c in short.terms
     ]

@@ -8,10 +8,9 @@ from kerdock.field import FieldContext
 from kerdock.rng import child_rng, hashed_normals
 from kerdock.signal import (
     CachingOracle,
-    DemodulatedOracle,
     DenseOracle,
-    RestrictedOracle,
     SampleOracle,
+    SliceOracle,
     SyntheticOracle,
     estimate_dot,
     estimate_dots,
@@ -124,21 +123,38 @@ def test_caching_oracle_counts_distinct_positions():
 def test_restricted_oracle_reads_the_suffix_block():
     vals = np.arange(32, dtype=np.complex128)
     base = DenseOracle(vals)
-    r = RestrictedOracle(base, suffix=0b101, j=2)
+    r = SliceOracle(base, suffix=0b101, j=2)
     assert r.n == 2
     got = r.query_many(np.arange(4))
     assert (got == vals[0b101 << 2 : (0b101 << 2) + 4]).all()
     assert (got == restrict_dense(vals, 2, 0b101)).all()
     assert abs(r.norm_hint - base.norm_hint * 2.0 ** ((2 - 5) / 2.0)) < 1e-12
+    assert r.query_count == 4 and base.query_count == 4
     with pytest.raises(ValueError):
-        RestrictedOracle(base, suffix=1 << 3, j=2)
+        SliceOracle(base, suffix=1 << 3, j=2)
+    with pytest.raises(ValueError):
+        SliceOracle(base, suffix=0, j=2, diag=1 << 3)
+
+
+@pytest.mark.parametrize("j, suffix", [(1, 5), (3, 2), (5, 0)])
+def test_slice_oracle_demodulates_the_restriction(j, suffix):
+    n = 5
+    s = make_noisy(n, [(lab, c) for lab, c in zip(_labels(n, 2), (1.0, 0.3))], 0.25, 7)
+    base = DenseOracle(s)
+    ys = np.arange(1 << j)
+    for diag in range(1 << (2 * j - 1)):
+        chirp = dense_codeword(CodewordLabel(HankelMat(j, diag), 0, 0)) * np.sqrt(1 << j)
+        want = restrict_dense(s, j, suffix) * np.conj(chirp)
+        got = SliceOracle(base, suffix, j, diag).query_many(ys)
+        assert np.allclose(got, want, rtol=0, atol=1e-15)
+    assert SliceOracle(base, 0, n).norm_hint == base.norm_hint
 
 
 def test_demodulation_turns_the_quadratic_into_a_tone():
     n = 4
     lab = _labels(n, 1, seed=3)[0]
     base = DenseOracle(2.0 * dense_codeword(lab))
-    demod = DemodulatedOracle(base, CodewordLabel(lab.q, 0, 0))
+    demod = SliceOracle(base, 0, n, lab.q.diag)
     vals = demod.query_many(np.arange(1 << n))
     spectrum = fwht(vals) / np.sqrt(1 << n)
     top = int(np.argmax(np.abs(spectrum)))
@@ -152,7 +168,7 @@ def test_demodulated_dot_identity():
     s = make_noisy(n, [(lab, c) for lab, c in zip(_labels(n, 2), (1.0, 0.3))], 0.25, 7)
     base = DenseOracle(s)
     lab = _labels(n, 1, seed=9)[0]
-    demod = DemodulatedOracle(base, CodewordLabel(lab.q, 0, 0))
+    demod = SliceOracle(base, 0, n, lab.q.diag)
     lhs = estimate_dot(demod, CodewordLabel(HankelMat(n, 0), lab.ell, lab.eps), 1 << n)
     rhs = estimate_dot(base, lab, 1 << n)
     assert abs(lhs - rhs) < 1e-12
