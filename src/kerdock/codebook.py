@@ -32,6 +32,7 @@ __all__ = [
     "demodulate",
     "diag_chunks",
     "I_POWERS",
+    "DENSE_MAX_N",
     "dense_codeword",
     "gf2_rank",
     "gf2_rank_batch",
@@ -235,11 +236,15 @@ def diag_chunks(diags: np.ndarray, row_elems: int) -> List[np.ndarray]:
     return [diags[i : i + size] for i in range(0, len(diags), size)]
 
 
+# largest n whose whole domain is ever held as one vector (2^20 complex: 16 MB)
+DENSE_MAX_N = 20
+
+
 def dense_codeword(label: CodewordLabel) -> np.ndarray:
     """All N values of the codeword as a complex vector of unit norm."""
     n = label.n
-    if n > 20:
-        raise ValueError("dense evaluation limited to n <= 20")
+    if n > DENSE_MAX_N:
+        raise ValueError(f"dense evaluation limited to n <= {DENSE_MAX_N}")
     ys = np.arange(1 << n, dtype=np.uint32)
     return I_POWERS[exponents_at(label, ys)] / np.sqrt(1 << n)
 

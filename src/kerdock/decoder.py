@@ -1,26 +1,29 @@
-"""List decoding of the Hankel codebook from sampled queries.
+"""List decoding of the Hankel codebook from queries.
 
 Grows j x j Hankel prefix candidates one size at a time: a candidate
 survives a level when, on enough restricted subdomains, some tone of the
 prefix-demodulated restriction stays heavy. Each extension appends only
 the two new reverse-diagonal bits, so the search tree has branching
-factor four, and survivors at full size get their linear parts recovered
-by tone decoding and their coefficients estimated and pruned.
+factor four, and survivors at full size get their linear parts and
+coefficients from the finish.
 
-Whenever the full domain is small enough to read outright, the finish is
-exact: the whole signal is demodulated by a batch of diags at a time and
-transformed, so every tone of every diag yields its exact dot. The same
-exact finish decodes degenerate inputs (n < 2 or k >= 2^n), run over
-every Hankel diag instead of the survivors.
+Two profiles share this skeleton. The robust profile is an exact prefix
+search: each level reads its drawn suffix slices in full and decides
+every candidate by transform (energy gate, per-suffix tone test, pass
+fraction, with budgets sized for adversarial noise), and the finish
+reads the whole domain once, demodulates it by a batch of diags at a
+time and transforms it, so every tone of every survivor yields its exact
+dot. Its top level and every level with few suffixes already cover the
+domain, so a robust decode reads all 2^n positions; it is limited to
+n <= DENSE_MAX_N. The same exact finish decodes degenerate inputs
+(n < 2 or k >= 2^n), run over every Hankel diag instead of the
+survivors.
 
-Two sampling regimes share this skeleton. The robust regime follows the
-two-sided testing contract (energy gate, per-suffix tone test, pass
-fraction) with budgets sized for adversarial noise; restricted slices
-small enough to read outright are tested exactly. The lean regime drives
-every decision from one small global position pool, nesting pair probes
-across levels so the whole run touches O(pool * n) positions; it is
-meant for clean, very sparse signals where query counting is the point,
-and it trades list completeness for that budget.
+The lean profile is the query-sublinear one: it drives every decision
+from one small global position pool, nesting pair probes across levels
+so the whole run touches O(pool * n) positions; it is meant for clean,
+very sparse signals where query counting is the point, and it trades
+list completeness for that budget.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from kerdock.codebook import (
+    DENSE_MAX_N,
     I_POWERS,
     CodewordLabel,
     HankelMat,
@@ -41,16 +45,8 @@ from kerdock.codebook import (
     diag_chunks,
     pack_hex,
 )
-from kerdock.rm1 import KmParams, km_list
 from kerdock.rng import child_rng
-from kerdock.signal import (
-    CachingOracle,
-    SampleOracle,
-    SliceOracle,
-    estimate_dots,
-    estimate_sq_norm,
-    fwht,
-)
+from kerdock.signal import CachingOracle, SampleOracle, fwht
 
 
 class CandidateOverflow(RuntimeError):
@@ -71,9 +67,6 @@ class CandidateOverflow(RuntimeError):
         self.cap = cap
 
 
-# restricted slices up to this size are read in full and tested by transform;
-# the finish is exact while 2^n is at most four times it
-EXACT_READ_LIMIT = 1 << 12
 # anchor positions of the lean profile's probe pool
 POOL_BASES = 4
 
@@ -86,19 +79,18 @@ class DecoderParams:
     c2 (threshold relaxation, > 1) shape the two-sided suffix test; the
     per-suffix energy gate is (40 k/c1) 2^(j-n) hint^2. Each level tests
     ceil(8k/c1) * ceil(log(2n / delta)) suffixes, or every suffix when
-    2^(n-j) is smaller. Restricted slices of size up to EXACT_READ_LIMIT
-    are read in full and tested by transform (deterministic); larger ones
-    fall back to the sampled tone search. The finish reads all 2^n
-    positions and transforms every survivor exactly when 2^n is at most
-    4 EXACT_READ_LIMIT, and otherwise recovers linear parts by sampled
-    tone search and estimates coefficients from samples; degenerate
+    2^(n-j) is smaller; each tested slice is read in full and decided by
+    transform. The finish reads all 2^n positions and transforms every
+    survivor exactly, so the robust profile is an exact prefix search
+    that reads every position, limited to n <= DENSE_MAX_N; degenerate
     inputs (n < 2 or k >= 2^n, n <= 7) skip the levels and run the exact
     finish over every Hankel diag. candidate_cap (default 64 k^3)
     aborts the run via CandidateOverflow instead of trimming; threads
     splits the exact level test across diag batches.
 
-    profile "lean" switches to the pooled probe regime with POOL_BASES
-    anchor positions; see the module docstring for what that trades away.
+    profile "lean" switches to the query-sublinear pooled probe regime
+    with POOL_BASES anchor positions, about 8n positions in all; see the
+    module docstring for what that trades away.
     """
 
     k: int
@@ -227,49 +219,6 @@ def _exact_level_keep(
     return np.concatenate(parts)
 
 
-def _km_level_keep(
-    oracle: SampleOracle,
-    j: int,
-    diags: Sequence[int],
-    suffixes: np.ndarray,
-    tau_sq: float,
-    gate: float,
-    frac: float,
-    params: DecoderParams,
-    seed: int,
-) -> np.ndarray:
-    """Keep mask from sampled per-suffix tone decoding (large restrictions).
-
-    Every candidate sees the same suffixes; each open suffix is decoded
-    per candidate through the restricted, prefix-demodulated oracle. The
-    union bound over candidates needs no independence, so the shared
-    suffix draw costs nothing in the failure analysis.
-    """
-    passes = np.zeros(len(diags), dtype=np.int64)
-    need = math.ceil(frac * len(suffixes) - 1e-12)
-    gate_samples = max(64, 8 * params.k)
-    for si, suffix in enumerate(suffixes.tolist()):
-        energy = estimate_sq_norm(
-            SliceOracle(oracle, suffix, j),
-            gate_samples,
-            seed=int(child_rng(seed, "gate", j, si).integers(1 << 30)),
-        )
-        if energy > gate:
-            passes += 1
-            continue
-        hint = math.sqrt(max(energy, tau_sq))
-        sub = KmParams(theta=min(1.0, 2.0 * tau_sq / hint**2), delta=params.delta)
-        for ci, diag in enumerate(diags):
-            found = km_list(
-                SliceOracle(oracle, suffix, j, int(diag)),
-                sub,
-                seed=int(child_rng(seed, "subtest", j, si, ci).integers(1 << 30)),
-            )
-            if found:
-                passes[ci] += 1
-    return passes >= need
-
-
 def _robust_levels(
     oracle: SampleOracle, params: DecoderParams, seed: int, stats: DecodeStats
 ) -> List[int]:
@@ -282,14 +231,9 @@ def _robust_levels(
     for j in range(1, n + 1):
         tau_sq, gate, frac = _thresholds(params, n, j, hint_sq)
         suffixes = _suffix_draw(n, j, limit, seed)
-        if (1 << j) <= EXACT_READ_LIMIT:
-            keep = _exact_level_keep(
-                oracle, j, test_set, suffixes, tau_sq, gate, frac, params.threads
-            )
-        else:
-            keep = _km_level_keep(
-                oracle, j, test_set, suffixes, tau_sq, gate, frac, params, seed
-            )
+        keep = _exact_level_keep(
+            oracle, j, test_set, suffixes, tau_sq, gate, frac, params.threads
+        )
         kept = [d for d, m in zip(test_set, keep) if m]
         stats.g.append(len(test_set))
         stats.f.append(len(kept))
@@ -300,43 +244,6 @@ def _robust_levels(
         if j < n:
             test_set = [e for d in kept for e in extend_prefix(d, j)]
     return kept
-
-
-def _robust_finish(
-    oracle: SampleOracle,
-    params: DecoderParams,
-    seed: int,
-    survivors: List[int],
-) -> List[Tuple[CodewordLabel, complex]]:
-    """Recover linear parts for full-size survivors and prune by dot."""
-    n = oracle.n
-    if (1 << n) <= 4 * EXACT_READ_LIMIT:
-        return _exact_finish(oracle, params, survivors)
-
-    sub = KmParams(theta=min(1.0, 1.0 / (params.k * params.c2)), delta=params.delta)
-    labels = []
-    for diag in survivors:
-        found = km_list(
-            SliceOracle(oracle, 0, n, int(diag)),
-            sub,
-            seed=int(child_rng(seed, "ells", diag).integers(1 << 30)),
-        )
-        labels.extend(
-            CodewordLabel(HankelMat(n, int(diag)), int(ell), 0)
-            for ell, _ in found
-        )
-    if not labels:
-        return []
-    prune = oracle.norm_hint**2 / (2.0 * params.k)
-    samples = min(1 << n, 1 << 14)
-    dots = estimate_dots(
-        oracle, labels, samples, seed=int(child_rng(seed, "prune").integers(1 << 30))
-    )
-    return [
-        (lab, complex(c))
-        for lab, c in zip(labels, dots)
-        if abs(c) ** 2 >= prune
-    ]
 
 
 def _exact_finish(
@@ -460,8 +367,15 @@ def list_decode_hankel(
     a cache, so repeated positions are charged once; stats.queries is the
     count of distinct positions read and stats.queries_raw the total
     request volume. Degenerate inputs (n < 2 or k >= 2^n) are decoded
-    densely. Raises CandidateOverflow when a level exceeds the cap.
+    densely. Raises CandidateOverflow when a level exceeds the cap, and
+    ValueError before any read when a robust decode would exceed
+    n = DENSE_MAX_N.
     """
+    if params.profile == "robust" and oracle.n > DENSE_MAX_N:
+        raise ValueError(
+            f"the robust profile reads all 2^n positions and is limited to "
+            f'n <= {DENSE_MAX_N}, got n={oracle.n}; use profile="lean"'
+        )
     t0 = time.perf_counter()
     cached = oracle if isinstance(oracle, CachingOracle) else CachingOracle(oracle)
     n = cached.n
@@ -475,7 +389,7 @@ def list_decode_hankel(
         results = _lean_decode(cached, params, seed, stats)
     else:
         survivors = _robust_levels(cached, params, seed, stats)
-        results = _robust_finish(cached, params, seed, survivors)
+        results = _exact_finish(cached, params, survivors)
 
     results.sort(key=lambda t: (-abs(t[1]) ** 2, t[0].q.diag, t[0].ell))
     stats.queries = cached.distinct_count

@@ -125,8 +125,9 @@ def sparse_approx(
     every kept coefficient against the original oracle so errors do not
     compound. Residual norm hints for later rounds come from a sampled
     energy estimate with head-room. A full budget of k terms (no later
-    round could admit one) or a residual estimated at zero ends the loop
-    early. All reads share one cache: each position is read at most once.
+    round could admit one), a round that admits nothing (the residual is
+    unchanged) or a residual estimated at zero ends the loop early. All
+    reads share one cache: each position is read at most once.
     """
     n = oracle.n
     if ctx is None:
@@ -166,7 +167,7 @@ def sparse_approx(
         fresh.sort(key=lambda t: -abs(t[1]))
         room = params.k - len(rep.terms)
         if not fresh[:room]:
-            continue
+            break
         labels = [lab for lab, _ in rep.terms] + [lab for lab, _ in fresh[:room]]
         dots = estimate_dots(
             cached,

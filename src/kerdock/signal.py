@@ -13,9 +13,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from kerdock.codebook import (
+    DENSE_MAX_N,
     I_POWERS,
     CodewordLabel,
-    demodulate,
     dense_codeword,
     exponents_at,
 )
@@ -26,7 +26,6 @@ __all__ = [
     "DenseOracle",
     "SyntheticOracle",
     "CachingOracle",
-    "SliceOracle",
     "make_noisy",
     "write_signal",
     "read_signal",
@@ -46,8 +45,9 @@ class SampleOracle:
     """
 
     def __init__(self, n: int, norm_hint: float):
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        # query_many serves positions as uint32
+        if not 0 <= n <= 32:
+            raise ValueError(f"n must lie in 0..32, got {n}")
         self.n = n
         self.norm_hint = float(norm_hint)
         self._count = 0
@@ -137,8 +137,8 @@ class CachingOracle(SampleOracle):
     def __init__(self, base: SampleOracle):
         super().__init__(base.n, base.norm_hint)
         self.base = base
-        # dense mirror up to n = 20 (16 MB); dict beyond that
-        if base.n <= 20:
+        # dense mirror up to n = DENSE_MAX_N (16 MB); dict beyond that
+        if base.n <= DENSE_MAX_N:
             self._mirror: Optional[np.ndarray] = np.zeros(1 << base.n, dtype=np.complex128)
             self._have: Optional[np.ndarray] = np.zeros(1 << base.n, dtype=bool)
             self._store: Dict[int, complex] = {}
@@ -180,37 +180,6 @@ class CachingOracle(SampleOracle):
         return out.reshape(ys.shape)
 
 
-class SliceOracle(SampleOracle):
-    """A restricted, prefix-demodulated slice of a signal on j-bit positions.
-
-    Position y' reads s(y' + suffix 2^j) i^(-y'^T H y'), where H is the
-    j x j Hankel matrix with reverse-diagonal bits diag. Demodulating turns
-    the quadratic component H of the slice into a pure tone:
-    <slice, phi_(0,ell)> = <restricted s, phi_(H,ell)>. diag = 0 is the
-    plain restriction; suffix = 0 with j = n demodulates the whole signal.
-    """
-
-    def __init__(self, base: SampleOracle, suffix: int, j: int, diag: int = 0):
-        if not 0 <= j <= base.n:
-            raise ValueError("prefix length out of range")
-        if suffix >> (base.n - j):
-            raise ValueError("suffix has bits beyond n-j")
-        if diag >> max(2 * j - 1, 0):
-            raise ValueError("diag has bits beyond 2j-1")
-        # average restricted energy is 2^(j-n) ||s||^2
-        super().__init__(j, base.norm_hint * np.sqrt(2.0 ** (j - base.n)))
-        self.base = base
-        self.suffix = suffix
-        self.j = j
-        self.diag = diag
-
-    def _values(self, ys: np.ndarray) -> np.ndarray:
-        flat = ys.ravel()
-        vals = self.base.query_many(flat.astype(np.int64) | (self.suffix << self.j))
-        diags = np.array([self.diag], dtype=np.uint64)
-        return demodulate(vals, diags, self.j, flat)[0].reshape(ys.shape)
-
-
 def make_noisy(
     n: int,
     terms: Sequence[Tuple[CodewordLabel, complex]],
@@ -249,14 +218,14 @@ def write_signal(path: str, values: np.ndarray) -> None:
 
 
 def read_signal(path: str) -> np.ndarray:
-    """Inverse of write_signal; n is capped at 20 before anything is allocated."""
+    """Inverse of write_signal; n > DENSE_MAX_N is rejected before allocating."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("n="):
             raise ValueError("signal file must start with 'n=<int>'")
         n = int(header[2:])
-        if not 0 <= n <= 20:
-            raise ValueError(f"signal header n={n} outside 0..20")
+        if not 0 <= n <= DENSE_MAX_N:
+            raise ValueError(f"signal header n={n} outside 0..{DENSE_MAX_N}")
         values = np.empty(1 << n, dtype=np.complex128)
         for i in range(1 << n):
             parts = fh.readline().split()

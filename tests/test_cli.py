@@ -1,7 +1,7 @@
 import pytest
 
 from kerdock.cli import build_parser, main
-from kerdock.codebook import format_label, CodewordLabel, lf_kerdock, pack_hex
+from kerdock.codebook import format_label, CodewordLabel, HankelMat, lf_kerdock, pack_hex
 from kerdock.field import FieldContext
 from kerdock.pursuit import read_representation
 from kerdock.signal import read_signal
@@ -99,6 +99,12 @@ def test_decode_bad_inputs_exit_two(tmp_path, capsys):
     assert main(["decode", "--k", "2", "--in", str(huge)]) == 2
     err = capsys.readouterr().err
     assert "lacks the field" in err and "n=40" in err
+    # the robust profile reads every position, so n=21 is refused up front
+    tone = format_label(CodewordLabel(HankelMat(21, 0), 3, 0))
+    plant = ["--n", "21", "--plant", f"{tone}:1.0"]
+    assert main(["decode", "--k", "1", *plant]) == 2
+    assert 'profile="lean"' in capsys.readouterr().err
+    assert main(["decode", "--k", "1", "--profile", "lean", *plant]) == 0
 
 
 def test_decode_from_plant_is_byte_deterministic(capsys):

@@ -254,33 +254,23 @@ class _PositionLog(SampleOracle):
         return self.base.query_many(ys)
 
 
-@pytest.mark.slow
-def test_sampled_levels_and_finish_recover_a_clean_word(monkeypatch):
-    # slices above 16 positions take the sampled level test (j = 5..7), and
-    # 2^7 > 4 * 16 sends the finish through km_list and estimate_dots
-    n = 7
+def test_robust_bill_is_bounded():
+    # each level reads a position at most once and the finish reads each once more
+    n = 13
     lab = CodewordLabel(lf_kerdock(FieldContext.default(n), 0x2B), 5, 0)
     log = _PositionLog(SyntheticOracle(n, [(lab, 1.0)]))
-    monkeypatch.setattr(decoder_mod, "EXACT_READ_LIMIT", 16)
-    km_sizes, dot_calls = [], []
-    real_km, real_dots = decoder_mod.km_list, decoder_mod.estimate_dots
-
-    def km_spy(oracle, params, seed=0):
-        km_sizes.append(oracle.n)
-        return real_km(oracle, params, seed)
-
-    def dots_spy(oracle, labels, samples, seed=0):
-        dot_calls.append(len(labels))
-        return real_dots(oracle, labels, samples, seed)
-
-    monkeypatch.setattr(decoder_mod, "km_list", km_spy)
-    monkeypatch.setattr(decoder_mod, "estimate_dots", dots_spy)
     results, stats = list_decode_hankel(log, DecoderParams(k=1), seed=0)
     assert (lab.q.diag, lab.ell) in _keys(results)
-    assert {5, 6, 7} <= set(km_sizes)
-    assert dot_calls
     reads = np.concatenate(log.served)
-    assert stats.queries == reads.size == np.unique(reads).size
+    assert stats.queries == reads.size == np.unique(reads).size == 1 << n
+    assert stats.queries_raw <= (n + 1) << n
+
+
+def test_robust_size_guard_reads_nothing():
+    o = SyntheticOracle(21, [])
+    with pytest.raises(ValueError, match='profile="lean"'):
+        list_decode_hankel(o, DecoderParams(k=1), seed=0)
+    assert o.query_count == 0
 
 
 def test_report_layout():

@@ -253,6 +253,18 @@ def test_pursuit_stops_once_the_budget_is_full(monkeypatch):
     assert sizes == [0, 1]
 
 
+def test_pursuit_stops_after_a_round_that_admits_nothing(monkeypatch):
+    # two Kerdock terms under a budget of three: the round after both are in
+    # admits nothing and leaves the residual as it was
+    n = 9
+    vals = make_noisy(n, _terms(n, [5, 19], [1.0, 0.6], ell_seed=8), 0.3, seed=5)
+    seen = _spy_decodes(monkeypatch)
+    rep = sparse_approx(DenseOracle(vals), PursuitParams(k=3, eps=0.1), seed=0)
+    assert len(rep.terms) == 2
+    sizes = [len(getattr(o, "rep", Representation()).terms) for o, _ in seen]
+    assert sizes == [0, 2]
+
+
 def test_residual_decodes_report_their_reads(monkeypatch):
     vals, params = _two_round_case()
     seen = _spy_decodes(monkeypatch)

@@ -3,14 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerdock.codebook import CodewordLabel, HankelMat, dense_codeword, kerdock_set
+from kerdock.codebook import (
+    CodewordLabel,
+    HankelMat,
+    demodulate,
+    dense_codeword,
+    kerdock_set,
+)
 from kerdock.field import FieldContext
 from kerdock.rng import child_rng, hashed_normals
 from kerdock.signal import (
     CachingOracle,
     DenseOracle,
     SampleOracle,
-    SliceOracle,
     SyntheticOracle,
     estimate_dot,
     estimate_dots,
@@ -76,6 +81,16 @@ def test_query_accounting_and_domain_check():
         o.query_many(np.array([-1]))
 
 
+def test_oracle_positions_fit_32_bits():
+    # positions are served as uint32: a wider domain would wrap 2^32 to 0
+    with pytest.raises(ValueError, match="0..32"):
+        SyntheticOracle(33, [])
+    tone = CodewordLabel(HankelMat(32, 0), 1 << 31, 0)
+    o = SyntheticOracle(32, [(tone, 1.0)])
+    assert o.query(0) == 2.0**-16
+    assert o.query((1 << 32) - 1) == -(2.0**-16)
+
+
 def test_dense_oracle_norm_hint_defaults_to_true_norm():
     vals = np.array([3.0, 4.0, 0.0, 0.0], dtype=np.complex128)
     assert DenseOracle(vals).norm_hint == 5.0
@@ -120,42 +135,35 @@ def test_caching_oracle_counts_distinct_positions():
     assert o.distinct_count == 4  # {1,2,3,4}
 
 
+def _demodulated(values, j, suffix, diag):
+    """The restriction of values to suffix, demodulated by the j-bit Hankel diag."""
+    ys = np.arange(1 << j, dtype=np.uint32)
+    block = restrict_dense(values, j, suffix)
+    return demodulate(block, np.array([diag], dtype=np.uint64), j, ys)[0]
+
+
 def test_restricted_oracle_reads_the_suffix_block():
     vals = np.arange(32, dtype=np.complex128)
-    base = DenseOracle(vals)
-    r = SliceOracle(base, suffix=0b101, j=2)
-    assert r.n == 2
-    got = r.query_many(np.arange(4))
+    got = restrict_dense(vals, 2, 0b101)
     assert (got == vals[0b101 << 2 : (0b101 << 2) + 4]).all()
-    assert (got == restrict_dense(vals, 2, 0b101)).all()
-    assert abs(r.norm_hint - base.norm_hint * 2.0 ** ((2 - 5) / 2.0)) < 1e-12
-    assert r.query_count == 4 and base.query_count == 4
-    with pytest.raises(ValueError):
-        SliceOracle(base, suffix=1 << 3, j=2)
-    with pytest.raises(ValueError):
-        SliceOracle(base, suffix=0, j=2, diag=1 << 3)
+    assert (_demodulated(vals, 2, 0b101, 0) == got).all()
 
 
 @pytest.mark.parametrize("j, suffix", [(1, 5), (3, 2), (5, 0)])
 def test_slice_oracle_demodulates_the_restriction(j, suffix):
     n = 5
     s = make_noisy(n, [(lab, c) for lab, c in zip(_labels(n, 2), (1.0, 0.3))], 0.25, 7)
-    base = DenseOracle(s)
-    ys = np.arange(1 << j)
     for diag in range(1 << (2 * j - 1)):
         chirp = dense_codeword(CodewordLabel(HankelMat(j, diag), 0, 0)) * np.sqrt(1 << j)
         want = restrict_dense(s, j, suffix) * np.conj(chirp)
-        got = SliceOracle(base, suffix, j, diag).query_many(ys)
+        got = _demodulated(s, j, suffix, diag)
         assert np.allclose(got, want, rtol=0, atol=1e-15)
-    assert SliceOracle(base, 0, n).norm_hint == base.norm_hint
 
 
 def test_demodulation_turns_the_quadratic_into_a_tone():
     n = 4
     lab = _labels(n, 1, seed=3)[0]
-    base = DenseOracle(2.0 * dense_codeword(lab))
-    demod = SliceOracle(base, 0, n, lab.q.diag)
-    vals = demod.query_many(np.arange(1 << n))
+    vals = _demodulated(2.0 * dense_codeword(lab), n, 0, lab.q.diag)
     spectrum = fwht(vals) / np.sqrt(1 << n)
     top = int(np.argmax(np.abs(spectrum)))
     assert top == lab.ell
@@ -166,11 +174,10 @@ def test_demodulation_turns_the_quadratic_into_a_tone():
 def test_demodulated_dot_identity():
     n = 5
     s = make_noisy(n, [(lab, c) for lab, c in zip(_labels(n, 2), (1.0, 0.3))], 0.25, 7)
-    base = DenseOracle(s)
     lab = _labels(n, 1, seed=9)[0]
-    demod = SliceOracle(base, 0, n, lab.q.diag)
+    demod = DenseOracle(_demodulated(s, n, 0, lab.q.diag))
     lhs = estimate_dot(demod, CodewordLabel(HankelMat(n, 0), lab.ell, lab.eps), 1 << n)
-    rhs = estimate_dot(base, lab, 1 << n)
+    rhs = estimate_dot(DenseOracle(s), lab, 1 << n)
     assert abs(lhs - rhs) < 1e-12
 
 
