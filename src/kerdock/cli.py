@@ -19,8 +19,10 @@ import numpy as np
 from kerdock.codebook import (
     CodewordLabel,
     kerdock_set,
+    lf_kerdock,
     pack_hex,
     parse_label,
+    unpack_hex,
 )
 from kerdock.decoder import (
     CandidateOverflow,
@@ -43,6 +45,7 @@ from kerdock.signal import (
     DenseOracle,
     SampleOracle,
     SyntheticOracle,
+    check_noise_energy,
     make_noisy,
     read_signal,
     write_signal,
@@ -85,15 +88,11 @@ def _cmd_gen_field(args: argparse.Namespace) -> int:
 
 
 def _cmd_kerdock(args: argparse.Namespace) -> int:
-    if args.action != "gen":
-        raise ValueError(f"unknown kerdock action {args.action!r}")
     ctx = FieldContext.default(args.n)
     if args.all:
         mats = kerdock_set(ctx)
     elif args.top_row is not None:
-        from kerdock.codebook import lf_kerdock
-
-        mats = [lf_kerdock(ctx, int(args.top_row, 16))]
+        mats = [lf_kerdock(ctx, unpack_hex(args.top_row, ctx.n))]
     else:
         raise ValueError("kerdock gen needs --top-row or --all")
     for m in mats:
@@ -113,6 +112,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
             coeffs.append(
                 complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
             )
+    if not labels:
+        raise ValueError(f"no labels in {args.labels}")
     if len(labels) != len(coeffs):
         raise ValueError(
             f"{len(labels)} labels but {len(coeffs)} coefficients"
@@ -125,6 +126,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
+    check_noise_energy(args.noise_energy)
     values = read_signal(args.infile)
     n = int(values.size - 1).bit_length()
     rng = np.random.default_rng(args.seed)
@@ -146,6 +148,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         threads=args.threads,
         profile=args.profile,
     )
+    if args.norm_hint is not None and not 0.0 < args.norm_hint < float("inf"):
+        raise ValueError(f"--norm-hint must be positive and finite, got {args.norm_hint}")
     oracle = _load_oracle(args)
     if args.norm_hint is not None:
         oracle.norm_hint = args.norm_hint
@@ -327,6 +331,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from kerdock.codebook import trace_kerdock
 
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     ns = [int(x) for x in args.n_list.split(",")]
     rows = []
     for n in ns:

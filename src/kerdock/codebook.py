@@ -18,7 +18,7 @@ from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 
-from kerdock.field import FieldContext, poly_mul
+from kerdock.field import FieldContext
 
 __all__ = [
     "SymMat",
@@ -104,19 +104,14 @@ class HankelMat:
     def entry(self, i: int, j: int) -> int:
         return (self.diag >> (i + j)) & 1
 
-    def row(self, i: int) -> int:
-        return (self.diag >> i) & ((1 << self.n) - 1)
-
     @property
     def rows(self) -> tuple:
-        return tuple(self.row(i) for i in range(self.n))
+        mask = (1 << self.n) - 1
+        return tuple((self.diag >> i) & mask for i in range(self.n))
 
     @property
     def top_row(self) -> int:
         return self.diag & ((1 << self.n) - 1)
-
-    def to_sym(self) -> SymMat:
-        return SymMat(self.n, self.rows)
 
     def __xor__(self, other: "HankelMat") -> "HankelMat":
         if self.n != other.n:
@@ -149,16 +144,9 @@ class CodewordLabel:
 def quad_form(q: MatLike, y: int) -> int:
     """y^T Q y over the integers, reduced mod 4."""
     total = 0
-    if isinstance(q, HankelMat):
-        mask = (1 << q.n) - 1
-        d = q.diag
-        for i in range(q.n):
-            if (y >> i) & 1:
-                total += (((d >> i) & mask) & y).bit_count()
-    else:
-        for i in range(q.n):
-            if (y >> i) & 1:
-                total += (q.rows[i] & y).bit_count()
+    for i, row in enumerate(q.rows):
+        if (y >> i) & 1:
+            total += (row & y).bit_count()
     return total & 3
 
 
@@ -376,7 +364,7 @@ def z4_to_z2_label(q: MatLike) -> SymMat:
     block is d d^T + Q mod 2.
     """
     n = q.n
-    rows = q.rows if isinstance(q, SymMat) else q.to_sym().rows
+    rows = q.rows
     d = sum(((rows[i] >> i) & 1) << i for i in range(n))
     out = [d << 1]
     for i in range(n):
@@ -409,9 +397,7 @@ def pair_dot(a: CodewordLabel, b: CodewordLabel) -> complex:
 
 def rank_distance(a: MatLike, b: MatLike) -> int:
     """Rank of the GF(2) difference of two label matrices."""
-    ra = a.rows if isinstance(a, SymMat) else a.to_sym().rows
-    rb = b.rows if isinstance(b, SymMat) else b.to_sym().rows
-    return gf2_rank(x ^ y for x, y in zip(ra, rb))
+    return gf2_rank(x ^ y for x, y in zip(a.rows, b.rows))
 
 
 def predict_dot_magnitude(a: CodewordLabel, b: CodewordLabel) -> float:
@@ -432,8 +418,8 @@ def predict_dot_magnitude(a: CodewordLabel, b: CodewordLabel) -> float:
     if a.n != b.n:
         raise ValueError("labels live on different domains")
     n = a.n
-    arows = a.q.rows if isinstance(a.q, SymMat) else a.q.to_sym().rows
-    brows = b.q.rows if isinstance(b.q, SymMat) else b.q.to_sym().rows
+    arows = a.q.rows
+    brows = b.q.rows
     diff = tuple(x ^ y for x, y in zip(arows, brows))
     mask = (1 << n) - 1
     da = sum(((arows[i] >> i) & 1) << i for i in range(n))
@@ -472,7 +458,7 @@ def check_commute(ctx: FieldContext, q: MatLike) -> bool:
     """
     if q.n != ctx.n:
         raise ValueError("matrix size must match field degree")
-    rows = q.rows if isinstance(q, SymMat) else q.to_sym().rows
+    rows = q.rows
     shifted = [ctx.mul(ctx.xi, 1 << i) for i in range(ctx.n)]
     for i in range(ctx.n):
         for j in range(ctx.n):

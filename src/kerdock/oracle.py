@@ -31,11 +31,10 @@ from kerdock.codebook import (
     kerdock_set,
     lf_kerdock,
     pair_dot,
-    poly_mul,
     predict_dot_magnitude,
     trace_kerdock,
 )
-from kerdock.field import FieldContext
+from kerdock.field import FieldContext, poly_mul
 from kerdock.rng import child_rng
 from kerdock.signal import fwht
 

@@ -129,7 +129,6 @@ def km_list(
     samples = params.resolved_samples()
     repeats = params.resolved_repeats(m)
     threshold = 0.5 * params.theta * hint_sq
-    exhaustive_all = (1 << (2 * m)) <= samples
 
     candidates = [0]
     for j in range(1, m + 1):
@@ -153,8 +152,7 @@ def km_list(
             return []
 
     labels = [rm1_label(m, ell) for ell in sorted(candidates)]
-    coeff_samples = (1 << m) if exhaustive_all else 2 * samples
-    dots = estimate_dots(oracle, labels, coeff_samples, seed=seed)
+    dots = estimate_dots(oracle, labels, 2 * samples, seed=seed)
     out = [
         (lab.ell, complex(c))
         for lab, c in zip(labels, dots)

@@ -8,7 +8,7 @@ vectors from the codebook module.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "SyntheticOracle",
     "CachingOracle",
     "make_noisy",
+    "check_noise_energy",
     "write_signal",
     "read_signal",
     "estimate_sq_norm",
@@ -35,6 +36,12 @@ __all__ = [
     "fwht",
     "restrict_dense",
 ]
+
+
+def check_noise_energy(noise_energy: float) -> None:
+    """Raise ValueError unless noise_energy is finite and non-negative (not NaN)."""
+    if not 0.0 <= noise_energy < float("inf"):
+        raise ValueError(f"noise energy must be finite and non-negative, got {noise_energy}")
 
 
 class SampleOracle:
@@ -106,6 +113,7 @@ class SyntheticOracle(SampleOracle):
         for label, _ in terms:
             if label.n != n:
                 raise ValueError("term dimension mismatch")
+        check_noise_energy(noise_energy)
         if norm_hint is None:
             norm_hint = float(
                 np.sqrt(sum(abs(c) ** 2 for _, c in terms) + noise_energy)
@@ -132,20 +140,16 @@ class CachingOracle(SampleOracle):
 
     query_count still counts every request; the wrapped oracle's own counter
     advances only on cache misses, so it measures distinct positions read.
+    The positions read so far are kept sorted (uint32) beside their values
+    (complex128): 20 bytes per distinct position, so 20 MiB for a robust
+    n=20 decode, which reads all 2^20 positions.
     """
 
     def __init__(self, base: SampleOracle):
         super().__init__(base.n, base.norm_hint)
         self.base = base
-        # dense mirror up to n = DENSE_MAX_N (16 MB); dict beyond that
-        if base.n <= DENSE_MAX_N:
-            self._mirror: Optional[np.ndarray] = np.zeros(1 << base.n, dtype=np.complex128)
-            self._have: Optional[np.ndarray] = np.zeros(1 << base.n, dtype=bool)
-            self._store: Dict[int, complex] = {}
-        else:
-            self._mirror = None
-            self._have = None
-            self._store = {}
+        self._pos = np.empty(0, dtype=np.uint32)
+        self._val = np.empty(0, dtype=np.complex128)
 
     @property
     def distinct_count(self) -> int:
@@ -153,31 +157,17 @@ class CachingOracle(SampleOracle):
 
     def _values(self, ys: np.ndarray) -> np.ndarray:
         flat = ys.ravel()
-        if self._mirror is not None:
-            need = ~self._have[flat]
-            if need.any():
-                uniq = np.unique(flat[need])
-                self._mirror[uniq] = self.base.query_many(uniq)
-                self._have[uniq] = True
-            return self._mirror[flat].reshape(ys.shape)
-        out = np.empty(flat.shape, dtype=np.complex128)
-        missing: List[int] = []
-        miss_idx: List[int] = []
-        for i, y in enumerate(flat.tolist()):
-            v = self._store.get(y)
-            if v is None:
-                missing.append(y)
-                miss_idx.append(i)
-            else:
-                out[i] = v
-        if missing:
-            uniq = sorted(set(missing))
-            vals = self.base.query_many(np.array(uniq, dtype=np.int64))
-            table = dict(zip(uniq, vals.tolist()))
-            self._store.update(table)
-            for i, y in zip(miss_idx, missing):
-                out[i] = table[y]
-        return out.reshape(ys.shape)
+        at = np.searchsorted(self._pos, flat)
+        known = at < self._pos.size
+        known[known] = self._pos[at[known]] == flat[known]
+        if not known.all():
+            new = np.unique(flat[~known])
+            pos = np.concatenate([self._pos, new])
+            order = np.argsort(pos, kind="stable")
+            self._pos = pos[order]
+            self._val = np.concatenate([self._val, self.base.query_many(new)])[order]
+            at = np.searchsorted(self._pos, flat)
+        return self._val[at].reshape(ys.shape)
 
 
 def make_noisy(
@@ -191,6 +181,7 @@ def make_noisy(
     The noise vector is drawn from the stream (seed, "noise") and scaled so
     its squared norm equals noise_energy to float precision.
     """
+    check_noise_energy(noise_energy)
     out = np.zeros(1 << n, dtype=np.complex128)
     for label, coeff in terms:
         if label.n != n:
@@ -248,8 +239,6 @@ def estimate_sq_norm(o: SampleOracle, samples: int, seed: int = 0) -> float:
     """Unbiased estimate of ||s||^2; exact when samples >= 2^n (each position once)."""
     ys = _sample_positions(o, samples, child_rng(seed, "sqnorm"))
     vals = o.query_many(ys)
-    if ys.size == 1 << o.n:
-        return float(np.sum(np.abs(vals) ** 2))
     return float((1 << o.n) * np.mean(np.abs(vals) ** 2))
 
 
@@ -266,15 +255,11 @@ def estimate_dots(
     """Dot estimates for many labels off one shared sample set."""
     ys = _sample_positions(o, samples, child_rng(seed, "dot"))
     vals = o.query_many(ys)
-    exact = ys.size == 1 << o.n
     scale = 1.0 / np.sqrt(1 << o.n)
     out = np.empty(len(labels), dtype=np.complex128)
     for i, label in enumerate(labels):
         phases = np.conj(I_POWERS[exponents_at(label, ys)]) * scale
-        if exact:
-            out[i] = np.sum(vals * phases)
-        else:
-            out[i] = (1 << o.n) * np.mean(vals * phases)
+        out[i] = (1 << o.n) * np.mean(vals * phases)
     return out
 
 

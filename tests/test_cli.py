@@ -107,6 +107,41 @@ def test_decode_bad_inputs_exit_two(tmp_path, capsys):
     assert main(["decode", "--k", "1", "--profile", "lean", *plant]) == 0
 
 
+@pytest.mark.parametrize("hint", ["0", "-1", "nan", "inf"])
+def test_decode_rejects_a_bad_norm_hint(hint, capsys):
+    spec = _plant_spec(6, [0x2B], ["1.0"])
+    argv = ["decode", "--plant", spec, "--n", "6", "--k", "2", "--norm-hint", hint]
+    assert main(argv) == 2
+    assert f"--norm-hint must be positive and finite, got {float(hint)}" in capsys.readouterr().err
+
+
+def test_negative_noise_energy_exits_two(tmp_path, capsys):
+    spec = _plant_spec(6, [0x2B], ["1.0"])
+    assert main(["decode", "--plant", spec, "--n", "6", "--k", "2", "--noise-energy", "-5"]) == 2
+    assert "got -5.0" in capsys.readouterr().err
+    # checked before the input file is opened: a missing file is not reported
+    out = tmp_path / "out.sig"
+    argv = ["corrupt", "--in", str(tmp_path / "missing.sig"), "--noise-energy", "-1", "--out", str(out)]
+    assert main(argv) == 2
+    assert "got -1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unchecked_inputs_exit_two(tmp_path, capsys):
+    labels = tmp_path / "labels.txt"
+    coeffs = tmp_path / "coeffs.txt"
+    labels.write_text("\n")
+    coeffs.write_text("")
+    argv = ["encode", "--labels", str(labels), "--coeffs", str(coeffs), "--out", str(tmp_path / "x.sig")]
+    assert main(argv) == 2
+    assert "no labels" in capsys.readouterr().err
+    # ff has bits beyond n=3; it used to be masked to 7 silently
+    assert main(["kerdock", "gen", "--n", "3", "--top-row", "ff"]) == 2
+    assert "exceeds 3 bits" in capsys.readouterr().err
+    assert main(["bench", "--k", "2", "--n-list", "8", "--trials", "0"]) == 2
+    assert "--trials must be at least 1" in capsys.readouterr().err
+
+
 def test_decode_from_plant_is_byte_deterministic(capsys):
     n = 6
     spec = _plant_spec(n, [0x17], ["1.0"], ell=5)

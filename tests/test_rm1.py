@@ -10,7 +10,7 @@ from kerdock.rm1 import (
     sample_pairs,
 )
 from kerdock.rng import child_rng
-from kerdock.signal import DenseOracle, SyntheticOracle, fwht, make_noisy
+from kerdock.signal import DenseOracle, SyntheticOracle, fwht
 
 
 def _tone_signal(m, coeffs):

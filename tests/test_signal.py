@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerdock.codebook import (
+    I_POWERS,
     CodewordLabel,
     HankelMat,
     demodulate,
     dense_codeword,
+    exponents_at,
     kerdock_set,
 )
 from kerdock.field import FieldContext
@@ -135,6 +137,50 @@ def test_caching_oracle_counts_distinct_positions():
     assert o.distinct_count == 4  # {1,2,3,4}
 
 
+class _PositionLog(SampleOracle):
+    """Delegating oracle that records every position it serves."""
+
+    def __init__(self, base):
+        super().__init__(base.n, base.norm_hint)
+        self.base = base
+        self.served = []
+
+    def _values(self, ys):
+        self.served.extend(ys.tolist())
+        return self.base.query_many(ys)
+
+
+@pytest.mark.parametrize("n", [6, 24])
+def test_caching_oracle_serves_each_position_once(n):
+    top = 1 << n
+    lab = CodewordLabel(HankelMat(n, 0b1011), 5, 1)
+    truth = SyntheticOracle(n, [(lab, 0.8 - 0.6j)], noise_energy=0.5, seed=3)
+    log = _PositionLog(truth)
+    o = CachingOracle(log)
+    rng = np.random.default_rng(n)
+    first = rng.integers(0, top, size=12)
+    requests = [
+        np.array([], dtype=np.int64),  # empty, before anything is cached
+        first,  # unsorted
+        np.array([top - 1, 0, top - 1, 7, 0, 7]),  # repeats within one request
+        rng.integers(0, top, size=(5, 6)),  # 2-D
+        np.concatenate([first[::-1], rng.integers(0, top, size=10)]),  # hits and misses
+        first.reshape(3, 4),  # all hits
+        np.zeros((0, 3), dtype=np.int64),  # empty, 2-D
+    ]
+    total = 0
+    for ys in requests:
+        got = o.query_many(ys)
+        want = truth.query_many(ys.ravel()).reshape(ys.shape)
+        assert got.shape == ys.shape
+        assert (got == want).all()
+        total += ys.size
+        assert o.query_count == total
+    seen = np.unique(np.concatenate([ys.ravel() for ys in requests]))
+    assert o.distinct_count == seen.size
+    assert sorted(log.served) == seen.tolist()
+
+
 def _demodulated(values, j, suffix, diag):
     """The restriction of values to suffix, demodulated by the j-bit Hankel diag."""
     ys = np.arange(1 << j, dtype=np.uint32)
@@ -182,6 +228,15 @@ def test_demodulated_dot_identity():
 
 
 # dense synthesis and files ---------------------------------------------------
+
+
+@pytest.mark.parametrize("energy", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_noise_energy_must_be_finite_and_non_negative(energy):
+    lab = _labels(4, 1)[0]
+    with pytest.raises(ValueError, match=str(energy)):
+        SyntheticOracle(4, [(lab, 1.0)], noise_energy=energy)
+    with pytest.raises(ValueError, match=str(energy)):
+        make_noisy(4, [(lab, 1.0)], noise_energy=energy)
 
 
 def test_make_noisy_exact_energy_split():
@@ -238,6 +293,11 @@ def test_sq_norm_exact_in_exhaustive_mode():
     assert abs(estimate_sq_norm(o, 4) - 9.0) < 1e-12
     assert abs(estimate_sq_norm(o, 999) - 9.0) < 1e-12
     assert o.query_count == 8  # exhaustive both times, never oversampled
+    # 2^n is a power of two, so 2^n times the mean is the plain sum, bit for bit
+    for n in range(1, 11):
+        s = make_noisy(n, [], noise_energy=1.0 + n, seed=n)
+        for samples in (1 << n, (1 << n) + 7):
+            assert estimate_sq_norm(DenseOracle(s), samples) == np.sum(np.abs(s) ** 2)
 
 
 def test_sq_norm_sampled_is_close():
@@ -256,6 +316,16 @@ def test_estimate_dots_exact_in_exhaustive_mode():
     for lab, g in zip(labels, got):
         want = np.vdot(dense_codeword(lab), s)
         assert abs(g - want) < 1e-12
+    # 2^n times the mean equals the plain sum of the same products, bit for bit
+    for n in range(1, 11):
+        labels = _labels(n, min(3, 1 << n), seed=n)
+        s = make_noisy(n, [(labels[0], 1.5 - 0.5j)], noise_energy=0.1, seed=n)
+        ys = np.arange(1 << n)
+        for samples in (1 << n, (1 << n) + 7):
+            got = estimate_dots(DenseOracle(s), labels, samples)
+            for lab, g in zip(labels, got):
+                phases = np.conj(I_POWERS[exponents_at(lab, ys)]) * (1.0 / np.sqrt(1 << n))
+                assert g == np.sum(s * phases)
 
 
 def test_estimate_dot_sampled_concentrates():
