@@ -69,15 +69,17 @@ def _parse_plant(spec: str, n: int) -> List[Tuple[CodewordLabel, complex]]:
 def _load_oracle(args: argparse.Namespace) -> SampleOracle:
     """Oracle from --in (dense file) or --plant (implicit synthesis)."""
     if getattr(args, "infile", None):
+        if args.noise_energy is not None:
+            raise ValueError(
+                "--noise-energy needs --plant; add noise to a file with `kerdock corrupt`"
+            )
         values = read_signal(args.infile)
         return DenseOracle(values)
     n = args.n
     if n is None:
         raise ValueError("--plant requires --n")
     terms = _parse_plant(args.plant, n)
-    return SyntheticOracle(
-        n, terms, noise_energy=args.noise_energy, seed=args.seed
-    )
+    return SyntheticOracle(n, terms, noise_energy=args.noise_energy or 0.0, seed=args.seed)
 
 
 def _cmd_gen_field(args: argparse.Namespace) -> int:
@@ -140,13 +142,7 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     params = DecoderParams(
-        k=args.k,
-        c1=args.c1,
-        c2=args.c2,
-        candidate_cap=args.cap,
-        delta=args.delta,
-        threads=args.threads,
-        profile=args.profile,
+        k=args.k, candidate_cap=args.cap, threads=args.threads, profile=args.profile
     )
     if args.norm_hint is not None and not 0.0 < args.norm_hint < float("inf"):
         raise ValueError(f"--norm-hint must be positive and finite, got {args.norm_hint}")
@@ -409,15 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="run the Hankel list decoder")
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--plant", default=None)
-    p.add_argument("--noise-energy", type=float, default=0.0)
+    p.add_argument("--noise-energy", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--norm-hint", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c1", type=float, default=0.5)
-    p.add_argument("--c2", type=float, default=2.0)
     p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--profile", choices=["robust", "lean"], default="robust")
     p.set_defaults(func=_cmd_decode)
@@ -425,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sparse-approx", help="greedy Kerdock pursuit")
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--plant", default=None)
-    p.add_argument("--noise-energy", type=float, default=0.0)
+    p.add_argument("--noise-energy", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)

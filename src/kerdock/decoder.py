@@ -32,7 +32,8 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,14 +54,14 @@ class CandidateOverflow(RuntimeError):
     """Raised when a level keeps more prefixes than the configured cap.
 
     The cap guards the poly(k) list-size promise; blowing through it
-    means the test constants are mistuned for the signal at hand, and
-    aborting with the numbers beats silently degrading.
+    means the test constants C1, C2 and DELTA are mistuned for the signal
+    at hand, and aborting with the numbers beats silently degrading.
     """
 
     def __init__(self, level: int, count: int, cap: int):
         super().__init__(
             f"level {level} kept {count} candidates, cap {cap}; "
-            "retune c1/c2 or raise candidate_cap"
+            "raise candidate_cap"
         )
         self.level = level
         self.count = count
@@ -70,17 +71,23 @@ class CandidateOverflow(RuntimeError):
 # anchor positions of the lean profile's probe pool
 POOL_BASES = 4
 
+# robust level test: drop-side slack C1 in (0, 1), threshold relaxation
+# C2 > 1, failure probability DELTA (see DecoderParams)
+C1 = 0.5
+C2 = 2.0
+DELTA = 0.01
+
 
 @dataclass(frozen=True)
 class DecoderParams:
     """Decoder configuration.
 
-    k sets the heaviness scale 1/k. c1 (drop-side slack, in (0,1)) and
-    c2 (threshold relaxation, > 1) shape the two-sided suffix test; the
-    per-suffix energy gate is (40 k/c1) 2^(j-n) hint^2. Each level tests
-    ceil(8k/c1) * ceil(log(2n / delta)) suffixes, or every suffix when
-    2^(n-j) is smaller; each tested slice is read in full and decided by
-    transform. The finish reads all 2^n positions and transforms every
+    k sets the heaviness scale 1/k. The module constants C1 (drop-side
+    slack) and C2 (threshold relaxation) shape the two-sided suffix test;
+    the per-suffix energy gate is (40 k/C1) 2^(j-n) hint^2. Each level
+    tests ceil(8k/C1) * ceil(log(2n / DELTA)) suffixes, or every suffix
+    when 2^(n-j) is smaller; each tested slice is read in full and decided
+    by transform. The finish reads all 2^n positions and transforms every
     survivor exactly, so the robust profile is an exact prefix search
     that reads every position, limited to n <= DENSE_MAX_N; degenerate
     inputs (n < 2 or k >= 2^n, n <= 7) skip the levels and run the exact
@@ -94,9 +101,6 @@ class DecoderParams:
     """
 
     k: int
-    c1: float = 0.5
-    c2: float = 2.0
-    delta: float = 0.01
     candidate_cap: Optional[int] = None
     threads: int = 1
     profile: str = "robust"
@@ -104,12 +108,6 @@ class DecoderParams:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if not 0.0 < self.c1 < 1.0:
-            raise ValueError("c1 must lie in (0, 1)")
-        if self.c2 <= 1.0:
-            raise ValueError("c2 must exceed 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
         if self.candidate_cap is not None and self.candidate_cap < 1:
             raise ValueError("candidate_cap must be at least 1")
         if self.threads < 1:
@@ -125,8 +123,8 @@ class DecoderParams:
         )
 
     def resolved_suffix_samples(self, n: int) -> int:
-        per = math.ceil(8.0 * self.k / self.c1)
-        return per * math.ceil(math.log(2.0 * n / self.delta))
+        per = math.ceil(8.0 * self.k / C1)
+        return per * math.ceil(math.log(2.0 * n / DELTA))
 
 
 @dataclass
@@ -152,14 +150,35 @@ def extend_prefix(diag: int, j: int) -> List[int]:
     ]
 
 
-def _thresholds(
-    params: DecoderParams, n: int, j: int, hint_sq: float
-) -> Tuple[float, float, float]:
+def _search(
+    n: int, cap: int, stats: DecodeStats, level_keep: Callable[[int, List[int]], np.ndarray]
+) -> List[int]:
+    """The prefix search both profiles run, one Hankel size per level.
+
+    level_keep(j, test_set) gives the keep mask of the level-j candidates;
+    returns the full-size survivors, or [] once a level keeps nothing.
+    """
+    test_set: List[int] = [0, 1]
+    for j in range(1, n + 1):
+        keep = level_keep(j, test_set)
+        kept = [d for d, m in zip(test_set, keep) if m]
+        stats.g.append(len(test_set))
+        stats.f.append(len(kept))
+        if len(kept) > cap:
+            raise CandidateOverflow(j, len(kept), cap)
+        if not kept:
+            return []
+        if j < n:
+            test_set = [e for d in kept for e in extend_prefix(d, j)]
+    return kept
+
+
+def _thresholds(k: int, n: int, j: int, hint_sq: float) -> Tuple[float, float, float]:
     """Per-suffix tone threshold, energy gate, and pass-fraction bar."""
     scale = 2.0 ** (j - n) * hint_sq
-    tau_sq = scale / (4.0 * params.k * params.c2)
-    gate = (params.k / (params.c1 / 40.0)) * scale
-    frac = (1.0 + params.c1) / (8.0 * params.k)
+    tau_sq = scale / (4.0 * k * C2)
+    gate = (k / (C1 / 40.0)) * scale
+    frac = (1.0 + C1) / (8.0 * k)
     return tau_sq, gate, frac
 
 
@@ -174,14 +193,7 @@ def _suffix_draw(n: int, j: int, limit: int, seed: int) -> np.ndarray:
 
 
 def _exact_level_keep(
-    oracle: SampleOracle,
-    j: int,
-    diags: Sequence[int],
-    suffixes: np.ndarray,
-    tau_sq: float,
-    gate: float,
-    frac: float,
-    threads: int,
+    oracle: SampleOracle, params: DecoderParams, seed: int, j: int, diags: Sequence[int]
 ) -> np.ndarray:
     """Keep mask from full restricted-slice reads, vectorized over candidates.
 
@@ -190,6 +202,9 @@ def _exact_level_keep(
     candidate's quadratic phase and transformed, making the per-suffix
     decision exact.
     """
+    n = oracle.n
+    tau_sq, gate, frac = _thresholds(params.k, n, j, oracle.norm_hint**2)
+    suffixes = _suffix_draw(n, j, params.resolved_suffix_samples(n), seed)
     width = 1 << j
     ys = np.arange(width, dtype=np.uint32)
     pos = (suffixes.astype(np.uint32)[:, None] << np.uint32(j)) | ys[None, :]
@@ -211,39 +226,12 @@ def _exact_level_keep(
         return passes >= need
 
     chunks = diag_chunks(np.asarray(list(diags), dtype=np.uint64), views.size)
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if params.threads > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=params.threads) as pool:
             parts = list(pool.map(run, chunks))
     else:
         parts = [run(c) for c in chunks]
     return np.concatenate(parts)
-
-
-def _robust_levels(
-    oracle: SampleOracle, params: DecoderParams, seed: int, stats: DecodeStats
-) -> List[int]:
-    n = oracle.n
-    hint_sq = oracle.norm_hint**2
-    limit = params.resolved_suffix_samples(n)
-    cap = params.resolved_cap()
-    test_set: List[int] = [0, 1]
-    kept: List[int] = []
-    for j in range(1, n + 1):
-        tau_sq, gate, frac = _thresholds(params, n, j, hint_sq)
-        suffixes = _suffix_draw(n, j, limit, seed)
-        keep = _exact_level_keep(
-            oracle, j, test_set, suffixes, tau_sq, gate, frac, params.threads
-        )
-        kept = [d for d, m in zip(test_set, keep) if m]
-        stats.g.append(len(test_set))
-        stats.f.append(len(kept))
-        if len(kept) > cap:
-            raise CandidateOverflow(j, len(kept), cap)
-        if not kept:
-            return []
-        if j < n:
-            test_set = [e for d in kept for e in extend_prefix(d, j)]
-    return kept
 
 
 def _exact_finish(
@@ -284,11 +272,14 @@ def _lean_decode(
     anchor positions. Probes nest across levels, the linear part falls
     out of the same pair products after full demodulation, and the
     coefficient is read off the whole pool, so the run touches
-    O(POOL_BASES * n) positions total.
+    O(POOL_BASES * n) positions total. Flipping a child's new diagonal
+    bit negates s_diag exactly and its new off-diagonal bit negates
+    s_off, so at most one of the four extensions clears both positive
+    bars: each level keeps at most one prefix, and the candidate cap
+    never binds for this profile.
     """
     n = oracle.n
     hint_sq = oracle.norm_hint**2
-    cap = params.resolved_cap()
     rng = child_rng(seed, "pool")
     bases = np.unique(rng.integers(0, 1 << n, size=4 * POOL_BASES, dtype=np.uint64))
     rng.shuffle(bases)
@@ -296,11 +287,10 @@ def _lean_decode(
     v_base = oracle.query_many(bases)
     pool: List[np.ndarray] = [bases]
     bar = 0.2
-
-    test_set: List[int] = [0, 1]
-    kept: List[int] = []
     v_prev: Optional[np.ndarray] = None  # values at bases ^ e_{j-2}
-    for j in range(1, n + 1):
+
+    def level_keep(j: int, test_set: List[int]) -> np.ndarray:
+        nonlocal v_prev
         d1 = np.uint32(1 << (j - 1))
         p1 = bases ^ d1
         pool.append(p1)
@@ -324,27 +314,23 @@ def _lean_decode(
             norm = np.mean(np.abs(mixed), axis=1)
             s_off = np.mean(mixed.real, axis=1) / np.maximum(norm, 1e-300)
             keep &= s_off >= bar
-        kept = [d for d, m in zip(test_set, keep) if m]
-        stats.g.append(len(test_set))
-        stats.f.append(len(kept))
-        if len(kept) > cap:
-            raise CandidateOverflow(j, len(kept), cap)
-        if not kept:
-            return []
         v_prev = v1
-        if j < n:
-            test_set = [e for d in kept for e in extend_prefix(d, j)]
+        return keep
+
+    kept = _search(n, params.resolved_cap(), stats, level_keep)
+    if not kept:
+        return []
 
     # linear part: sign of the pair correlation along each coordinate
     results: List[Tuple[CodewordLabel, complex]] = []
     positions = np.unique(np.concatenate(pool))
     pos_vals = oracle.query_many(positions)
     walls = demodulate(pos_vals, np.asarray(kept, dtype=np.uint64), n, positions)
+    base_idx = np.searchsorted(positions, bases)
+    partners = [np.searchsorted(positions, bases ^ np.uint32(1 << r)) for r in range(n)]
     for diag, wall in zip(kept, walls):
-        base_idx = np.searchsorted(positions, bases)
         ell = 0
-        for r in range(n):
-            partner = np.searchsorted(positions, bases ^ np.uint32(1 << r))
+        for r, partner in enumerate(partners):
             corr = np.mean(wall[partner] * np.conj(wall[base_idx]))
             if corr.real < 0.0:
                 ell |= 1 << r
@@ -388,7 +374,8 @@ def list_decode_hankel(
     elif params.profile == "lean":
         results = _lean_decode(cached, params, seed, stats)
     else:
-        survivors = _robust_levels(cached, params, seed, stats)
+        level_keep = partial(_exact_level_keep, cached, params, seed)
+        survivors = _search(n, params.resolved_cap(), stats, level_keep)
         results = _exact_finish(cached, params, survivors)
 
     results.sort(key=lambda t: (-abs(t[1]) ** 2, t[0].q.diag, t[0].ell))

@@ -4,7 +4,7 @@ from kerdock.cli import build_parser, main
 from kerdock.codebook import format_label, CodewordLabel, HankelMat, lf_kerdock, pack_hex
 from kerdock.field import FieldContext
 from kerdock.pursuit import read_representation
-from kerdock.signal import read_signal
+from kerdock.signal import make_noisy, read_signal, write_signal
 
 
 def _plant_spec(n, picks, coeffs, ell=1):
@@ -125,6 +125,30 @@ def test_negative_noise_energy_exits_two(tmp_path, capsys):
     assert main(argv) == 2
     assert "got -1.0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["decode"], ["sparse-approx", "--eps", "0.1"]])
+def test_noise_energy_with_a_file_exits_two(command, tmp_path, capsys):
+    lab = CodewordLabel(lf_kerdock(FieldContext.default(6), 0x2B), 9, 0)
+    sig = tmp_path / "s.sig"
+    write_signal(str(sig), make_noisy(6, [(lab, 1.0)]))
+    argv = [*command, "--in", str(sig), "--k", "1"]
+    for energy in ("0", "50", "-5"):
+        assert main([*argv, "--noise-energy", energy]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "kerdock corrupt" in captured.err
+    # without the flag the file still decodes
+    assert main(argv) == 0
+    assert capsys.readouterr().out != ""
+
+
+@pytest.mark.parametrize("flag", ["--c1", "--c2", "--delta"])
+def test_decode_has_no_test_constant_flags(flag):
+    spec = _plant_spec(6, [0x2B], ["1.0"])
+    with pytest.raises(SystemExit) as exc:
+        main(["decode", "--plant", spec, "--n", "6", "--k", "2", flag, "0.5"])
+    assert exc.value.code == 2
 
 
 def test_unchecked_inputs_exit_two(tmp_path, capsys):

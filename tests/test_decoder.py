@@ -62,10 +62,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         DecoderParams(k=0)
     with pytest.raises(ValueError):
-        DecoderParams(k=2, c1=1.0)
-    with pytest.raises(ValueError):
-        DecoderParams(k=2, c2=1.0)
-    with pytest.raises(ValueError):
         DecoderParams(k=2, profile="fast")
     with pytest.raises(ValueError):
         DecoderParams(k=2, candidate_cap=0)
@@ -101,10 +97,11 @@ def test_robust_recovers_single_codeword_exactly():
     assert stats.queries <= stats.queries_raw
 
 
-def test_level_counts_track_the_prefix_tree():
+@pytest.mark.parametrize("profile", ["robust", "lean"])
+def test_level_counts_track_the_prefix_tree(profile):
     n = 6
     o = SyntheticOracle(n, _kerdock_terms(n, [9], [1.0], seed=2))
-    _, stats = list_decode_hankel(o, DecoderParams(k=2), seed=0)
+    _, stats = list_decode_hankel(o, DecoderParams(k=2, profile=profile), seed=0)
     assert len(stats.g) == len(stats.f) == n
     assert stats.g[0] == 2
     for j in range(1, n):
@@ -182,6 +179,22 @@ def test_lean_profile_recovers_within_linear_query_budget():
     assert stats.profile == "lean"
     assert stats.queries < (1 << n) // 8
     assert all(f == 1 for f in stats.f)
+
+
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_lean_keeps_at_most_one_prefix_per_level(n):
+    # flipping a child's new diag bit negates the statistic that tests it,
+    # so at most one of the four extensions clears the positive bar
+    rng = np.random.default_rng(n)
+    for words in (1, 2, 3):
+        picks = [int(p) for p in rng.choice(1 << n, size=words, replace=False)]
+        coeffs = [1.0, 0.7, 0.5][:words]
+        vals = make_noisy(n, _kerdock_terms(n, picks, coeffs, seed=n), noise_energy=0.3, seed=n)
+        for seed in range(3):
+            _, stats = list_decode_hankel(
+                DenseOracle(vals), DecoderParams(k=2, profile="lean"), seed=seed
+            )
+            assert max(stats.f) <= 1
 
 
 def test_lean_profile_survives_mild_noise():
