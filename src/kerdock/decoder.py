@@ -15,9 +15,12 @@ reads the whole domain once, demodulates it by a batch of diags at a
 time and transforms it, so every tone of every survivor yields its exact
 dot. Its top level and every level with few suffixes already cover the
 domain, so a robust decode reads all 2^n positions; it is limited to
-n <= DENSE_MAX_N. The same exact finish decodes degenerate inputs
-(n < 2 or k >= 2^n), run over every Hankel diag instead of the
-survivors.
+n <= DENSE_MAX_N. Its first levels are brute force: a slice's largest
+tone is at least its mean, and the tone bar is 2^j / (4 k C2) times the
+mean slice energy, so levels with 2^j <= 4 k C2 cannot prune and keep
+every prefix, 2 * 4^(j-1) at level j. The same exact finish decodes
+degenerate inputs (n < 2 or k >= 2^n), run over every Hankel diag
+instead of the survivors.
 
 The lean profile is the query-sublinear one: it drives every decision
 from one small global position pool, nesting pair probes across levels
@@ -53,15 +56,15 @@ from kerdock.signal import CachingOracle, SampleOracle, fwht
 class CandidateOverflow(RuntimeError):
     """Raised when a level keeps more prefixes than the configured cap.
 
-    The cap guards the poly(k) list-size promise; blowing through it
-    means the test constants C1, C2 and DELTA are mistuned for the signal
-    at hand, and aborting with the numbers beats silently degrading.
+    The cap guards the poly(k) list-size promise; aborting with the
+    numbers beats silently degrading. Raise candidate_cap (--cap) or
+    lower k to finish such an input.
     """
 
     def __init__(self, level: int, count: int, cap: int):
         super().__init__(
             f"level {level} kept {count} candidates, cap {cap}; "
-            "raise candidate_cap"
+            "raise candidate_cap (--cap) or lower k"
         )
         self.level = level
         self.count = count
@@ -91,9 +94,11 @@ class DecoderParams:
     survivor exactly, so the robust profile is an exact prefix search
     that reads every position, limited to n <= DENSE_MAX_N; degenerate
     inputs (n < 2 or k >= 2^n, n <= 7) skip the levels and run the exact
-    finish over every Hankel diag. candidate_cap (default 64 k^3)
-    aborts the run via CandidateOverflow instead of trimming; threads
-    splits the exact level test across diag batches.
+    finish over every Hankel diag. candidate_cap aborts the run via
+    CandidateOverflow instead of trimming; its default is the larger of
+    64 k^3 and 4096, whose floor lets small k through the wide middle
+    levels of a noisy search (1,400-3,600 prefixes on two noisy words at
+    k = 2, 3). threads splits the exact level test across diag batches.
 
     profile "lean" switches to the query-sublinear pooled probe regime
     with POOL_BASES anchor positions, about 8n positions in all; see the
@@ -116,11 +121,7 @@ class DecoderParams:
             raise ValueError("profile must be 'robust' or 'lean'")
 
     def resolved_cap(self) -> int:
-        return (
-            self.candidate_cap
-            if self.candidate_cap is not None
-            else 64 * self.k**3
-        )
+        return self.candidate_cap or max(64 * self.k**3, 4096)
 
     def resolved_suffix_samples(self, n: int) -> int:
         per = math.ceil(8.0 * self.k / C1)
@@ -354,9 +355,11 @@ def list_decode_hankel(
     count of distinct positions read and stats.queries_raw the total
     request volume. Degenerate inputs (n < 2 or k >= 2^n) are decoded
     densely. Raises CandidateOverflow when a level exceeds the cap, and
-    ValueError before any read when a robust decode would exceed
+    ValueError before any read when n < 1 or a robust decode would exceed
     n = DENSE_MAX_N.
     """
+    if oracle.n < 1:
+        raise ValueError(f"decoding needs n >= 1, got n={oracle.n}")
     if params.profile == "robust" and oracle.n > DENSE_MAX_N:
         raise ValueError(
             f"the robust profile reads all 2^n positions and is limited to "

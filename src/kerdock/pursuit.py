@@ -38,7 +38,7 @@ class PursuitParams:
     """Term budget k and target accuracy eps.
 
     eps sets the round count, max(1, ceil(log(1/eps)) + 1); every round
-    decodes the residual with the plain decoder at heaviness k. The
+    decodes the residual with DecoderParams(k=k), default cap included. The
     coherence regime check (k at most sqrt(N)/6, so that mu*k <= 1/6 and
     per-term estimates stay inside half a coefficient) happens at decode
     time, when n is known.
@@ -56,12 +56,6 @@ class PursuitParams:
     def resolved_rounds(self) -> int:
         # eps > e would give no round at all
         return max(1, math.ceil(math.log(1.0 / self.eps)) + 1)
-
-    def resolved_inner(self) -> DecoderParams:
-        # small-k residual decodes see noisy mid-level transients well above
-        # 64 k^3 before the candidate set contracts; the floor keeps the
-        # guardrail from tripping on legitimate pursuit inputs
-        return DecoderParams(k=self.k, candidate_cap=max(64 * self.k**3, 4096))
 
 
 @dataclass
@@ -134,7 +128,7 @@ def sparse_approx(
         ctx = FieldContext.default(n)
     if params.k > math.sqrt(1 << n) / 6.0:
         raise ValueError("k exceeds the sqrt(N)/6 coherence regime")
-    inner = params.resolved_inner()
+    inner = DecoderParams(k=params.k)
     est_samples = min(1 << n, 1 << 14)
     rep = Representation()
     cached = oracle if isinstance(oracle, CachingOracle) else CachingOracle(oracle)

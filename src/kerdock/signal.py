@@ -209,7 +209,10 @@ def write_signal(path: str, values: np.ndarray) -> None:
 
 
 def read_signal(path: str) -> np.ndarray:
-    """Inverse of write_signal; n > DENSE_MAX_N is rejected before allocating."""
+    """Inverse of write_signal; n > DENSE_MAX_N is rejected before allocating.
+
+    A nan or inf value is rejected with its position.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("n="):
@@ -225,6 +228,9 @@ def read_signal(path: str) -> np.ndarray:
             values[i] = complex(float(parts[0]), float(parts[1]))
         if any(line.strip() for line in fh):
             raise ValueError(f"trailing data after the {1 << n} positions")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"non-finite value at position {bad[0]}")
     return values
 
 

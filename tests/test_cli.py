@@ -1,8 +1,11 @@
 import pytest
 
+import kerdock.cli as cli_mod
 from kerdock.cli import build_parser, main
-from kerdock.codebook import format_label, CodewordLabel, HankelMat, lf_kerdock, pack_hex
+from kerdock.codebook import format_label, CodewordLabel, HankelMat, lf_kerdock, pack_hex, pair_dot
+from kerdock.decoder import CandidateOverflow
 from kerdock.field import FieldContext
+from kerdock.oracle import count_hankel_by_rank, verify_homomorphism
 from kerdock.pursuit import read_representation
 from kerdock.signal import make_noisy, read_signal, write_signal
 
@@ -78,13 +81,58 @@ def test_encode_corrupt_decode_pipeline(tmp_path, capsys):
     assert "# queries" in out
 
 
-def test_decode_requires_exactly_one_source():
+@pytest.mark.parametrize("command", [["decode"], ["sparse-approx", "--eps", "0.1"]])
+def test_decode_requires_exactly_one_source(command):
     with pytest.raises(SystemExit) as exc:
-        main(["decode", "--k", "2"])
+        main([*command, "--k", "2"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["decode", "--k", "2", "--in", "x", "--plant", "y", "--n", "4"])
+        main([*command, "--k", "2", "--in", "x", "--plant", "y", "--n", "4"])
     assert exc.value.code == 2
+
+
+def test_readme_plant_with_noise_decodes_at_k1(capsys):
+    # level 4 keeps 71 prefixes, above the old 64 k^3 default cap
+    argv = ["decode", "--plant", "6;Q=717;l=05;e=0:1.0", "--n", "6", "--k", "1",
+            "--noise-energy", "0.05", "--seed", "7"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("717 5 ")
+
+
+@pytest.mark.parametrize(
+    "command, coeff",
+    [(["decode"], "nan"), (["decode"], "inf"), (["sparse-approx", "--eps", "0.1"], "inf")],
+)
+def test_non_finite_plant_coefficient_exits_two(command, coeff, capsys):
+    spec = _plant_spec(6, [0x2B], [coeff])
+    assert main([*command, "--plant", spec, "--n", "6", "--k", "1"]) == 2
+    assert "plant coefficient must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["nan", "1.0 inf"])
+def test_encode_rejects_a_non_finite_coefficient(line, tmp_path, capsys):
+    labels = tmp_path / "labels.txt"
+    coeffs = tmp_path / "coeffs.txt"
+    out = tmp_path / "out.sig"
+    lab = CodewordLabel(lf_kerdock(FieldContext.default(4), 3), 1, 0)
+    labels.write_text(f"{format_label(lab)}\n" * 2)
+    coeffs.write_text(f"1.0 0.0\n{line}\n")
+    argv = ["encode", "--labels", str(labels), "--coeffs", str(coeffs), "--out", str(out)]
+    assert main(argv) == 2
+    assert "coefficient 2 must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_decode_rejects_non_finite_and_empty_files(tmp_path, capsys):
+    sig = tmp_path / "s.sig"
+    vals = make_noisy(4, [(CodewordLabel(lf_kerdock(FieldContext.default(4), 3), 1, 0), 1.0)])
+    vals[5] = complex("nan")
+    write_signal(str(sig), vals)
+    assert main(["decode", "--in", str(sig), "--k", "1"]) == 2
+    assert "non-finite value at position 5" in capsys.readouterr().err
+    sig.write_text("n=0\n1 0\n")
+    assert main(["decode", "--in", str(sig), "--k", "1"]) == 2
+    assert "needs n >= 1, got n=0" in capsys.readouterr().err
 
 
 def test_decode_plant_requires_n(capsys):
@@ -211,6 +259,17 @@ def test_decode_overflow_exits_one(capsys):
     assert "decode aborted" in err
 
 
+def test_sparse_approx_overflow_exits_one(monkeypatch, capsys):
+    def overflow(*args, **kwargs):
+        raise CandidateOverflow(level=6, count=5000, cap=4096)
+
+    monkeypatch.setattr(cli_mod, "sparse_approx", overflow)
+    spec = _plant_spec(6, [0x2B], ["1.0"])
+    argv = ["sparse-approx", "--plant", spec, "--n", "6", "--k", "1", "--eps", "0.1"]
+    assert main(argv) == 1
+    assert "sparse-approx aborted: level 6 kept 5000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--cap", "--threads"])
 def test_decode_rejects_nonpositive_cap_and_threads(flag, capsys):
     spec = _plant_spec(6, [0x2B], ["1.0"])
@@ -240,6 +299,34 @@ def test_verify_field_suite_passes(capsys):
     assert main(["verify", "--suite", "field", "--n", "4"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+    assert out.splitlines()[-1].startswith("ALL PASS")
+
+
+@pytest.mark.parametrize("suite, n, limit", [("homomorphism", 9, 8), ("rank-count", 10, 9)])
+def test_verify_skips_a_suite_above_its_range(suite, n, limit, capsys):
+    assert main(["verify", "--suite", suite, "--n", str(n)]) == 0
+    out = capsys.readouterr().out
+    assert f"SKIP {suite} (exact check needs n <= {limit})" in out.splitlines()
+
+
+def test_verify_ranges_match_the_references():
+    # one past each listed range, the exact reference itself refuses the input
+    ranges = cli_mod._MAX_N
+    too_big = ranges["dickson"] + 1
+    lab = CodewordLabel(HankelMat(too_big, 0), 0, 0)
+    with pytest.raises(ValueError, match=f"n <= {ranges['dickson']}"):
+        pair_dot(lab, lab)
+    with pytest.raises(ValueError, match=f"n <= {ranges['rank-count']}"):
+        count_hankel_by_rank(ranges["rank-count"] + 1)
+    ctx = FieldContext.default(ranges["homomorphism"] + 1)
+    with pytest.raises(ValueError, match=f"n <= {ranges['homomorphism']}"):
+        verify_homomorphism(ctx)
+
+
+def test_verify_all_suites_skip_past_their_range(capsys):
+    assert main(["verify", "--suite", "all", "--n", "9"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "SKIP homomorphism" in out
     assert out.splitlines()[-1].startswith("ALL PASS")
 
 

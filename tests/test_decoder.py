@@ -71,7 +71,10 @@ def test_params_validation():
 
 def test_params_resolved_defaults():
     p = DecoderParams(k=3)
-    assert p.resolved_cap() == 64 * 27
+    # max(64 k^3, 4096): the floor binds below k = 4
+    assert DecoderParams(k=1).resolved_cap() == 4096
+    assert p.resolved_cap() == 4096
+    assert DecoderParams(k=5).resolved_cap() == 8000
     assert DecoderParams(k=3, candidate_cap=10).resolved_cap() == 10
     # ceil(8k/c1) * ceil(log(2n/delta)) at the defaults
     assert p.resolved_suffix_samples(10) == 48 * 8
@@ -81,6 +84,7 @@ def test_overflow_carries_diagnostics():
     err = CandidateOverflow(level=4, count=99, cap=64)
     assert err.level == 4 and err.count == 99 and err.cap == 64
     assert "99" in str(err) and "64" in str(err)
+    assert "raise candidate_cap (--cap) or lower k" in str(err)
 
 
 def test_robust_recovers_single_codeword_exactly():
@@ -147,6 +151,28 @@ def test_overflow_raised_when_cap_is_tiny():
         list_decode_hankel(o, DecoderParams(k=2, candidate_cap=2), seed=0)
     assert exc.value.cap == 2
     assert exc.value.count > 2
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_default_cap_finishes_two_noisy_words(k):
+    # the middle levels keep 1,400-3,600 prefixes, above the old 64 k^3 default
+    n = 9
+    ctx = FieldContext.default(n)
+    terms = [
+        (CodewordLabel(lf_kerdock(ctx, 0x15), 3, 0), 1.0),
+        (CodewordLabel(lf_kerdock(ctx, 0x2E), 6, 0), 0.7),
+    ]
+    o = SyntheticOracle(n, terms, noise_energy=0.2, seed=1)
+    results, stats = list_decode_hankel(o, DecoderParams(k=k), seed=0)
+    assert _keys(terms) <= _keys(results)
+    assert 64 * k**3 < max(stats.f) <= 4096
+
+
+def test_empty_domain_is_refused_before_any_read():
+    o = DenseOracle(np.ones(1, dtype=np.complex128))
+    with pytest.raises(ValueError, match="n=0"):
+        list_decode_hankel(o, DecoderParams(k=1), seed=0)
+    assert o.query_count == 0
 
 
 def test_degenerate_small_domain_decodes_densely():

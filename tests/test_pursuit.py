@@ -6,6 +6,7 @@ import pytest
 
 import kerdock.pursuit as pursuit_mod
 from kerdock.codebook import CodewordLabel, HankelMat, dense_codeword, kerdock_set
+from kerdock.decoder import DecoderParams
 from kerdock.field import FieldContext
 from kerdock.oracle import best_k_kerdock
 from kerdock.pursuit import (
@@ -38,7 +39,7 @@ def _dense(n, rep):
     return rep.evaluate(np.arange(1 << n, dtype=np.uint32))
 
 
-def test_params_validation_and_defaults():
+def test_params_validation_and_defaults(monkeypatch):
     with pytest.raises(ValueError):
         PursuitParams(k=0, eps=0.1)
     with pytest.raises(ValueError):
@@ -50,9 +51,18 @@ def test_params_validation_and_defaults():
     # eps above e still runs one round
     assert PursuitParams(k=3, eps=3.0).resolved_rounds() == 1
     assert PursuitParams(k=3, eps=10.0).resolved_rounds() == 1
-    inner = p.resolved_inner()
-    assert inner.k == 3
-    assert inner.resolved_cap() == 4096  # floor dominates 64 k^3 at small k
+    # every inner decode runs the plain decoder at heaviness k, default cap included
+    vals, params = _two_round_case()
+    inner = []
+    real = pursuit_mod.list_decode_hankel
+
+    def spy(oracle, decoder_params, seed=0):
+        inner.append(decoder_params)
+        return real(oracle, decoder_params, seed)
+
+    monkeypatch.setattr(pursuit_mod, "list_decode_hankel", spy)
+    sparse_approx(DenseOracle(vals), params, seed=0)
+    assert inner == [DecoderParams(k=params.k)] * 2
 
 
 def test_coherence_regime_guard():

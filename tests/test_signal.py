@@ -284,6 +284,17 @@ def test_read_signal_rejects_trailing_data(tmp_path):
         read_signal(str(p))
 
 
+@pytest.mark.parametrize("bad", ["nan 0", "0 inf", "-inf -inf"])
+def test_read_signal_rejects_non_finite_values(bad, tmp_path):
+    p = tmp_path / "bad.txt"
+    write_signal(str(p), np.ones(16, dtype=np.complex128))
+    lines = p.read_text().splitlines()
+    lines[1 + 11] = bad
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="non-finite value at position 11"):
+        read_signal(str(p))
+
+
 # estimators -------------------------------------------------------------------
 
 
