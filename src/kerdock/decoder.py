@@ -4,23 +4,24 @@ Grows j x j Hankel prefix candidates one size at a time: a candidate
 survives a level when, on enough restricted subdomains, some tone of the
 prefix-demodulated restriction stays heavy. Each extension appends only
 the two new reverse-diagonal bits, so the search tree has branching
-factor four, and survivors at full size get their linear parts and
-coefficients from the finish.
+factor four, and at full size the prefix is the whole diag: the last
+level is the finish, giving every kept diag its linear parts and
+coefficients.
 
 Two profiles share this skeleton. The robust profile is an exact prefix
 search: each level reads its drawn suffix slices in full and decides
 every candidate by transform (energy gate, per-suffix tone test, pass
-fraction, with budgets sized for adversarial noise), and the finish
-reads the whole domain once, demodulates it by a batch of diags at a
-time and transforms it, so every tone of every survivor yields its exact
-dot. Its top level and every level with few suffixes already cover the
+fraction, with budgets sized for adversarial noise). At level n the one
+slice is the whole domain, so the transform that decides a candidate
+also yields the exact dot of each of its tones, and the heavy ones are
+the list. That level and every level with few suffixes cover the
 domain, so a robust decode reads all 2^n positions; it is limited to
 n <= DENSE_MAX_N. Its first levels are brute force: a slice's largest
 tone is at least its mean, and the tone bar is 2^j / (4 k C2) times the
 mean slice energy, so levels with 2^j <= 4 k C2 cannot prune and keep
-every prefix, 2 * 4^(j-1) at level j. The same exact finish decodes
-degenerate inputs (n < 2 or k >= 2^n), run over every Hankel diag
-instead of the survivors.
+every prefix, 2 * 4^(j-1) at level j. Degenerate inputs (n < 2 or
+k >= 2^n) run only level n, over every Hankel diag, and list its tones
+without its keep mask.
 
 The lean profile is the query-sublinear one: it drives every decision
 from one small global position pool, nesting pair probes across levels
@@ -90,11 +91,12 @@ class DecoderParams:
     the per-suffix energy gate is (40 k/C1) 2^(j-n) hint^2. Each level
     tests ceil(8k/C1) * ceil(log(2n / DELTA)) suffixes, or every suffix
     when 2^(n-j) is smaller; each tested slice is read in full and decided
-    by transform. The finish reads all 2^n positions and transforms every
-    survivor exactly, so the robust profile is an exact prefix search
-    that reads every position, limited to n <= DENSE_MAX_N; degenerate
-    inputs (n < 2 or k >= 2^n, n <= 7) skip the levels and run the exact
-    finish over every Hankel diag. candidate_cap aborts the run via
+    by transform. The last level is the finish: its one slice is all 2^n
+    positions, and every tone whose squared dot clears hint^2 / 2k is
+    listed with that exact dot. So the robust profile is an exact prefix
+    search that reads every position, limited to n <= DENSE_MAX_N;
+    degenerate inputs (n < 2 or k >= 2^n, n <= 7) run only that last
+    level, over every Hankel diag. candidate_cap aborts the run via
     CandidateOverflow instead of trimming; its default is the larger of
     64 k^3 and 4096, whose floor lets small k through the wide middle
     levels of a noisy search (1,400-3,600 prefixes on two noisy words at
@@ -174,15 +176,6 @@ def _search(
     return kept
 
 
-def _thresholds(k: int, n: int, j: int, hint_sq: float) -> Tuple[float, float, float]:
-    """Per-suffix tone threshold, energy gate, and pass-fraction bar."""
-    scale = 2.0 ** (j - n) * hint_sq
-    tau_sq = scale / (4.0 * k * C2)
-    gate = (k / (C1 / 40.0)) * scale
-    frac = (1.0 + C1) / (8.0 * k)
-    return tau_sq, gate, frac
-
-
 def _suffix_draw(n: int, j: int, limit: int, seed: int) -> np.ndarray:
     """Suffixes to test at one level: exhaustive when they fit the budget."""
     count = 1 << (n - j)
@@ -193,67 +186,59 @@ def _suffix_draw(n: int, j: int, limit: int, seed: int) -> np.ndarray:
     return rng.integers(0, count, size=limit, dtype=np.uint32)
 
 
-def _exact_level_keep(
-    oracle: SampleOracle, params: DecoderParams, seed: int, j: int, diags: Sequence[int]
+def _exact_level(
+    oracle: SampleOracle,
+    params: DecoderParams,
+    seed: int,
+    found: List[Tuple[CodewordLabel, complex]],
+    j: int,
+    diags: Sequence[int],
 ) -> np.ndarray:
     """Keep mask from full restricted-slice reads, vectorized over candidates.
 
-    The energy gate is candidate-independent, so gated suffixes count as
-    passes for everyone; each remaining slice is demodulated by every
-    candidate's quadratic phase and transformed, making the per-suffix
-    decision exact.
+    Every drawn slice is demodulated by every candidate's quadratic phase
+    and transformed, making the per-suffix decision exact. A candidate
+    passes a slice when its largest tone power reaches the bar, 2^j /
+    (4 k C2) times the slice's share of hint^2, or when the slice's energy
+    is over the gate; it is kept when it passes a (1 + C1) / 8k fraction.
+    At j = n the one slice is the whole domain and the transform holds
+    every tone's exact dot: each whose squared dot clears hint^2 / 2k is
+    appended to found. That is 4x the level's bar, so every listed diag
+    is also kept.
     """
-    n = oracle.n
-    tau_sq, gate, frac = _thresholds(params.k, n, j, oracle.norm_hint**2)
+    n, k = oracle.n, params.k
+    hint_sq = oracle.norm_hint**2
     suffixes = _suffix_draw(n, j, params.resolved_suffix_samples(n), seed)
     width = 1 << j
     ys = np.arange(width, dtype=np.uint32)
-    pos = (suffixes.astype(np.uint32)[:, None] << np.uint32(j)) | ys[None, :]
+    pos = (suffixes[:, None] << np.uint32(j)) | ys[None, :]
     vals = oracle.query_many(pos.ravel()).reshape(len(suffixes), width)
-    energies = np.einsum("sy,sy->s", np.abs(vals), np.abs(vals))
-    open_mask = energies <= gate
-    gated = int(len(suffixes) - open_mask.sum())
-    views = vals[open_mask]
-    need = math.ceil(frac * len(suffixes) - 1e-12)
-    if len(views) == 0 or gated >= need:
-        return np.ones(len(diags), dtype=bool)
+    scale = 2.0 ** (j - n) * hint_sq
+    bar = scale / (4.0 * k * C2) * width
+    gated = np.einsum("sy,sy->s", np.abs(vals), np.abs(vals)) > (k / (C1 / 40.0)) * scale
+    need = math.ceil((1.0 + C1) / (8.0 * k) * len(suffixes) - 1e-12)
 
-    bar = tau_sq * width
-
-    def run(chunk: np.ndarray) -> np.ndarray:
-        spec = fwht(demodulate(views, chunk, j, ys), axis=-1)
+    def run(chunk: np.ndarray) -> Tuple[np.ndarray, list]:
+        spec = fwht(demodulate(vals, chunk, j, ys), axis=-1)
         power = (spec.real**2 + spec.imag**2).max(axis=-1)
-        passes = (power >= bar).sum(axis=1) + gated
-        return passes >= need
+        keep = ((power >= bar) | gated).sum(axis=1) >= need
+        if j < n:
+            return keep, []
+        spec /= math.sqrt(width)
+        hits = zip(*np.nonzero(np.abs(spec[:, 0]) ** 2 >= hint_sq / (2.0 * k)))
+        return keep, [
+            (CodewordLabel(HankelMat(n, int(chunk[a])), int(ell), 0), complex(spec[a, 0, ell]))
+            for a, ell in hits
+        ]
 
-    chunks = diag_chunks(np.asarray(list(diags), dtype=np.uint64), views.size)
+    chunks = diag_chunks(np.asarray(list(diags), dtype=np.uint64), vals.size)
     if params.threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=params.threads) as pool:
             parts = list(pool.map(run, chunks))
     else:
         parts = [run(c) for c in chunks]
-    return np.concatenate(parts)
-
-
-def _exact_finish(
-    oracle: SampleOracle, params: DecoderParams, diags: Sequence[int]
-) -> List[Tuple[CodewordLabel, complex]]:
-    """Exact dots of every (diag, ell) from one read of the whole domain.
-
-    Batches of diags are demodulated together and transformed in one call;
-    each tone whose squared dot clears hint^2 / 2k becomes a result.
-    """
-    n = oracle.n
-    ys = np.arange(1 << n, dtype=np.uint32)
-    vals = oracle.query_many(ys)
-    prune = oracle.norm_hint**2 / (2.0 * params.k)
-    results = []
-    for chunk in diag_chunks(np.asarray(diags, dtype=np.uint64), 1 << n):
-        dots = fwht(demodulate(vals, chunk, n, ys), axis=-1) / math.sqrt(1 << n)
-        for a, ell in zip(*np.nonzero(np.abs(dots) ** 2 >= prune)):
-            label = CodewordLabel(HankelMat(n, int(chunk[a])), int(ell), 0)
-            results.append((label, complex(dots[a, ell])))
-    return results
+    found.extend(hit for _, hits in parts for hit in hits)
+    return np.concatenate([keep for keep, _ in parts])
 
 
 def _lean_decode(
@@ -355,8 +340,8 @@ def list_decode_hankel(
     count of distinct positions read and stats.queries_raw the total
     request volume. Degenerate inputs (n < 2 or k >= 2^n) are decoded
     densely. Raises CandidateOverflow when a level exceeds the cap, and
-    ValueError before any read when n < 1 or a robust decode would exceed
-    n = DENSE_MAX_N.
+    ValueError before any read when n < 1, when a robust decode would
+    exceed n = DENSE_MAX_N, or when k >= 2^n at n > 7.
     """
     if oracle.n < 1:
         raise ValueError(f"decoding needs n >= 1, got n={oracle.n}")
@@ -370,16 +355,19 @@ def list_decode_hankel(
     n = cached.n
     stats = DecodeStats(n=n, k=params.k, profile=params.profile)
 
+    results: List[Tuple[CodewordLabel, complex]] = []
+    level = partial(_exact_level, cached, params, seed, results)
     if n < 2 or params.k >= (1 << n):
         if n > 7:
-            raise ValueError("dense fallback limited to n <= 7")
-        results = _exact_finish(cached, params, range(1 << (2 * n - 1)))
+            raise ValueError(
+                f"k >= 2^n (k={params.k}, n={n}) asks for every Hankel codeword, "
+                f"a dense scan limited to n <= 7; lower k below 2^n = {1 << n}"
+            )
+        level(n, range(1 << (2 * n - 1)))
     elif params.profile == "lean":
         results = _lean_decode(cached, params, seed, stats)
     else:
-        level_keep = partial(_exact_level_keep, cached, params, seed)
-        survivors = _search(n, params.resolved_cap(), stats, level_keep)
-        results = _exact_finish(cached, params, survivors)
+        _search(n, params.resolved_cap(), stats, level)
 
     results.sort(key=lambda t: (-abs(t[1]) ** 2, t[0].q.diag, t[0].ell))
     stats.queries = cached.distinct_count

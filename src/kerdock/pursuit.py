@@ -121,13 +121,20 @@ def sparse_approx(
     energy estimate with head-room. A full budget of k terms (no later
     round could admit one), a round that admits nothing (the residual is
     unchanged) or a residual estimated at zero ends the loop early. All
-    reads share one cache: each position is read at most once.
+    reads share one cache: each position is read at most once. Raises
+    ValueError before any read when n < 1 or k > sqrt(N)/6.
     """
     n = oracle.n
+    if n < 1:
+        raise ValueError(f"sparse approximation needs n >= 1, got n={n}")
+    k_max = math.floor(math.sqrt(1 << n) / 6.0)
+    if params.k > k_max:
+        raise ValueError(
+            f"k={params.k} exceeds the sqrt(N)/6 coherence regime: "
+            f"the largest allowed k at n={n} is {k_max}; lower k or raise n"
+        )
     if ctx is None:
         ctx = FieldContext.default(n)
-    if params.k > math.sqrt(1 << n) / 6.0:
-        raise ValueError("k exceeds the sqrt(N)/6 coherence regime")
     inner = DecoderParams(k=params.k)
     est_samples = min(1 << n, 1 << 14)
     rep = Representation()

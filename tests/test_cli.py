@@ -135,6 +135,25 @@ def test_decode_rejects_non_finite_and_empty_files(tmp_path, capsys):
     assert "needs n >= 1, got n=0" in capsys.readouterr().err
 
 
+def test_sparse_approx_refuses_an_empty_domain(tmp_path, capsys):
+    sig = tmp_path / "s.sig"
+    sig.write_text("n=0\n1 0\n")
+    assert main(["sparse-approx", "--in", str(sig), "--k", "1", "--eps", "0.1"]) == 2
+    assert "needs n >= 1, got n=0" in capsys.readouterr().err
+
+
+def test_errors_say_which_k_to_use(capsys):
+    spec = _plant_spec(8, [0x2B], ["1.0"])
+    assert main(["decode", "--plant", spec, "--n", "8", "--k", "256"]) == 2
+    err = capsys.readouterr().err
+    assert "k >= 2^n (k=256, n=8)" in err and "lower k below 2^n = 256" in err
+    spec = _plant_spec(9, [0x10F], ["1.0"])
+    assert main(["sparse-approx", "--plant", spec, "--n", "9", "--k", "4", "--eps", "0.1"]) == 2
+    assert "k=4 exceeds the sqrt(N)/6 coherence regime: the largest allowed k at n=9 is 3" in (
+        capsys.readouterr().err
+    )
+
+
 def test_decode_plant_requires_n(capsys):
     assert main(["decode", "--k", "2", "--plant", "junk"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -294,15 +294,56 @@ class _PositionLog(SampleOracle):
 
 
 def test_robust_bill_is_bounded():
-    # each level reads a position at most once and the finish reads each once more
+    # each level reads its drawn slices once; the last level is the finish
     n = 13
     lab = CodewordLabel(lf_kerdock(FieldContext.default(n), 0x2B), 5, 0)
     log = _PositionLog(SyntheticOracle(n, [(lab, 1.0)]))
-    results, stats = list_decode_hankel(log, DecoderParams(k=1), seed=0)
+    params = DecoderParams(k=1)
+    results, stats = list_decode_hankel(log, params, seed=0)
     assert (lab.q.diag, lab.ell) in _keys(results)
     reads = np.concatenate(log.served)
     assert stats.queries == reads.size == np.unique(reads).size == 1 << n
-    assert stats.queries_raw <= (n + 1) << n
+    drawn = [min(1 << (n - j), params.resolved_suffix_samples(n)) for j in range(1, n + 1)]
+    assert stats.queries_raw == sum(s << j for j, s in enumerate(drawn, start=1))
+
+
+def test_last_level_is_the_finish(monkeypatch):
+    # level j transforms one row per (candidate, drawn suffix); no full-size
+    # candidate is demodulated and transformed a second time
+    n, k = 7, 10
+    rng = np.random.default_rng(12)
+    lab = CodewordLabel(HankelMat(n, int(rng.integers(1 << (2 * n - 1)))), 5, 0)
+    vals = make_noisy(n, [(lab, 1.0)], noise_energy=0.5, seed=13)
+    rows = []
+
+    def counting_fwht(a, axis=-1):
+        rows.append(int(np.prod(np.shape(a)[:-1])))
+        return fwht(a, axis=axis)
+
+    monkeypatch.setattr(decoder_mod, "fwht", counting_fwht)
+    params = DecoderParams(k=k)
+    results, stats = list_decode_hankel(DenseOracle(vals), params, seed=0)
+    assert (lab.q.diag, lab.ell) in _keys(results)
+    drawn = [min(1 << (n - j), params.resolved_suffix_samples(n)) for j in range(1, n + 1)]
+    assert sum(rows) == sum(g * s for g, s in zip(stats.g, drawn))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_energy_gate_passes_every_prefix(threads):
+    # a hint far below the signal energy gates every slice: no level prunes,
+    # and the last level lists exactly the dense scan at hint^2 / 2k
+    n, k = 5, 1
+    terms = _kerdock_terms(n, [6], [1.0], seed=14)
+    vals = make_noisy(n, terms, noise_energy=0.1, seed=15)
+    o = DenseOracle(vals)
+    o.norm_hint = 0.05
+    params = DecoderParams(k=k, candidate_cap=1 << 20, threads=threads)
+    results, stats = list_decode_hankel(o, params, seed=0)
+    assert stats.f == stats.g
+    assert stats.f[-1] == 1 << (2 * n - 1)
+    dense = dense_heavy_set(vals, threshold_sq=0.05**2 / (2 * k))
+    assert 0 < len(dense) < (1 << (3 * n - 1))
+    assert _keys(results) == _keys(dense)
 
 
 def test_robust_size_guard_reads_nothing():
@@ -369,8 +410,8 @@ def test_demodulate_transform_equals_pair_dot_exactly(n):
 
 @pytest.mark.parametrize("n, k", [(4, 2), (2, 4), (4, 16)])
 def test_exact_finish_coefficients_equal_pair_dot(n, k):
-    # k = 2 at n = 4 runs the levels and finishes the survivors exactly;
-    # k >= 2^n skips the levels and finishes every Hankel diag
+    # k = 2 at n = 4 runs every level and lists the last one's tones;
+    # k >= 2^n runs only the last level, over every Hankel diag
     terms = _dyadic_terms(n)
     oracle = DenseOracle(sum(c * dense_codeword(lab) for lab, c in terms))
     results, stats = list_decode_hankel(oracle, DecoderParams(k=k))

@@ -71,6 +71,13 @@ def test_coherence_regime_guard():
         sparse_approx(o, PursuitParams(k=2, eps=0.1), seed=0)
 
 
+def test_empty_domain_is_refused_before_any_read():
+    o = DenseOracle(np.ones(1, dtype=np.complex128))
+    with pytest.raises(ValueError, match="n >= 1, got n=0"):
+        sparse_approx(o, PursuitParams(k=1, eps=0.1), seed=0)
+    assert o.query_count == 0
+
+
 def test_representation_rejects_duplicate_labels():
     lab = CodewordLabel(HankelMat(3, 5), 1, 0)
     with pytest.raises(ValueError):
