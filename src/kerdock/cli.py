@@ -48,6 +48,7 @@ from kerdock.signal import (
     check_noise_energy,
     make_noisy,
     read_signal,
+    scaled_noise,
     write_signal,
 )
 
@@ -79,6 +80,8 @@ def _load_oracle(args: argparse.Namespace) -> SampleOracle:
             raise ValueError(
                 "--noise-energy needs --plant; add noise to a file with `kerdock corrupt`"
             )
+        if args.n is not None:
+            raise ValueError("--n needs --plant; with --in the file header gives n")
         values = read_signal(args.infile)
         return DenseOracle(values)
     if args.n is None:
@@ -131,10 +134,7 @@ def _cmd_corrupt(args: argparse.Namespace) -> int:
     check_noise_energy(args.noise_energy)
     values = read_signal(args.infile)
     n = int(values.size - 1).bit_length()
-    rng = np.random.default_rng(args.seed)
-    g = rng.standard_normal(2 * values.size)
-    nu = g[0::2] + 1j * g[1::2]
-    nu *= math.sqrt(args.noise_energy) / np.linalg.norm(nu)
+    nu = scaled_noise(np.random.default_rng(args.seed), values.size, args.noise_energy)
     write_signal(args.out, values + nu)
     print(f"wrote {args.out} n={n} added-noise-energy={args.noise_energy:g}")
     return 0
@@ -303,8 +303,9 @@ _SUITES = {
     "homomorphism": _suite_homomorphism,
 }
 
-# largest n that pair_dot, count_hankel_by_rank and verify_homomorphism accept
-_MAX_N = {"dickson": 14, "rank-count": 9, "homomorphism": 8}
+# largest n that pair_dot, count_hankel_by_rank and verify_homomorphism accept;
+# kerdock's pairwise rank check (2^(2n-1) matrices) takes about 8 s at n=12
+_MAX_N = {"dickson": 14, "rank-count": 9, "homomorphism": 8, "kerdock": 12}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

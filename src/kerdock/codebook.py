@@ -14,7 +14,7 @@ linear-feedback family gives a Kerdock codebook.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,9 +25,8 @@ __all__ = [
     "HankelMat",
     "CodewordLabel",
     "quad_form",
-    "phase_exponent",
-    "eval_codeword",
     "exponents_at",
+    "codeword_sum",
     "hankel_exponents_batch",
     "demodulate",
     "diag_chunks",
@@ -150,15 +149,6 @@ def quad_form(q: MatLike, y: int) -> int:
     return total & 3
 
 
-def phase_exponent(label: CodewordLabel, y: int) -> int:
-    return (quad_form(label.q, y) + 2 * ((label.ell & y).bit_count() & 1) + label.eps) & 3
-
-
-def eval_codeword(label: CodewordLabel, y: int) -> complex:
-    """Codeword value at one position, i^exponent / sqrt(N)."""
-    return I_POWERS[phase_exponent(label, y)] / np.sqrt(1 << label.n)
-
-
 def _quad_exponents(rows: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """y^T Q y mod 4 as uint8, from the row bitmasks of Q.
 
@@ -187,6 +177,21 @@ def exponents_at(label: CodewordLabel, ys: np.ndarray) -> np.ndarray:
     total += np.uint8(2) * (np.bitwise_count(ys & np.uint64(label.ell)) & np.uint8(1))
     total += np.uint8(label.eps)
     return total & 3
+
+
+def codeword_sum(
+    terms: Iterable[Tuple[CodewordLabel, complex]], ys: np.ndarray
+) -> np.ndarray:
+    """Sum of coeff * codeword over (label, coeff) terms at positions ys.
+
+    The one evaluator of codeword values, i^exponent / sqrt(N): terms are
+    added in order, each as coeff * (1 / sqrt(N)) times a unit phase, so every
+    caller that sums the same terms gets the same bits.
+    """
+    out = np.zeros(np.shape(ys), dtype=np.complex128)
+    for label, coeff in terms:
+        out += coeff * (1.0 / np.sqrt(1 << label.n)) * I_POWERS[exponents_at(label, ys)]
+    return out
 
 
 def hankel_exponents_batch(diags: np.ndarray, j: int, ys: np.ndarray) -> np.ndarray:
@@ -233,8 +238,7 @@ def dense_codeword(label: CodewordLabel) -> np.ndarray:
     n = label.n
     if n > DENSE_MAX_N:
         raise ValueError(f"dense evaluation limited to n <= {DENSE_MAX_N}")
-    ys = np.arange(1 << n, dtype=np.uint32)
-    return I_POWERS[exponents_at(label, ys)] / np.sqrt(1 << n)
+    return codeword_sum([(label, 1.0)], np.arange(1 << n, dtype=np.uint32))
 
 
 # GF(2) linear algebra on int-bitset rows --------------------------------

@@ -42,7 +42,6 @@ __all__ = [
     "dense_dot_table",
     "dense_heavy_set",
     "best_k_kerdock",
-    "restricted_max_tone",
     "verify_kerdock_set",
     "count_hankel_by_rank",
     "verify_dickson",
@@ -105,21 +104,6 @@ def dense_heavy_set(
     return out
 
 
-def restricted_max_tone(values: np.ndarray, q, j: int) -> np.ndarray:
-    """For each (n-j)-bit suffix, the exact max over tones of |<R demod, psi>|^2.
-
-    q is a HankelMat; the demodulation uses the zero extension of its leading
-    j x j block, so this is the quantity the prefix tests estimate.
-    """
-    values = np.asarray(values, dtype=np.complex128)
-    n = int(values.size - 1).bit_length()
-    resh = values.reshape(1 << (n - j), 1 << j)
-    prefix = q.diag & ((1 << (2 * j - 1)) - 1)
-    demod = demodulate(resh, [prefix], j, np.arange(1 << j, dtype=np.uint32))[0]
-    dots = fwht(demod, axis=1) / np.sqrt(1 << j)
-    return np.max(np.abs(dots) ** 2, axis=1)
-
-
 def best_k_kerdock(
     ctx: FieldContext, values: np.ndarray, k: int
 ) -> Tuple[List[CodewordLabel], np.ndarray, float]:
@@ -168,14 +152,12 @@ def verify_kerdock_set(ctx: FieldContext) -> Dict[str, bool]:
     nonzero_full = all(
         gf2_rank(m.rows) == n for m in mats if m.diag != 0
     )
-    sums_full = True
-    for i, a in enumerate(mats):
-        for b in mats[i + 1 :]:
-            if gf2_rank((a ^ b).rows) != n:
-                sums_full = False
-                break
-        if not sums_full:
-            break
+    # one batched rank call per member: its sums with every later member
+    rows = np.array([m.rows for m in mats], dtype=np.uint32)
+    sums_full = all(
+        bool((gf2_rank_batch(rows[i] ^ rows[i + 1 :], n) == n).all())
+        for i in range(len(mats) - 1)
+    )
     trace_match = {m.diag for m in mats} == {
         trace_kerdock(ctx, x).diag for x in range(1 << n)
     }

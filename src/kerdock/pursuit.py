@@ -19,10 +19,10 @@ from typing import List, Optional, TextIO, Tuple
 import numpy as np
 
 from kerdock.codebook import (
-    I_POWERS,
+    DENSE_MAX_N,
     CodewordLabel,
     HankelMat,
-    exponents_at,
+    codeword_sum,
     lf_kerdock,
     pack_hex,
     unpack_hex,
@@ -71,15 +71,7 @@ class Representation:
 
     def evaluate(self, ys: np.ndarray) -> np.ndarray:
         """Sum of the terms at the given positions."""
-        ys = np.asarray(ys, dtype=np.uint32)
-        out = np.zeros(ys.shape, dtype=np.complex128)
-        if not self.terms:
-            return out
-        n = self.terms[0][0].n
-        root = math.sqrt(1 << n)
-        for lab, c in self.terms:
-            out += c * I_POWERS[exponents_at(lab, ys)] / root
-        return out
+        return codeword_sum(self.terms, ys)
 
 
 class ResidualOracle(SampleOracle):
@@ -122,12 +114,24 @@ def sparse_approx(
     round could admit one), a round that admits nothing (the residual is
     unchanged) or a residual estimated at zero ends the loop early. All
     reads share one cache: each position is read at most once. Raises
-    ValueError before any read when n < 1 or k > sqrt(N)/6.
+    ValueError before any read when n < 6 (no k >= 1 fits the coherence
+    regime), n > DENSE_MAX_N (the inner robust decodes read every
+    position) or k > sqrt(N)/6.
     """
     n = oracle.n
     if n < 1:
         raise ValueError(f"sparse approximation needs n >= 1, got n={n}")
     k_max = math.floor(math.sqrt(1 << n) / 6.0)
+    if k_max < 1:
+        raise ValueError(
+            f"sparse approximation needs n >= 6, got n={n}: below that the "
+            f"sqrt(N)/6 coherence regime admits no term"
+        )
+    if n > DENSE_MAX_N:
+        raise ValueError(
+            f"sparse approximation decodes with the robust profile, which reads "
+            f"every position: it needs n <= {DENSE_MAX_N}, got n={n}"
+        )
     if params.k > k_max:
         raise ValueError(
             f"k={params.k} exceeds the sqrt(N)/6 coherence regime: "

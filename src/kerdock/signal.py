@@ -12,13 +12,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from kerdock.codebook import (
-    DENSE_MAX_N,
-    I_POWERS,
-    CodewordLabel,
-    dense_codeword,
-    exponents_at,
-)
+from kerdock.codebook import DENSE_MAX_N, CodewordLabel, codeword_sum
 from kerdock.rng import child_rng, hashed_normals
 
 __all__ = [
@@ -27,11 +21,11 @@ __all__ = [
     "SyntheticOracle",
     "CachingOracle",
     "make_noisy",
+    "scaled_noise",
     "check_noise_energy",
     "write_signal",
     "read_signal",
     "estimate_sq_norm",
-    "estimate_dot",
     "estimate_dots",
     "fwht",
     "restrict_dense",
@@ -124,10 +118,7 @@ class SyntheticOracle(SampleOracle):
         self.seed = int(seed)
 
     def _values(self, ys: np.ndarray) -> np.ndarray:
-        scale = 1.0 / np.sqrt(1 << self.n)
-        out = np.zeros(ys.shape, dtype=np.complex128)
-        for label, coeff in self.terms:
-            out += coeff * scale * I_POWERS[exponents_at(label, ys)]
+        out = codeword_sum(self.terms, ys)
         if self.noise_energy > 0:
             g = hashed_normals(self.seed, "plant-noise", ys)
             sigma = np.sqrt(self.noise_energy / (2 << self.n))
@@ -178,22 +169,28 @@ def make_noisy(
 ) -> np.ndarray:
     """Dense planted signal with noise rescaled to exact total energy.
 
-    The noise vector is drawn from the stream (seed, "noise") and scaled so
-    its squared norm equals noise_energy to float precision.
+    The noise vector is scaled_noise drawn from the stream (seed, "noise").
     """
     check_noise_energy(noise_energy)
-    out = np.zeros(1 << n, dtype=np.complex128)
-    for label, coeff in terms:
-        if label.n != n:
-            raise ValueError("term dimension mismatch")
-        out += coeff * dense_codeword(label)
+    if any(label.n != n for label, _ in terms):
+        raise ValueError("term dimension mismatch")
+    if n > DENSE_MAX_N:
+        raise ValueError(f"dense evaluation limited to n <= {DENSE_MAX_N}")
+    out = codeword_sum(terms, np.arange(1 << n, dtype=np.uint32))
     if noise_energy > 0:
-        rng = child_rng(seed, "noise")
-        g = rng.standard_normal(2 << n)
-        nu = g[0::2] + 1j * g[1::2]
-        nu *= np.sqrt(noise_energy) / np.linalg.norm(nu)
-        out += nu
+        out += scaled_noise(child_rng(seed, "noise"), 1 << n, noise_energy)
     return out
+
+
+def scaled_noise(rng: np.random.Generator, size: int, energy: float) -> np.ndarray:
+    """Complex Gaussian noise vector whose squared norm is energy to float precision.
+
+    Draws 2 * size standard normals from rng, real and imaginary parts interleaved.
+    """
+    g = rng.standard_normal(2 * size)
+    nu = g[0::2] + 1j * g[1::2]
+    nu *= np.sqrt(energy) / np.linalg.norm(nu)
+    return nu
 
 
 def write_signal(path: str, values: np.ndarray) -> None:
@@ -248,23 +245,18 @@ def estimate_sq_norm(o: SampleOracle, samples: int, seed: int = 0) -> float:
     return float((1 << o.n) * np.mean(np.abs(vals) ** 2))
 
 
-def estimate_dot(
-    o: SampleOracle, label: CodewordLabel, samples: int, seed: int = 0
-) -> complex:
-    """Unbiased estimate of <s, phi_label>; exact in exhaustive mode."""
-    return estimate_dots(o, [label], samples, seed)[0]
-
-
 def estimate_dots(
     o: SampleOracle, labels: Sequence[CodewordLabel], samples: int, seed: int = 0
 ) -> np.ndarray:
-    """Dot estimates for many labels off one shared sample set."""
+    """Unbiased estimates of <s, phi_label> for many labels off one shared sample set.
+
+    Exact in exhaustive mode (samples >= 2^n: each position once).
+    """
     ys = _sample_positions(o, samples, child_rng(seed, "dot"))
     vals = o.query_many(ys)
-    scale = 1.0 / np.sqrt(1 << o.n)
     out = np.empty(len(labels), dtype=np.complex128)
     for i, label in enumerate(labels):
-        phases = np.conj(I_POWERS[exponents_at(label, ys)]) * scale
+        phases = np.conj(codeword_sum([(label, 1.0)], ys))
         out[i] = (1 << o.n) * np.mean(vals * phases)
     return out
 

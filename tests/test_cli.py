@@ -210,6 +210,32 @@ def test_noise_energy_with_a_file_exits_two(command, tmp_path, capsys):
     assert capsys.readouterr().out != ""
 
 
+@pytest.mark.parametrize("command", [["decode"], ["sparse-approx", "--eps", "0.1"]])
+def test_n_with_a_file_exits_two(command, tmp_path, capsys):
+    lab = CodewordLabel(lf_kerdock(FieldContext.default(5), 0x0B), 3, 0)
+    sig = tmp_path / "s.sig"
+    write_signal(str(sig), make_noisy(5, [(lab, 1.0)]))
+    for n in ("9", "5"):
+        assert main([*command, "--in", str(sig), "--n", n, "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--n needs --plant; with --in the file header gives n" in captured.err
+
+
+def test_sparse_approx_names_its_range(capsys):
+    argv = ["sparse-approx", "--k", "1", "--eps", "0.1"]
+    spec = _plant_spec(5, [0x0B], ["1.0"])
+    assert main([*argv, "--plant", spec, "--n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sparse approximation needs n >= 6, got n=5" in captured.err
+    spec = f"{format_label(CodewordLabel(HankelMat(21, 0), 0, 0))}:1.0"
+    assert main([*argv, "--plant", spec, "--n", "21"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "lean" not in captured.err
+    assert "it needs n <= 20, got n=21" in captured.err
+
+
 @pytest.mark.parametrize("flag", ["--c1", "--c2", "--delta"])
 def test_decode_has_no_test_constant_flags(flag):
     spec = _plant_spec(6, [0x2B], ["1.0"])
@@ -326,6 +352,16 @@ def test_verify_skips_a_suite_above_its_range(suite, n, limit, capsys):
     assert main(["verify", "--suite", suite, "--n", str(n)]) == 0
     out = capsys.readouterr().out
     assert f"SKIP {suite} (exact check needs n <= {limit})" in out.splitlines()
+
+
+def test_verify_kerdock_skips_past_its_range(monkeypatch, capsys):
+    def never(ctx):
+        raise AssertionError("the exact check ran past its range")
+
+    monkeypatch.setattr(cli_mod, "verify_kerdock_set", never)
+    assert main(["verify", "--suite", "kerdock", "--n", "13"]) == 0
+    out = capsys.readouterr().out
+    assert "SKIP kerdock (exact check needs n <= 12)" in out.splitlines()
 
 
 def test_verify_ranges_match_the_references():

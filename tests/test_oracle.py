@@ -7,7 +7,6 @@ from kerdock.codebook import (
     dense_codeword,
     gf2_rank,
     kerdock_set,
-    quad_form,
 )
 from kerdock.field import FieldContext
 from kerdock.oracle import (
@@ -15,7 +14,6 @@ from kerdock.oracle import (
     count_hankel_by_rank,
     dense_dot_table,
     dense_heavy_set,
-    restricted_max_tone,
     verify_commute_equivalence,
     verify_dickson,
     verify_gray_independence,
@@ -23,9 +21,7 @@ from kerdock.oracle import (
     verify_independence,
     verify_kerdock_set,
 )
-from kerdock.signal import fwht, make_noisy
-
-_I = np.array([1, 1j, -1, -1j])
+from kerdock.signal import make_noisy
 
 
 def test_dot_table_matches_direct_inner_products():
@@ -77,20 +73,6 @@ def test_heavy_set_equals_brute_force():
         assert (lab.q.diag, lab.ell) in found
 
 
-def test_restricted_max_tone_matches_manual_restriction():
-    rng = np.random.default_rng(3)
-    n, j = 5, 2
-    vals = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    q = HankelMat(n, int(rng.integers(1 << (2 * n - 1))))
-    got = restricted_max_tone(vals, q, j)
-    sub = HankelMat(j, q.diag & ((1 << (2 * j - 1)) - 1))
-    phases = np.conj(_I[[quad_form(sub, y) for y in range(1 << j)]])
-    for suffix in range(1 << (n - j)):
-        block = vals[suffix << j : (suffix + 1) << j]
-        dots = fwht(block * phases) / np.sqrt(1 << j)
-        assert abs(got[suffix] - np.max(np.abs(dots) ** 2)) < 1e-10
-
-
 def test_best_k_recovers_planted_kerdock_terms():
     n = 5
     ctx = FieldContext.default(n)
@@ -129,6 +111,19 @@ def test_kerdock_set_properties(n):
         "matches_trace_construction": True,
         "size_2n": True,
     }
+
+
+def test_kerdock_set_check_catches_a_low_rank_pairwise_sum(monkeypatch):
+    import kerdock.oracle as oracle_mod
+
+    n = 5
+    mats = kerdock_set(FieldContext.default(n))
+    # the last member differs from member 1 by the rank-1 matrix e0 e0^T
+    bad = mats[:-1] + [mats[1] ^ HankelMat(n, 1)]
+    monkeypatch.setattr(oracle_mod, "kerdock_set", lambda ctx: bad)
+    report = verify_kerdock_set(FieldContext.default(n))
+    assert report["pairwise_sums_full_rank"] is False
+    assert report["nonzero_full_rank"] is (gf2_rank(bad[-1].rows) == n)
 
 
 def test_rank_histogram_counts():

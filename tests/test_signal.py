@@ -13,13 +13,13 @@ from kerdock.codebook import (
     kerdock_set,
 )
 from kerdock.field import FieldContext
+from kerdock.pursuit import Representation
 from kerdock.rng import child_rng, hashed_normals
 from kerdock.signal import (
     CachingOracle,
     DenseOracle,
     SampleOracle,
     SyntheticOracle,
-    estimate_dot,
     estimate_dots,
     estimate_sq_norm,
     fwht,
@@ -107,6 +107,20 @@ def test_synthetic_matches_dense_sum_when_noiseless():
     direct = sum(c * dense_codeword(lab) for lab, c in terms)
     assert np.allclose(o.query_many(ys), direct, atol=1e-12)
     assert abs(o.norm_hint - np.sqrt(1 + 0.25 + 0.0625)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 5, 8, 9])
+def test_every_evaluator_gives_the_same_bits(n):
+    rng = np.random.default_rng(n)
+    terms = [
+        (lab, complex(rng.standard_normal(), rng.standard_normal()))
+        for lab in _labels(n, 3, seed=n)
+    ]
+    ys = np.arange(1 << n)
+    want = SyntheticOracle(n, terms).query_many(ys)
+    assert np.array_equal(make_noisy(n, terms), want)
+    assert np.array_equal(Representation(terms).evaluate(ys), want)
+    assert np.array_equal(sum(c * dense_codeword(lab) for lab, c in terms), want)
 
 
 def test_synthetic_noise_is_stateless_and_seeded():
@@ -222,8 +236,8 @@ def test_demodulated_dot_identity():
     s = make_noisy(n, [(lab, c) for lab, c in zip(_labels(n, 2), (1.0, 0.3))], 0.25, 7)
     lab = _labels(n, 1, seed=9)[0]
     demod = DenseOracle(_demodulated(s, n, 0, lab.q.diag))
-    lhs = estimate_dot(demod, CodewordLabel(HankelMat(n, 0), lab.ell, lab.eps), 1 << n)
-    rhs = estimate_dot(DenseOracle(s), lab, 1 << n)
+    lhs = estimate_dots(demod, [CodewordLabel(HankelMat(n, 0), lab.ell, lab.eps)], 1 << n)[0]
+    rhs = estimate_dots(DenseOracle(s), [lab], 1 << n)[0]
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -343,7 +357,7 @@ def test_estimate_dot_sampled_concentrates():
     n = 10
     lab = _labels(n, 1, seed=8)[0]
     o = SyntheticOracle(n, [(lab, 1.0)], seed=0)
-    est = estimate_dot(o, lab, 512, seed=4)
+    est = estimate_dots(o, [lab], 512, seed=4)[0]
     assert abs(est - 1.0) < 0.2
 
 
