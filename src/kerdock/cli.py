@@ -49,6 +49,7 @@ from kerdock.signal import (
     make_noisy,
     read_signal,
     scaled_noise,
+    signal_n,
     write_signal,
 )
 
@@ -73,8 +74,8 @@ def _parse_plant(spec: str, n: int) -> List[Tuple[CodewordLabel, complex]]:
     return terms
 
 
-def _load_oracle(args: argparse.Namespace) -> SampleOracle:
-    """Oracle from --in (dense file) or --plant (implicit synthesis)."""
+def _load_oracle(args: argparse.Namespace, norm_hint: Optional[float] = None) -> SampleOracle:
+    """Oracle from --in (dense file) or --plant (implicit synthesis), norm hint if given."""
     if args.infile:
         if args.noise_energy is not None:
             raise ValueError(
@@ -82,12 +83,11 @@ def _load_oracle(args: argparse.Namespace) -> SampleOracle:
             )
         if args.n is not None:
             raise ValueError("--n needs --plant; with --in the file header gives n")
-        values = read_signal(args.infile)
-        return DenseOracle(values)
+        return DenseOracle(read_signal(args.infile), norm_hint)
     if args.n is None:
         raise ValueError("--plant requires --n")
     terms = _parse_plant(args.plant, args.n)
-    return SyntheticOracle(args.n, terms, noise_energy=args.noise_energy or 0.0, seed=args.seed)
+    return SyntheticOracle(args.n, terms, args.noise_energy or 0.0, args.seed, norm_hint)
 
 
 def _cmd_gen_field(args: argparse.Namespace) -> int:
@@ -133,7 +133,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 def _cmd_corrupt(args: argparse.Namespace) -> int:
     check_noise_energy(args.noise_energy)
     values = read_signal(args.infile)
-    n = int(values.size - 1).bit_length()
+    n = signal_n(values.size)
     nu = scaled_noise(np.random.default_rng(args.seed), values.size, args.noise_energy)
     write_signal(args.out, values + nu)
     print(f"wrote {args.out} n={n} added-noise-energy={args.noise_energy:g}")
@@ -146,9 +146,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     )
     if args.norm_hint is not None and not 0.0 < args.norm_hint < float("inf"):
         raise ValueError(f"--norm-hint must be positive and finite, got {args.norm_hint}")
-    oracle = _load_oracle(args)
-    if args.norm_hint is not None:
-        oracle.norm_hint = args.norm_hint
+    oracle = _load_oracle(args, args.norm_hint)
     results, stats = list_decode_hankel(oracle, params, seed=args.seed)
     sys.stdout.write(format_decode_report(results, stats))
     print(f"# seconds {stats.seconds:.3f}", file=sys.stderr)
@@ -309,6 +307,8 @@ _MAX_N = {"dickson": 14, "rank-count": 9, "homomorphism": 8, "kerdock": 12}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ValueError(f"verify needs n >= 1, got n={args.n}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     lines: List[str] = []
     ok = True

@@ -216,7 +216,7 @@ def demodulate(values: np.ndarray, diags: np.ndarray, j: int, ys: np.ndarray) ->
     quadratic component H of each slice into a pure tone.
     """
     values = np.asarray(values)
-    phases = I_POWERS[(-hankel_exponents_batch(diags, j, ys).astype(np.int16)) & 3]
+    phases = I_POWERS[(-hankel_exponents_batch(diags, j, ys)) & 3]
     return values[None, ...] * np.expand_dims(phases, tuple(range(1, values.ndim)))
 
 

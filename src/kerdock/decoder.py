@@ -144,35 +144,30 @@ class DecodeStats:
     seconds: float = 0.0
 
 
-def extend_prefix(diag: int, j: int) -> List[int]:
-    """The four (j+1)-sized Hankel extensions of a j-sized diag."""
-    return [
-        diag | (a << (2 * j - 1)) | (b << (2 * j))
-        for a in (0, 1)
-        for b in (0, 1)
-    ]
+def extend_prefix(diags: np.ndarray, j: int) -> np.ndarray:
+    """The four (j+1)-sized extensions of each j-sized diag d: d, d|2^(2j), d|2^(2j-1), both."""
+    return (diags[:, None] | (np.array([0, 2, 1, 3], np.uint64) << np.uint64(2 * j - 1))).ravel()
 
 
 def _search(
-    n: int, cap: int, stats: DecodeStats, level_keep: Callable[[int, List[int]], np.ndarray]
-) -> List[int]:
+    n: int, cap: int, stats: DecodeStats, level_keep: Callable[[int, np.ndarray], np.ndarray]
+) -> np.ndarray:
     """The prefix search both profiles run, one Hankel size per level.
 
-    level_keep(j, test_set) gives the keep mask of the level-j candidates;
-    returns the full-size survivors, or [] once a level keeps nothing.
+    level_keep(j, test_set) gives the keep mask of the level-j diags (uint64);
+    returns the full-size survivors, or an empty array once a level keeps nothing.
     """
-    test_set: List[int] = [0, 1]
+    test_set = np.array([0, 1], dtype=np.uint64)
     for j in range(1, n + 1):
-        keep = level_keep(j, test_set)
-        kept = [d for d, m in zip(test_set, keep) if m]
+        kept = test_set[level_keep(j, test_set)]
         stats.g.append(len(test_set))
         stats.f.append(len(kept))
         if len(kept) > cap:
             raise CandidateOverflow(j, len(kept), cap)
-        if not kept:
-            return []
+        if not kept.size:
+            return kept
         if j < n:
-            test_set = [e for d in kept for e in extend_prefix(d, j)]
+            test_set = extend_prefix(kept, j)
     return kept
 
 
@@ -192,7 +187,7 @@ def _exact_level(
     seed: int,
     found: List[Tuple[CodewordLabel, complex]],
     j: int,
-    diags: Sequence[int],
+    diags: np.ndarray,
 ) -> np.ndarray:
     """Keep mask from full restricted-slice reads, vectorized over candidates.
 
@@ -231,7 +226,7 @@ def _exact_level(
             for a, ell in hits
         ]
 
-    chunks = diag_chunks(np.asarray(list(diags), dtype=np.uint64), vals.size)
+    chunks = diag_chunks(diags, vals.size)
     if params.threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=params.threads) as pool:
             parts = list(pool.map(run, chunks))
@@ -265,7 +260,6 @@ def _lean_decode(
     never binds for this profile.
     """
     n = oracle.n
-    hint_sq = oracle.norm_hint**2
     rng = child_rng(seed, "pool")
     bases = np.unique(rng.integers(0, 1 << n, size=4 * POOL_BASES, dtype=np.uint64))
     rng.shuffle(bases)
@@ -275,7 +269,7 @@ def _lean_decode(
     bar = 0.2
     v_prev: Optional[np.ndarray] = None  # values at bases ^ e_{j-2}
 
-    def level_keep(j: int, test_set: List[int]) -> np.ndarray:
+    def level_keep(j: int, test_set: np.ndarray) -> np.ndarray:
         nonlocal v_prev
         d1 = np.uint32(1 << (j - 1))
         p1 = bases ^ d1
@@ -285,17 +279,16 @@ def _lean_decode(
             p2 = p1 ^ np.uint32(1 << (j - 2))
             pool.append(p2)
             v2 = oracle.query_many(p2)
-        diag_arr = np.asarray(test_set, dtype=np.uint64)
-        w0 = demodulate(v_base, diag_arr, j, bases)
-        w1 = demodulate(v1, diag_arr, j, p1)
+        w0 = demodulate(v_base, test_set, j, bases)
+        w1 = demodulate(v1, test_set, j, p1)
         t1 = w1 * np.conj(w0)
         sq = t1 * t1
         norm = np.mean(np.abs(sq), axis=1)
         s_diag = np.mean(sq.real, axis=1) / np.maximum(norm, 1e-300)
         keep = s_diag >= bar
         if j >= 2:
-            w2 = demodulate(v2, diag_arr, j, p2)
-            wp = demodulate(v_prev, diag_arr, j, bases ^ (d1 >> 1))
+            w2 = demodulate(v2, test_set, j, p2)
+            wp = demodulate(v_prev, test_set, j, bases ^ (d1 >> 1))
             mixed = w2 * np.conj(w1) * np.conj(wp) * w0
             norm = np.mean(np.abs(mixed), axis=1)
             s_off = np.mean(mixed.real, axis=1) / np.maximum(norm, 1e-300)
@@ -304,29 +297,23 @@ def _lean_decode(
         return keep
 
     kept = _search(n, params.resolved_cap(), stats, level_keep)
-    if not kept:
+    if not kept.size:
         return []
 
-    # linear part: sign of the pair correlation along each coordinate
-    results: List[Tuple[CodewordLabel, complex]] = []
+    # linear parts: sign of the pair correlation along each coordinate
     positions = np.unique(np.concatenate(pool))
-    pos_vals = oracle.query_many(positions)
-    walls = demodulate(pos_vals, np.asarray(kept, dtype=np.uint64), n, positions)
-    base_idx = np.searchsorted(positions, bases)
-    partners = [np.searchsorted(positions, bases ^ np.uint32(1 << r)) for r in range(n)]
-    for diag, wall in zip(kept, walls):
-        ell = 0
-        for r, partner in enumerate(partners):
-            corr = np.mean(wall[partner] * np.conj(wall[base_idx]))
-            if corr.real < 0.0:
-                ell |= 1 << r
-        label = CodewordLabel(HankelMat(n, int(diag)), ell, 0)
-        eell = 2 * (np.bitwise_count(positions & np.uint32(ell)) & 1)
-        phases = wall * I_POWERS[(-eell.astype(np.int16)) & 3]
-        chat = complex(np.mean(phases) * math.sqrt(1 << n))
-        if abs(chat) ** 2 >= hint_sq / (2.0 * params.k):
-            results.append((label, chat))
-    return results
+    walls = demodulate(oracle.query_many(positions), kept, n, positions)
+    coords = np.uint32(1) << np.arange(n, dtype=np.uint32)
+    partners = np.searchsorted(positions, bases ^ coords[:, None])
+    anchors = np.conj(walls[:, None, np.searchsorted(positions, bases)])
+    corr = np.mean(walls[:, partners] * anchors, axis=-1)
+    ells = ((corr.real < 0.0) * coords).sum(axis=1, dtype=np.uint32)
+    # coefficients: the whole pool, demodulated by each survivor's linear part
+    eell = 2 * (np.bitwise_count(positions & ells[:, None]) & 1)
+    chats = np.mean(walls * I_POWERS[(-eell) & 3], axis=1) * math.sqrt(1 << n)
+    heavy = np.flatnonzero(np.abs(chats) ** 2 >= oracle.norm_hint**2 / (2.0 * params.k))
+    labels = [CodewordLabel(HankelMat(n, int(kept[a])), int(ells[a]), 0) for a in heavy]
+    return list(zip(labels, chats[heavy].tolist()))
 
 
 def list_decode_hankel(
@@ -363,7 +350,7 @@ def list_decode_hankel(
                 f"k >= 2^n (k={params.k}, n={n}) asks for every Hankel codeword, "
                 f"a dense scan limited to n <= 7; lower k below 2^n = {1 << n}"
             )
-        level(n, range(1 << (2 * n - 1)))
+        level(n, np.arange(1 << (2 * n - 1), dtype=np.uint64))
     elif params.profile == "lean":
         results = _lean_decode(cached, params, seed, stats)
     else:

@@ -36,7 +36,7 @@ from kerdock.codebook import (
 )
 from kerdock.field import FieldContext, poly_mul
 from kerdock.rng import child_rng
-from kerdock.signal import fwht
+from kerdock.signal import fwht, signal_n
 
 __all__ = [
     "dense_dot_table",
@@ -77,9 +77,7 @@ def dense_dot_table(
     Blocks are sized to the decoder's demodulate-and-transform budget.
     """
     values = np.asarray(values, dtype=np.complex128)
-    n = int(values.size - 1).bit_length()
-    if values.size != 1 << n:
-        raise ValueError("signal length must be a power of two")
+    n = signal_n(values.size)
     ys = np.arange(1 << n, dtype=np.uint32)
     scale = 1.0 / np.sqrt(1 << n)
     for chunk in diag_chunks(_family_diags(family, ctx, n), 1 << n):
@@ -94,7 +92,7 @@ def dense_heavy_set(
     ctx: Optional[FieldContext] = None,
 ) -> List[Tuple[CodewordLabel, complex]]:
     """All labels whose exact |<s, phi>|^2 meets threshold_sq, sorted by (Q, l)."""
-    n = int(np.asarray(values).size - 1).bit_length()
+    n = signal_n(np.asarray(values).size)
     out = []
     for chunk, dots in dense_dot_table(values, family, ctx):
         hits = np.nonzero(np.abs(dots) ** 2 >= threshold_sq)

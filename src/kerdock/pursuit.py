@@ -50,8 +50,8 @@ class PursuitParams:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < float("inf"):
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
     def resolved_rounds(self) -> int:
         # eps > e would give no round at all

@@ -8,6 +8,7 @@ vectors from the codebook module.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "make_noisy",
     "scaled_noise",
     "check_noise_energy",
+    "signal_n",
     "write_signal",
     "read_signal",
     "estimate_sq_norm",
@@ -38,6 +40,14 @@ def check_noise_energy(noise_energy: float) -> None:
         raise ValueError(f"noise energy must be finite and non-negative, got {noise_energy}")
 
 
+def signal_n(size: int) -> int:
+    """The n of a signal of 2^n values; ValueError for any other length."""
+    n = int(size - 1).bit_length()
+    if size != 1 << n:
+        raise ValueError("signal length must be a power of two")
+    return n
+
+
 class SampleOracle:
     """Chosen-sampling access to a signal on n-bit positions.
 
@@ -51,6 +61,9 @@ class SampleOracle:
             raise ValueError(f"n must lie in 0..32, got {n}")
         self.n = n
         self.norm_hint = float(norm_hint)
+        # every decoder bar scales with norm_hint**2
+        if not math.isfinite(self.norm_hint * self.norm_hint):
+            raise ValueError(f"norm hint must have a finite square, got {self.norm_hint}")
         self._count = 0
 
     @property
@@ -76,9 +89,7 @@ class DenseOracle(SampleOracle):
 
     def __init__(self, values: np.ndarray, norm_hint: Optional[float] = None):
         values = np.asarray(values, dtype=np.complex128)
-        n = int(values.size - 1).bit_length()
-        if values.size != 1 << n:
-            raise ValueError("signal length must be a power of two")
+        n = signal_n(values.size)
         if norm_hint is None:
             norm_hint = float(np.linalg.norm(values))
         super().__init__(n, norm_hint)
@@ -109,9 +120,11 @@ class SyntheticOracle(SampleOracle):
                 raise ValueError("term dimension mismatch")
         check_noise_energy(noise_energy)
         if norm_hint is None:
-            norm_hint = float(
-                np.sqrt(sum(abs(c) ** 2 for _, c in terms) + noise_energy)
-            )
+            try:
+                energy = sum(abs(c) ** 2 for _, c in terms) + noise_energy
+            except OverflowError:  # a float ** 2 past the float range raises
+                energy = math.inf
+            norm_hint = float(np.sqrt(energy))
         super().__init__(n, norm_hint)
         self.terms = list(terms)
         self.noise_energy = float(noise_energy)
@@ -196,9 +209,7 @@ def scaled_noise(rng: np.random.Generator, size: int, energy: float) -> np.ndarr
 def write_signal(path: str, values: np.ndarray) -> None:
     """Text form: 'n=<int>' header then one 're im' line per position."""
     values = np.asarray(values, dtype=np.complex128)
-    n = int(values.size - 1).bit_length()
-    if values.size != 1 << n:
-        raise ValueError("signal length must be a power of two")
+    n = signal_n(values.size)
     with open(path, "w") as fh:
         fh.write(f"n={n}\n")
         for v in values:

@@ -182,6 +182,44 @@ def test_decode_rejects_a_bad_norm_hint(hint, capsys):
     assert f"--norm-hint must be positive and finite, got {float(hint)}" in capsys.readouterr().err
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("the input was read")
+
+
+@pytest.fixture
+def no_reads(monkeypatch):
+    monkeypatch.setattr(cli_mod, "list_decode_hankel", _never)
+    monkeypatch.setattr(cli_mod, "sparse_approx", _never)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["decode"], ["decode", "--profile", "lean"], ["sparse-approx", "--eps", "0.1"]],
+)
+def test_a_planted_energy_past_the_float_range_exits_two(command, no_reads, capsys):
+    argv = [*command, "--plant", "6;Q=717;l=05;e=0:1e200", "--n", "6", "--k", "1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "norm hint must have a finite square, got inf" in err
+
+
+def test_a_norm_hint_whose_square_overflows_exits_two(no_reads, capsys):
+    argv = ["decode", "--plant", "6;Q=717;l=05;e=0:1.0", "--n", "6", "--k", "1"]
+    assert main([*argv, "--norm-hint", "1e200"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "norm hint must have a finite square, got 1e+200" in err
+
+
+def test_a_file_energy_past_the_float_range_exits_two(no_reads, tmp_path, capsys):
+    values = make_noisy(6, [])
+    values[17] = 1e200
+    sig = tmp_path / "s.sig"
+    write_signal(str(sig), values)
+    assert main(["decode", "--in", str(sig), "--k", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "norm hint must have a finite square, got inf" in err
+
+
 def test_negative_noise_energy_exits_two(tmp_path, capsys):
     spec = _plant_spec(6, [0x2B], ["1.0"])
     assert main(["decode", "--plant", spec, "--n", "6", "--k", "2", "--noise-energy", "-5"]) == 2
@@ -362,6 +400,13 @@ def test_verify_kerdock_skips_past_its_range(monkeypatch, capsys):
     assert main(["verify", "--suite", "kerdock", "--n", "13"]) == 0
     out = capsys.readouterr().out
     assert "SKIP kerdock (exact check needs n <= 12)" in out.splitlines()
+
+
+@pytest.mark.parametrize("suite", ["dickson", "rank-count"])
+def test_verify_refuses_n_below_one(suite, capsys):
+    assert main(["verify", "--suite", suite, "--n", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "verify needs n >= 1, got n=0" in err
 
 
 def test_verify_ranges_match_the_references():

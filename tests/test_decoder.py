@@ -50,12 +50,21 @@ def _keys(pairs):
 
 
 def test_extend_prefix_grows_two_bits():
-    exts = extend_prefix(0b101, 2)
-    assert len(exts) == 4
-    for e in exts:
-        assert e & 0b111 == 0b101
-        assert e >> 5 == 0
-    assert len(set(exts)) == 4
+    for j in (1, 2, 7, 31):
+        rng = np.random.default_rng(j)
+        parents = rng.integers(0, 1 << (2 * j - 1), size=5, dtype=np.uint64)
+        exts = extend_prefix(parents, j)
+        assert exts.dtype == np.uint64
+        # each parent's four children stay together, in the scalar formula's order
+        expected = [
+            int(d) | (a << (2 * j - 1)) | (b << (2 * j))
+            for d in parents
+            for a in (0, 1)
+            for b in (0, 1)
+        ]
+        assert exts.tolist() == expected
+        assert (exts & np.uint64((1 << (2 * j - 1)) - 1) == np.repeat(parents, 4)).all()
+        assert (exts >> np.uint64(2 * j + 1) == 0).all()
 
 
 def test_params_validation():
@@ -173,6 +182,14 @@ def test_empty_domain_is_refused_before_any_read():
     with pytest.raises(ValueError, match="n=0"):
         list_decode_hankel(o, DecoderParams(k=1), seed=0)
     assert o.query_count == 0
+
+
+@pytest.mark.parametrize("profile", ["robust", "lean"])
+def test_a_zero_signal_ends_the_search_at_level_one(profile):
+    o = DenseOracle(np.zeros(1 << 5, dtype=np.complex128), norm_hint=1.0)
+    results, stats = list_decode_hankel(o, DecoderParams(k=2, profile=profile), seed=0)
+    assert results == []
+    assert stats.g == [2] and stats.f == [0]
 
 
 def test_degenerate_small_domain_decodes_densely():

@@ -39,6 +39,12 @@ def _dense(n, rep):
     return rep.evaluate(np.arange(1 << n, dtype=np.uint32))
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_params_refuse_a_non_finite_eps(eps):
+    with pytest.raises(ValueError, match=f"eps must be positive and finite, got {eps}"):
+        PursuitParams(k=2, eps=eps)
+
+
 def test_params_validation_and_defaults(monkeypatch):
     with pytest.raises(ValueError):
         PursuitParams(k=0, eps=0.1)

@@ -13,6 +13,7 @@ from kerdock.codebook import (
     kerdock_set,
 )
 from kerdock.field import FieldContext
+from kerdock.oracle import dense_dot_table, dense_heavy_set
 from kerdock.pursuit import Representation
 from kerdock.rng import child_rng, hashed_normals
 from kerdock.signal import (
@@ -26,6 +27,7 @@ from kerdock.signal import (
     make_noisy,
     read_signal,
     restrict_dense,
+    signal_n,
     write_signal,
 )
 
@@ -91,6 +93,25 @@ def test_oracle_positions_fit_32_bits():
     o = SyntheticOracle(32, [(tone, 1.0)])
     assert o.query(0) == 2.0**-16
     assert o.query((1 << 32) - 1) == -(2.0**-16)
+
+
+def test_signal_n_is_the_log_of_a_power_of_two_length():
+    assert [signal_n(1 << n) for n in range(21)] == list(range(21))
+
+
+@pytest.mark.parametrize("size", [0, 3, 6, 12])
+def test_every_length_reader_refuses_a_non_power_of_two(size, tmp_path):
+    values = np.ones(size, dtype=np.complex128)
+    readers = [
+        lambda: signal_n(size),
+        lambda: DenseOracle(values),
+        lambda: write_signal(str(tmp_path / "s.sig"), values),
+        lambda: next(dense_dot_table(values)),
+        lambda: dense_heavy_set(values, 0.1),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError, match="signal length must be a power of two"):
+            read()
 
 
 def test_dense_oracle_norm_hint_defaults_to_true_norm():
