@@ -16,12 +16,15 @@ slice is the whole domain, so the transform that decides a candidate
 also yields the exact dot of each of its tones, and the heavy ones are
 the list. That level and every level with few suffixes cover the
 domain, so a robust decode reads all 2^n positions; it is limited to
-n <= DENSE_MAX_N. Its first levels are brute force: a slice's largest
-tone is at least its mean, and the tone bar is 2^j / (4 k C2) times the
-mean slice energy, so levels with 2^j <= 4 k C2 cannot prune and keep
-every prefix, 2 * 4^(j-1) at level j. Degenerate inputs (n < 2 or
-k >= 2^n) run only level n, over every Hankel diag, and list its tones
-without its keep mask.
+n <= DENSE_MAX_N. Its first levels are close to brute force: a slice's
+largest tone power is at least its energy, and the tone bar is 2^j /
+(4 k C2) times hint^2 2^(j-n), the mean slice energy when the hint is
+the signal norm. So while 2^j <= 4 k C2, a level keeps every prefix,
+2 * 4^(j-1) at level j, when the hint does not exceed the signal norm
+and most slices carry near-mean energy; a zero signal passes no slice
+and ends at level one. Degenerate inputs (n < 2 or k >= 2^n) run only
+level n, over every Hankel diag, and list its tones without its keep
+mask.
 
 The lean profile is the query-sublinear one: it drives every decision
 from one small global position pool, nesting pair probes across levels

@@ -65,8 +65,7 @@ class Representation:
     terms: List[Tuple[CodewordLabel, complex]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        keys = [(lab.q.diag, lab.ell, lab.eps) for lab, _ in self.terms]
-        if len(set(keys)) != len(keys):
+        if len({lab for lab, _ in self.terms}) != len(self.terms):
             raise ValueError("representation labels must be distinct")
 
     def evaluate(self, ys: np.ndarray) -> np.ndarray:
@@ -162,12 +161,11 @@ def sparse_approx(
         found, _ = list_decode_hankel(
             residual, inner, seed=int(child_rng(seed, "round", rnd).integers(1 << 30))
         )
-        have = {(lab.q.diag, lab.ell) for lab, _ in rep.terms}
+        have = {lab for lab, _ in rep.terms}
         fresh = [
             (lab, c)
             for lab, c in found
-            if (lab.q.diag, lab.ell) not in have
-            and is_kerdock_label(ctx, lab.q.diag)
+            if lab not in have and is_kerdock_label(ctx, lab.q.diag)
         ]
         fresh.sort(key=lambda t: -abs(t[1]))
         room = params.k - len(rep.terms)

@@ -99,14 +99,11 @@ def bucket_energies(
     the candidate count. With the exhaustive_pairs draw the result is the
     exact bucket energy.
     """
-    n = oracle.n
-    pos1 = y1 | (suf.astype(np.uint64) << np.uint64(j)).astype(np.uint32)
-    pos2 = y2 | (suf.astype(np.uint64) << np.uint64(j)).astype(np.uint32)
-    prod = oracle.query_many(pos1) * np.conj(oracle.query_many(pos2))
-    diff = (y1 ^ y2).astype(np.uint32)
-    pref = np.asarray(list(prefixes), dtype=np.uint32)
-    signs = 1.0 - 2.0 * (np.bitwise_count(diff[None, :] & pref[:, None]) & 1)
-    return float(1 << n) * (signs @ prod.real) / len(diff)
+    high = suf << j  # uint32: suf < 2^(n-j), and a shift by 32 gives 0
+    prod = oracle.query_many(y1 | high) * np.conj(oracle.query_many(y2 | high))
+    pref = np.asarray(prefixes, np.uint32)
+    signs = 1.0 - 2.0 * (np.bitwise_count((y1 ^ y2)[None, :] & pref[:, None]) & 1)
+    return float(1 << oracle.n) * (signs @ prod.real) / len(y1)
 
 
 def km_list(
@@ -114,10 +111,11 @@ def km_list(
 ) -> List[Tuple[int, complex]]:
     """All tone labels carrying a theta fraction of the energy, with high probability.
 
-    Levels j = 1..m each extend every surviving prefix by one bit, score
-    the extensions with a median over repeated shared-sample bucket
-    estimates, keep those above (theta/2) hint^2, and truncate to the
-    ceil(4/theta) Parseval cap (ties broken toward smaller prefixes).
+    Levels j = 1..m each extend the surviving prefixes, one uint32 array,
+    by one bit, score the extensions with a median over repeated
+    shared-sample bucket estimates, keep those above (theta/2) hint^2,
+    and truncate to the ceil(4/theta) Parseval cap (ties broken toward
+    smaller prefixes).
     Surviving full-length ells get sampled coefficient estimates and a
     final prune at the same threshold. Output is sorted by descending
     |coefficient|, then ascending ell.
@@ -130,9 +128,9 @@ def km_list(
     repeats = params.resolved_repeats(m)
     threshold = 0.5 * params.theta * hint_sq
 
-    candidates = [0]
+    candidates = np.zeros(1, np.uint32)
     for j in range(1, m + 1):
-        extended = [c | (bit << (j - 1)) for c in candidates for bit in (0, 1)]
+        extended = (candidates[:, None] | np.array([0, 1 << (j - 1)], np.uint32)).ravel()
         if (1 << (m + j)) <= samples:
             y1, y2, suf = exhaustive_pairs(m, j)
             est = bucket_energies(oracle, j, extended, y1, y2, suf)
@@ -143,20 +141,16 @@ def km_list(
                 y1, y2, suf = sample_pairs(rng, m, j, samples)
                 reps[r] = bucket_energies(oracle, j, extended, y1, y2, suf)
             est = np.median(reps, axis=0)
-        order = sorted(
-            (i for i in range(len(extended)) if est[i] >= threshold),
-            key=lambda i: (-est[i], extended[i]),
-        )
-        candidates = [extended[i] for i in order[: params.cap]]
-        if not candidates:
+        heavy = np.flatnonzero(est >= threshold)
+        order = heavy[np.lexsort((extended[heavy], -est[heavy]))]
+        candidates = extended[order[: params.cap]]
+        if not candidates.size:
             return []
 
-    labels = [rm1_label(m, ell) for ell in sorted(candidates)]
+    ells = np.sort(candidates)
+    labels = [rm1_label(m, ell) for ell in ells.tolist()]
     dots = estimate_dots(oracle, labels, 2 * samples, seed=seed)
-    out = [
-        (lab.ell, complex(c))
-        for lab, c in zip(labels, dots)
-        if abs(c) ** 2 >= threshold
-    ]
+    keep = np.abs(dots) ** 2 >= threshold
+    out = list(zip(ells[keep].tolist(), dots[keep].tolist()))
     out.sort(key=lambda t: (-abs(t[1]), t[0]))
     return out

@@ -91,7 +91,8 @@ class DenseOracle(SampleOracle):
         values = np.asarray(values, dtype=np.complex128)
         n = signal_n(values.size)
         if norm_hint is None:
-            norm_hint = float(np.linalg.norm(values))
+            with np.errstate(over="ignore"):  # SampleOracle refuses an infinite hint
+                norm_hint = float(np.linalg.norm(values))
         super().__init__(n, norm_hint)
         self.values = values
 

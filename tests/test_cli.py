@@ -210,6 +210,7 @@ def test_a_norm_hint_whose_square_overflows_exits_two(no_reads, capsys):
     assert out == "" and "norm hint must have a finite square, got 1e+200" in err
 
 
+@pytest.mark.filterwarnings("error")
 def test_a_file_energy_past_the_float_range_exits_two(no_reads, tmp_path, capsys):
     values = make_noisy(6, [])
     values[17] = 1e200

@@ -18,6 +18,7 @@ from kerdock.pursuit import (
     sparse_approx,
     write_representation,
 )
+from kerdock.rm1 import rm1_label
 from kerdock.signal import DenseOracle, SampleOracle, SyntheticOracle, make_noisy
 
 
@@ -88,6 +89,14 @@ def test_representation_rejects_duplicate_labels():
     lab = CodewordLabel(HankelMat(3, 5), 1, 0)
     with pytest.raises(ValueError):
         Representation([(lab, 1.0), (lab, 2.0)])
+
+
+def test_representation_compares_tone_labels_as_labels():
+    # tone labels carry a SymMat, which has no diag
+    rep = Representation([(rm1_label(3, 1), 1.0), (rm1_label(3, 2), 0.5)])
+    assert len(rep.terms) == 2
+    with pytest.raises(ValueError, match="distinct"):
+        Representation([(rm1_label(3, 1), 1.0), (rm1_label(3, 2), 0.5), (rm1_label(3, 1), 2.0)])
 
 
 def test_representation_evaluates_term_sum():

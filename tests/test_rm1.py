@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kerdock import rm1
 from kerdock.rm1 import (
     KmParams,
     bucket_energies,
@@ -115,15 +116,88 @@ def test_km_list_soundness_no_light_tones():
     assert all(e != 255 for e, _ in got)
 
 
+def _eight_tones_hint_one():
+    vals = _tone_signal(6, {e: 1.0 for e in [1, 2, 4, 8, 16, 32, 3, 5]})
+    return DenseOracle(vals, norm_hint=1.0)
+
+
 def test_km_list_cap_enforced():
-    # 8 equal tones at theta sized so the cap binds at ceil(4/theta) = 5
-    m = 6
-    ells = [1, 2, 4, 8, 16, 32, 3, 5]
-    vals = _tone_signal(m, {e: 1.0 for e in ells})
-    o = DenseOracle(vals)
+    # 8 equal tones under a norm hint of 1: each clears (theta/2) hint^2, so
+    # from level 3 on more prefixes are heavy than the ceil(4/theta) = 5 cap
     params = KmParams(theta=0.8)
-    got = km_list(o, params, seed=0)
-    assert len(got) <= params.cap == 5
+    got = km_list(_eight_tones_hint_one(), params, seed=0)
+    assert len(got) == params.cap == 5
+    assert {e for e, _ in got} < {1, 2, 4, 8, 16, 32, 3, 5}
+
+
+def _m4_noisy_tones():
+    vals = _tone_signal(4, {0b1010: 1.0, 0b0001: 0.6, 0b0110: 0.6, 0b1111: 0.1})
+    return DenseOracle(vals + 0.05 * np.random.default_rng(7).standard_normal(16))
+
+
+def _m10_noisy_tone():
+    return SyntheticOracle(10, [(rm1_label(10, 717), 1.0)], noise_energy=1.0, seed=3)
+
+
+_ONE = "0x1.0000000000000p+0"
+
+# outputs of the list-based search this one replaced: (ell, real hex, imag hex),
+# query_count, and each level's prefixes in order (None: not pinned)
+PINNED = {
+    "m4-every-level-exhaustive": (
+        _m4_noisy_tones,
+        0.2,
+        0,
+        [
+            (10, "0x1.069e8d4b88e46p+0", "0x0.0p+0"),
+            (6, "0x1.4bcbb236fabdcp-1", "0x0.0p+0"),
+            (1, "0x1.342653ea02bc6p-1", "0x0.0p+0"),
+        ],
+        976,
+        {1: [0, 1], 2: [0, 2, 1, 3], 3: [2, 6, 1, 5], 4: [2, 10, 6, 14, 1, 9]},
+    ),
+    "m6-cap-binds": (
+        _eight_tones_hint_one,
+        0.8,
+        0,
+        [(e, _ONE, "0x0.0p+0") for e in [1, 3, 5, 16, 32]],
+        15364,
+        {
+            1: [0, 1],
+            2: [0, 2, 1, 3],
+            3: [0, 4, 1, 5, 2, 6, 3, 7],
+            4: [0, 8, 3, 11, 4, 12, 1, 9, 5, 13],
+            5: [0, 16, 3, 19, 5, 21, 4, 20, 1, 17],
+            6: [1, 33, 3, 35, 16, 48, 5, 37, 0, 32],
+        },
+    ),
+    "m10-noisy-tone": (
+        _m10_noisy_tone,
+        0.25,
+        5,
+        [(717, "0x1.fb7fc480e6e90p-1", "-0x1.915f1db858790p-10")],
+        308224,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_km_list_output_is_pinned(case, monkeypatch):
+    make, theta, seed, want, queries, want_levels = PINNED[case]
+    levels = {}
+
+    def spy(oracle, j, prefixes, *pairs):
+        levels.setdefault(j, np.asarray(prefixes).tolist())
+        return bucket_energies(oracle, j, prefixes, *pairs)
+
+    monkeypatch.setattr(rm1, "bucket_energies", spy)
+    o = make()
+    got = km_list(o, KmParams(theta=theta), seed=seed)
+    assert [(e, c.real.hex(), c.imag.hex()) for e, c in got] == want
+    assert o.query_count == queries
+    if want_levels is not None:
+        assert levels == want_levels
 
 
 def test_km_list_empty_when_nothing_is_heavy():

@@ -120,6 +120,17 @@ def test_dense_oracle_norm_hint_defaults_to_true_norm():
     assert DenseOracle(vals, norm_hint=9.0).norm_hint == 9.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("big", [1e200, 1e200j])
+def test_dense_oracle_refuses_an_overflowing_energy_without_a_warning(big):
+    values = np.zeros(64, dtype=np.complex128)
+    values[17] = big
+    with pytest.raises(ValueError, match="norm hint must have a finite square, got inf"):
+        DenseOracle(values)
+    values[17] = big * 1e-50  # squares to 1e300, still finite
+    assert DenseOracle(values).norm_hint == pytest.approx(1e150)
+
+
 def test_synthetic_matches_dense_sum_when_noiseless():
     n = 5
     terms = [(lab, c) for lab, c in zip(_labels(n, 3), (1.0, 0.5j, -0.25))]
