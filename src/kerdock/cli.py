@@ -181,24 +181,20 @@ def _suite_field(n: int, lines: List[str]) -> bool:
         f"count={int((tr == 0).sum())}",
     )
     if n <= 10:
-        a = np.repeat(xs, 1 << n)
-        b = np.tile(xs, 1 << n)
-        lin = bool((ctx.trace_vec(a ^ b) == (ctx.trace_vec(a) ^ ctx.trace_vec(b))).all())
-        ok &= _check(lines, "field.trace-linear", lin, "exhaustive")
+        a, b = np.repeat(xs, 1 << n), np.tile(xs, 1 << n)
+        how = "exhaustive"
     else:
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, 1 << n, size=1 << 16, dtype=np.uint64)
-        b = rng.integers(0, 1 << n, size=1 << 16, dtype=np.uint64)
-        lin = bool((ctx.trace_vec(a ^ b) == (ctx.trace_vec(a) ^ ctx.trace_vec(b))).all())
-        ok &= _check(lines, "field.trace-linear", lin, "sampled")
+        a, b = np.random.default_rng(0).integers(0, 1 << n, size=(2, 1 << 16), dtype=np.uint64)
+        how = "sampled"
+    lin = bool((ctx.trace_vec(a ^ b) == (ctx.trace_vec(a) ^ ctx.trace_vec(b))).all())
+    ok &= _check(lines, "field.trace-linear", lin, how)
     if n <= 12:
-        sq_ok = all(ctx.square(ctx.sqrt(int(x))) == int(x) for x in xs)
-        ok &= _check(lines, "field.sqrt-squares-back", sq_ok, "exhaustive")
+        some, how = xs, "exhaustive"
     else:
-        rng = np.random.default_rng(1)
-        some = rng.integers(0, 1 << n, size=4096, dtype=np.uint64)
-        sq_ok = all(ctx.square(ctx.sqrt(int(x))) == int(x) for x in some)
-        ok &= _check(lines, "field.sqrt-squares-back", sq_ok, "sampled")
+        some = np.random.default_rng(1).integers(0, 1 << n, size=4096, dtype=np.uint64)
+        how = "sampled"
+    sq_ok = all(ctx.square(ctx.sqrt(int(x))) == int(x) for x in some)
+    ok &= _check(lines, "field.sqrt-squares-back", sq_ok, how)
     return ok
 
 

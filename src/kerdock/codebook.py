@@ -24,6 +24,7 @@ __all__ = [
     "SymMat",
     "HankelMat",
     "CodewordLabel",
+    "diag_bits",
     "quad_form",
     "exponents_at",
     "codeword_sum",
@@ -77,9 +78,6 @@ class SymMat:
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 
-    def diag_bits(self) -> int:
-        return sum(((self.rows[i] >> i) & 1) << i for i in range(self.n))
-
     def __xor__(self, other: "SymMat") -> "SymMat":
         if self.n != other.n:
             raise ValueError("size mismatch")
@@ -119,6 +117,11 @@ class HankelMat:
 
 
 MatLike = Union[SymMat, HankelMat]
+
+
+def diag_bits(q: MatLike) -> int:
+    """The diagonal of Q as an n-bit int: bit i is entry (i, i)."""
+    return sum(((row >> i) & 1) << i for i, row in enumerate(q.rows))
 
 
 @dataclass(frozen=True)
@@ -369,7 +372,7 @@ def z4_to_z2_label(q: MatLike) -> SymMat:
     """
     n = q.n
     rows = q.rows
-    d = sum(((rows[i] >> i) & 1) << i for i in range(n))
+    d = diag_bits(q)
     out = [d << 1]
     for i in range(n):
         di = (d >> i) & 1
@@ -422,13 +425,9 @@ def predict_dot_magnitude(a: CodewordLabel, b: CodewordLabel) -> float:
     if a.n != b.n:
         raise ValueError("labels live on different domains")
     n = a.n
-    arows = a.q.rows
-    brows = b.q.rows
-    diff = tuple(x ^ y for x, y in zip(arows, brows))
-    mask = (1 << n) - 1
-    da = sum(((arows[i] >> i) & 1) << i for i in range(n))
-    db = sum(((brows[i] >> i) & 1) << i for i in range(n))
-    lin = ((~da) & db & mask) ^ a.ell ^ b.ell
+    diff = tuple(x ^ y for x, y in zip(a.q.rows, b.q.rows))
+    # diag_bits(b.q) has n bits, so the complement needs no mask
+    lin = (~diag_bits(a.q) & diag_bits(b.q)) ^ a.ell ^ b.ell
     diff_q = SymMat(n, diff)
     rank = 0
     for v in gf2_nullspace(diff, n):

@@ -54,7 +54,7 @@ from kerdock.codebook import (
     pack_hex,
 )
 from kerdock.rng import child_rng
-from kerdock.signal import CachingOracle, SampleOracle, fwht
+from kerdock.signal import CachingOracle, SampleOracle, draw_indices, fwht
 
 
 class CandidateOverflow(RuntimeError):
@@ -103,7 +103,11 @@ class DecoderParams:
     CandidateOverflow instead of trimming; its default is the larger of
     64 k^3 and 4096, whose floor lets small k through the wide middle
     levels of a noisy search (1,400-3,600 prefixes on two noisy words at
-    k = 2, 3). threads splits the exact level test across diag batches.
+    k = 2, 3). threads runs the exact level test's diag batches
+    (diag_chunks, at most 48 MB of demodulated rows each) on that many
+    threads. Only a level with more than one batch gains: on two noisy
+    words at n = 12 and 14 (2 cores), threads=2 took about half the time
+    at about twice the peak RSS, with the same list.
 
     profile "lean" switches to the query-sublinear pooled probe regime
     with POOL_BASES anchor positions, about 8n positions in all; see the
@@ -174,16 +178,6 @@ def _search(
     return kept
 
 
-def _suffix_draw(n: int, j: int, limit: int, seed: int) -> np.ndarray:
-    """Suffixes to test at one level: exhaustive when they fit the budget."""
-    count = 1 << (n - j)
-    if count <= limit:
-        return np.arange(count, dtype=np.uint32)
-    # the trailing 0 is part of the stream key: dropping it changes every draw
-    rng = child_rng(seed, "suffix", j, 0)
-    return rng.integers(0, count, size=limit, dtype=np.uint32)
-
-
 def _exact_level(
     oracle: SampleOracle,
     params: DecoderParams,
@@ -206,7 +200,9 @@ def _exact_level(
     """
     n, k = oracle.n, params.k
     hint_sq = oracle.norm_hint**2
-    suffixes = _suffix_draw(n, j, params.resolved_suffix_samples(n), seed)
+    # the trailing 0 is part of the stream key: dropping it changes every draw
+    rng = child_rng(seed, "suffix", j, 0)
+    suffixes = draw_indices(1 << (n - j), params.resolved_suffix_samples(n), rng, np.uint32)
     width = 1 << j
     ys = np.arange(width, dtype=np.uint32)
     pos = (suffixes[:, None] << np.uint32(j)) | ys[None, :]
@@ -331,7 +327,8 @@ def list_decode_hankel(
     request volume. Degenerate inputs (n < 2 or k >= 2^n) are decoded
     densely. Raises CandidateOverflow when a level exceeds the cap, and
     ValueError before any read when n < 1, when a robust decode would
-    exceed n = DENSE_MAX_N, or when k >= 2^n at n > 7.
+    exceed n = DENSE_MAX_N, when the norm hint squares to 0 (every bar
+    would be 0 and list every codeword), or when k >= 2^n at n > 7.
     """
     if oracle.n < 1:
         raise ValueError(f"decoding needs n >= 1, got n={oracle.n}")
@@ -339,6 +336,11 @@ def list_decode_hankel(
         raise ValueError(
             f"the robust profile reads all 2^n positions and is limited to "
             f'n <= {DENSE_MAX_N}, got n={oracle.n}; use profile="lean"'
+        )
+    if oracle.norm_hint**2 == 0:
+        raise ValueError(
+            f"norm hint {oracle.norm_hint:g} has a zero square (a zero signal?): every bar "
+            "scales with hint^2, so every codeword would be listed; give a larger norm hint"
         )
     t0 = time.perf_counter()
     cached = oracle if isinstance(oracle, CachingOracle) else CachingOracle(oracle)

@@ -10,9 +10,10 @@ the identity on ints.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 
@@ -144,27 +145,22 @@ def format_poly_line(n: int, h: int) -> str:
     return f"{n}: {coeffs}"
 
 
-_TABLE: Optional[Dict[int, int]] = None
-
-
+@functools.cache
 def poly_table() -> Dict[int, int]:
     """The shipped table of one primitive polynomial per n in [1, 24]."""
-    global _TABLE
-    if _TABLE is None:
-        text = (
-            importlib.resources.files("kerdock.data")
-            .joinpath("primitive_polys.txt")
-            .read_text()
-        )
-        table = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            n, h = parse_poly_line(line)
-            table[n] = h
-        _TABLE = table
-    return _TABLE
+    text = (
+        importlib.resources.files("kerdock.data")
+        .joinpath("primitive_polys.txt")
+        .read_text()
+    )
+    table = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        n, h = parse_poly_line(line)
+        table[n] = h
+    return table
 
 
 def primitive_poly(n: int) -> int:
@@ -176,16 +172,10 @@ def primitive_poly(n: int) -> int:
 
 @dataclass(frozen=True)
 class FieldContext:
-    """GF(2^n) with a fixed primitive modulus.
-
-    Frozen and hashable; the trace mask is built lazily and cached in a
-    side slot so sharing a context across threads is safe (idempotent
-    builds, last write wins with identical content).
-    """
+    """GF(2^n) with a fixed primitive modulus; frozen, compared and hashed on (n, h)."""
 
     n: int
     h: int
-    _cache: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
 
     @staticmethod
     def default(n: int) -> "FieldContext":
@@ -239,16 +229,10 @@ class FieldContext:
 
     # vectorized paths ----------------------------------------------------
 
-    @property
+    @functools.cached_property
     def trace_mask(self) -> int:
         """Bitmask m with trace(x) = parity(x & m), by linearity of trace."""
-        mask = self._cache.get("trace_mask")
-        if mask is None:
-            mask = 0
-            for i in range(self.n):
-                mask |= self.trace(1 << i) << i
-            self._cache["trace_mask"] = mask
-        return mask
+        return sum(self.trace(1 << i) << i for i in range(self.n))
 
     def trace_vec(self, xs: np.ndarray) -> np.ndarray:
         """Trace of many elements at once."""

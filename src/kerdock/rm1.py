@@ -118,11 +118,17 @@ def km_list(
     smaller prefixes).
     Surviving full-length ells get sampled coefficient estimates and a
     final prune at the same threshold. Output is sorted by descending
-    |coefficient|, then ascending ell.
+    |coefficient|, then ascending ell. Raises ValueError before any read
+    when m < 1 or the norm hint squares to 0.
     """
     m = oracle.n
     if m < 1:
         raise ValueError("domain must have at least one bit")
+    if oracle.norm_hint**2 == 0:
+        raise ValueError(
+            f"norm hint {oracle.norm_hint:g} has a zero square (a zero signal?): the threshold "
+            "scales with hint^2, so every tone would be listed; give a larger norm hint"
+        )
     hint_sq = oracle.norm_hint**2
     samples = params.resolved_samples()
     repeats = params.resolved_repeats(m)

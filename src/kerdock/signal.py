@@ -27,10 +27,10 @@ __all__ = [
     "signal_n",
     "write_signal",
     "read_signal",
+    "draw_indices",
     "estimate_sq_norm",
     "estimate_dots",
     "fwht",
-    "restrict_dense",
 ]
 
 
@@ -76,9 +76,6 @@ class SampleOracle:
             raise ValueError("position outside domain")
         self._count += int(ys.size)
         return self._values(ys.astype(np.uint32))
-
-    def query(self, y: int) -> complex:
-        return complex(self.query_many(np.array([y]))[0])
 
     def _values(self, ys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -243,16 +240,20 @@ def read_signal(path: str) -> np.ndarray:
     return values
 
 
-def _sample_positions(o: SampleOracle, samples: int, rng) -> np.ndarray:
-    domain = 1 << o.n
-    if samples >= domain:
-        return np.arange(domain, dtype=np.int64)
-    return rng.integers(0, domain, size=samples, dtype=np.int64)
+def draw_indices(count: int, size: int, rng: np.random.Generator, dtype) -> np.ndarray:
+    """Indices into range(count): every one once when size >= count, else size draws.
+
+    The draws are rng.integers(0, count, size, dtype); numpy's stream depends
+    on the dtype, so a caller keeps its dtype to keep its draws.
+    """
+    if size >= count:
+        return np.arange(count, dtype=dtype)
+    return rng.integers(0, count, size=size, dtype=dtype)
 
 
 def estimate_sq_norm(o: SampleOracle, samples: int, seed: int = 0) -> float:
     """Unbiased estimate of ||s||^2; exact when samples >= 2^n (each position once)."""
-    ys = _sample_positions(o, samples, child_rng(seed, "sqnorm"))
+    ys = draw_indices(1 << o.n, samples, child_rng(seed, "sqnorm"), np.int64)
     vals = o.query_many(ys)
     return float((1 << o.n) * np.mean(np.abs(vals) ** 2))
 
@@ -264,7 +265,7 @@ def estimate_dots(
 
     Exact in exhaustive mode (samples >= 2^n: each position once).
     """
-    ys = _sample_positions(o, samples, child_rng(seed, "dot"))
+    ys = draw_indices(1 << o.n, samples, child_rng(seed, "dot"), np.int64)
     vals = o.query_many(ys)
     out = np.empty(len(labels), dtype=np.complex128)
     for i, label in enumerate(labels):
@@ -289,8 +290,3 @@ def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
         top[...] = total
         h *= 2
     return np.moveaxis(out, -1, axis)
-
-
-def restrict_dense(values: np.ndarray, j: int, suffix: int) -> np.ndarray:
-    """Dense restriction: the 2^j values at positions y' + suffix 2^j."""
-    return values[suffix << j : (suffix + 1) << j]

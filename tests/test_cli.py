@@ -210,6 +210,14 @@ def test_a_norm_hint_whose_square_overflows_exits_two(no_reads, capsys):
     assert out == "" and "norm hint must have a finite square, got 1e+200" in err
 
 
+def test_a_norm_hint_whose_square_underflows_exits_two(capsys):
+    # 1e-170 squared is 0.0: every bar would be 0 and all 131,072 codewords listed
+    argv = ["decode", "--plant", "6;Q=717;l=05;e=0:1.0", "--n", "6", "--k", "1"]
+    assert main([*argv, "--norm-hint", "1e-170"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "norm hint 1e-170 has a zero square" in err
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_file_energy_past_the_float_range_exits_two(no_reads, tmp_path, capsys):
     values = make_noisy(6, [])
@@ -219,6 +227,31 @@ def test_a_file_energy_past_the_float_range_exits_two(no_reads, tmp_path, capsys
     assert main(["decode", "--in", str(sig), "--k", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "norm hint must have a finite square, got inf" in err
+
+
+@pytest.mark.parametrize(
+    "n, command",
+    [
+        (6, ["decode"]),
+        (6, ["decode", "--profile", "lean"]),
+        (8, ["decode"]),
+        (8, ["sparse-approx", "--eps", "0.1"]),
+    ],
+)
+def test_a_zero_file_exits_two_naming_the_zero_hint(n, command, tmp_path, capsys):
+    sig = tmp_path / "zero.sig"
+    write_signal(str(sig), make_noisy(n, []))
+    assert main([*command, "--in", str(sig), "--k", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "norm hint 0 has a zero square" in err
+
+
+@pytest.mark.parametrize("profile", ["robust", "lean"])
+def test_a_zero_plant_exits_two_naming_the_zero_hint(profile, capsys):
+    argv = ["decode", "--plant", "6;Q=717;l=05;e=0:0", "--n", "6", "--k", "1"]
+    assert main([*argv, "--profile", profile]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "norm hint 0 has a zero square" in err
 
 
 def test_negative_noise_energy_exits_two(tmp_path, capsys):
@@ -384,6 +417,21 @@ def test_verify_field_suite_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.splitlines()[-1].startswith("ALL PASS")
+
+
+@pytest.mark.parametrize(
+    "n, count, trace_how, sqrt_how",
+    [(11, 1024, "sampled", "exhaustive"), (13, 4096, "sampled", "sampled")],
+)
+def test_verify_field_suite_says_which_checks_sampled(n, count, trace_how, sqrt_how, capsys):
+    assert main(["verify", "--suite", "field", "--n", str(n)]) == 0
+    assert capsys.readouterr().out == (
+        "PASS field.trace-image\n"
+        f"PASS field.trace-zero-count count={count}\n"
+        f"PASS field.trace-linear {trace_how}\n"
+        f"PASS field.sqrt-squares-back {sqrt_how}\n"
+        "ALL PASS (4 checks)\n"
+    )
 
 
 @pytest.mark.parametrize("suite, n, limit", [("homomorphism", 9, 8), ("rank-count", 10, 9)])

@@ -10,6 +10,7 @@ from kerdock.codebook import (
     check_commute,
     codeword_sum,
     dense_codeword,
+    diag_bits,
     exponents_at,
     format_label,
     gf2_inv,
@@ -137,6 +138,14 @@ def test_gray_image_of_phases():
     assert out.tolist() == [0, 0, 0, 1, 1, 1, 1, 0]
 
 
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_diag_bits_reads_entry_i_i_of_either_matrix_kind(n):
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        for q in (_random_label(rng, n).q, _random_label(rng, n, hankel=True).q):
+            assert diag_bits(q) == sum(q.entry(i, i) << i for i in range(n))
+
+
 def test_z4_to_z2_label_structure():
     rng = np.random.default_rng(4)
     lab = _random_label(rng, 4)
@@ -144,8 +153,8 @@ def test_z4_to_z2_label_structure():
     b = z4_to_z2_label(q)
     n = q.n
     assert b.n == n + 1
-    assert b.diag_bits() == 0
-    d = q.diag_bits()
+    assert diag_bits(b) == 0
+    d = diag_bits(q)
     for i in range(n):
         assert b.entry(0, i + 1) == (d >> i) & 1
         for j in range(n):

@@ -185,6 +185,15 @@ def test_empty_domain_is_refused_before_any_read():
 
 
 @pytest.mark.parametrize("profile", ["robust", "lean"])
+def test_a_zero_hint_is_refused_before_any_read(profile):
+    # a zero hint makes every bar 0, which >= admits: every codeword would be listed
+    o = DenseOracle(np.zeros(1 << 5, dtype=np.complex128))
+    with pytest.raises(ValueError, match="norm hint 0 has a zero square"):
+        list_decode_hankel(o, DecoderParams(k=1, profile=profile), seed=0)
+    assert o.query_count == 0
+
+
+@pytest.mark.parametrize("profile", ["robust", "lean"])
 def test_a_zero_signal_ends_the_search_at_level_one(profile):
     o = DenseOracle(np.zeros(1 << 5, dtype=np.complex128), norm_hint=1.0)
     results, stats = list_decode_hankel(o, DecoderParams(k=2, profile=profile), seed=0)

@@ -89,6 +89,23 @@ def test_trace_is_linear_and_balanced(n):
     assert (ctx.trace_vec(a ^ b) == (ctx.trace_vec(a) ^ ctx.trace_vec(b))).all()
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_trace_vec_matches_the_scalar_trace(n):
+    ctx = FieldContext.default(n)
+    xs = np.arange(1 << n, dtype=np.uint64)
+    assert ctx.trace_vec(xs).tolist() == [ctx.trace(int(x)) for x in xs]
+
+
+def test_a_read_trace_mask_leaves_equality_and_hashing_alone():
+    used = FieldContext.default(8)
+    mask = used.trace_mask
+    fresh = FieldContext.default(8)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert {used: "ok"}[fresh] == "ok"
+    assert fresh.trace_mask == mask
+    assert used != FieldContext(8, 0b101110001)
+
+
 @pytest.mark.parametrize("n", [2, 5, 9])
 def test_sqrt_is_the_inverse_of_squaring(n):
     ctx = FieldContext.default(n)

@@ -207,6 +207,14 @@ def test_km_list_empty_when_nothing_is_heavy():
     assert got == []
 
 
+def test_km_list_refuses_a_zero_hint_before_any_read():
+    # a zero hint makes the threshold 0, which >= admits: every tone would be listed
+    o = DenseOracle(np.zeros(1 << 8, dtype=np.complex128))
+    with pytest.raises(ValueError, match="norm hint 0 has a zero square"):
+        km_list(o, KmParams(theta=0.5), seed=0)
+    assert o.query_count == 0
+
+
 def test_km_list_deterministic_for_fixed_seed():
     m = 9
     o1 = SyntheticOracle(m, [(rm1_label(m, 77), 1.0)], noise_energy=0.7, seed=6)

@@ -21,12 +21,12 @@ from kerdock.signal import (
     DenseOracle,
     SampleOracle,
     SyntheticOracle,
+    draw_indices,
     estimate_dots,
     estimate_sq_norm,
     fwht,
     make_noisy,
     read_signal,
-    restrict_dense,
     signal_n,
     write_signal,
 )
@@ -77,10 +77,10 @@ def test_query_accounting_and_domain_check():
     assert o.n == 3
     o.query_many(np.array([0, 1, 1, 7]))
     assert o.query_count == 4
-    assert o.query(5) == 5 + 0j
+    assert o.query_many(np.array([5])).tolist() == [5 + 0j]
     assert o.query_count == 5
     with pytest.raises(ValueError):
-        o.query(8)
+        o.query_many(np.array([8]))
     with pytest.raises(ValueError):
         o.query_many(np.array([-1]))
 
@@ -91,8 +91,7 @@ def test_oracle_positions_fit_32_bits():
         SyntheticOracle(33, [])
     tone = CodewordLabel(HankelMat(32, 0), 1 << 31, 0)
     o = SyntheticOracle(32, [(tone, 1.0)])
-    assert o.query(0) == 2.0**-16
-    assert o.query((1 << 32) - 1) == -(2.0**-16)
+    assert o.query_many(np.array([0, (1 << 32) - 1])).tolist() == [2.0**-16, -(2.0**-16)]
 
 
 def test_signal_n_is_the_log_of_a_power_of_two_length():
@@ -230,15 +229,14 @@ def test_caching_oracle_serves_each_position_once(n):
 def _demodulated(values, j, suffix, diag):
     """The restriction of values to suffix, demodulated by the j-bit Hankel diag."""
     ys = np.arange(1 << j, dtype=np.uint32)
-    block = restrict_dense(values, j, suffix)
+    block = values[suffix << j : (suffix + 1) << j]
     return demodulate(block, np.array([diag], dtype=np.uint64), j, ys)[0]
 
 
 def test_restricted_oracle_reads_the_suffix_block():
     vals = np.arange(32, dtype=np.complex128)
-    got = restrict_dense(vals, 2, 0b101)
+    got = _demodulated(vals, 2, 0b101, 0)
     assert (got == vals[0b101 << 2 : (0b101 << 2) + 4]).all()
-    assert (_demodulated(vals, 2, 0b101, 0) == got).all()
 
 
 @pytest.mark.parametrize("j, suffix", [(1, 5), (3, 2), (5, 0)])
@@ -247,7 +245,7 @@ def test_slice_oracle_demodulates_the_restriction(j, suffix):
     s = make_noisy(n, [(lab, c) for lab, c in zip(_labels(n, 2), (1.0, 0.3))], 0.25, 7)
     for diag in range(1 << (2 * j - 1)):
         chirp = dense_codeword(CodewordLabel(HankelMat(j, diag), 0, 0)) * np.sqrt(1 << j)
-        want = restrict_dense(s, j, suffix) * np.conj(chirp)
+        want = s[suffix << j : (suffix + 1) << j] * np.conj(chirp)
         got = _demodulated(s, j, suffix, diag)
         assert np.allclose(got, want, rtol=0, atol=1e-15)
 
@@ -355,6 +353,17 @@ def test_sq_norm_exact_in_exhaustive_mode():
         s = make_noisy(n, [], noise_energy=1.0 + n, seed=n)
         for samples in (1 << n, (1 << n) + 7):
             assert estimate_sq_norm(DenseOracle(s), samples) == np.sum(np.abs(s) ** 2)
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+def test_draw_indices_is_every_index_or_the_rng_draws(dtype):
+    for count, size in [(1, 1), (8, 8), (8, 100)]:
+        got = draw_indices(count, size, np.random.default_rng(3), dtype)
+        assert got.dtype == dtype and got.tolist() == list(range(count))
+    for count, size in [(2, 1), (9, 8), (1 << 20, 50)]:
+        got = draw_indices(count, size, np.random.default_rng(3), dtype)
+        want = np.random.default_rng(3).integers(0, count, size=size, dtype=dtype)
+        assert got.dtype == dtype and got.tolist() == want.tolist()
 
 
 def test_sq_norm_sampled_is_close():
