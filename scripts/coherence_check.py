@@ -18,9 +18,9 @@ import numpy as np
 from kerdock.codebook import (
     CodewordLabel,
     SymMat,
-    gf2_rank,
     pair_dot,
     predict_dot_magnitude,
+    rank_distance,
 )
 
 
@@ -43,7 +43,7 @@ def run(n: int, pairs: int, seed: int) -> None:
                           int(rng.integers(4)))
         b = CodewordLabel(random_sym(rng, n), int(rng.integers(1 << n)),
                           int(rng.integers(4)))
-        r = gf2_rank((a.q ^ b.q).rows)
+        r = rank_distance(a.q, b.q)
         mag = abs(pair_dot(a, b))
         expected = 2.0 ** (-r / 2.0)
         bucket = by_rank[r]

@@ -314,7 +314,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ok &= _SUITES[name](args.n, lines)
     for line in lines:
         print(line)
-    print(f"{'ALL PASS' if ok else 'FAILURES PRESENT'} ({len(lines)} checks)")
+    skipped = sum(line.startswith("SKIP ") for line in lines)
+    tail = f", {skipped} skipped" if skipped else ""
+    verdict = "ALL PASS" if ok else "FAILURES PRESENT"
+    print(f"{verdict} ({len(lines) - skipped} checks{tail})")
     return 0 if ok else 1
 
 

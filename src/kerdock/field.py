@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import functools
 import importlib.resources
+import types
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List, Mapping
 
 import numpy as np
 
@@ -146,8 +147,8 @@ def format_poly_line(n: int, h: int) -> str:
 
 
 @functools.cache
-def poly_table() -> Dict[int, int]:
-    """The shipped table of one primitive polynomial per n in [1, 24]."""
+def poly_table() -> Mapping[int, int]:
+    """The shipped table of one primitive polynomial per n in [1, 24], read-only."""
     text = (
         importlib.resources.files("kerdock.data")
         .joinpath("primitive_polys.txt")
@@ -160,7 +161,7 @@ def poly_table() -> Dict[int, int]:
             continue
         n, h = parse_poly_line(line)
         table[n] = h
-    return table
+    return types.MappingProxyType(table)
 
 
 def primitive_poly(n: int) -> int:

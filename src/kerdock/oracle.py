@@ -32,6 +32,7 @@ from kerdock.codebook import (
     lf_kerdock,
     pair_dot,
     predict_dot_magnitude,
+    rank_distance,
     trace_kerdock,
 )
 from kerdock.field import FieldContext, poly_mul
@@ -212,7 +213,7 @@ def verify_dickson(
         a = CodewordLabel(SymMat(n, rows1), ell1, eps1)
         b = CodewordLabel(SymMat(n, rows2), ell2, eps2)
         mag = abs(pair_dot(a, b))
-        r = gf2_rank(x ^ y for x, y in zip(rows1, rows2))
+        r = rank_distance(a.q, b.q)
         expected = 2.0 ** (-r / 2.0)
         ok = abs(mag) <= tol or abs(mag - expected) <= tol
         if not ok:

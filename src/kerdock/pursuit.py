@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, TextIO, Tuple
+from typing import List, TextIO, Tuple
 
 import numpy as np
 
@@ -101,7 +101,6 @@ def sparse_approx(
     oracle: SampleOracle,
     params: PursuitParams,
     seed: int = 0,
-    ctx: Optional[FieldContext] = None,
 ) -> Representation:
     """Greedy k-term Kerdock pursuit of the signal behind the oracle.
 
@@ -136,8 +135,7 @@ def sparse_approx(
             f"k={params.k} exceeds the sqrt(N)/6 coherence regime: "
             f"the largest allowed k at n={n} is {k_max}; lower k or raise n"
         )
-    if ctx is None:
-        ctx = FieldContext.default(n)
+    ctx = FieldContext.default(n)
     inner = DecoderParams(k=params.k)
     est_samples = min(1 << n, 1 << 14)
     rep = Representation()

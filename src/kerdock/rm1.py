@@ -4,13 +4,14 @@ Finds every ell whose tone phi_{0,ell} carries at least a theta fraction
 of the signal energy, by growing ell one low bit at a time and keeping
 only prefixes whose Fourier-energy bucket stays heavy. The bucket energy
 is estimated from pairs of positions sharing a random suffix, so the
-whole search costs poly(m, 1/theta) queries instead of 2^m.
+whole search costs poly(m, 1/theta) queries instead of 2^m. theta is
+the one setting; the repeats per level are sized for the target failure
+probability DELTA.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -19,43 +20,13 @@ from kerdock.codebook import CodewordLabel, SymMat
 from kerdock.rng import child_rng
 from kerdock.signal import SampleOracle, estimate_dots
 
+DELTA = 0.01  # target failure probability of one km_list call
+PAIR_CAP = 1 << 22  # largest exhaustive pair enumeration; past it a level samples
 
-def rm1_label(m: int, ell: int, eps: int = 0) -> CodewordLabel:
+
+def rm1_label(m: int, ell: int) -> CodewordLabel:
     """Label of the pure tone phi_{0,ell} on an m-bit domain."""
-    return CodewordLabel(SymMat(m, (0,) * m), ell, eps)
-
-
-@dataclass(frozen=True)
-class KmParams:
-    """Threshold and failure probability of the tone search.
-
-    theta is the heaviness threshold relative to the squared norm hint;
-    delta the target failure probability. The samples per bucket test and
-    the repeats per level are sized for the theta/4 estimation gap
-    (Chebyshev within one repetition, median across repetitions). At most
-    ceil(4/theta) prefixes survive any level, which is the Parseval budget
-    at threshold theta/2 with a factor-2 norm-hint slack.
-    """
-
-    theta: float
-    delta: float = 0.01
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError("theta must lie in (0, 1]")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-
-    @property
-    def cap(self) -> int:
-        return math.ceil(4.0 / self.theta)
-
-    def resolved_samples(self) -> int:
-        return max(16, math.ceil(48.0 / self.theta**2))
-
-    def resolved_repeats(self, m: int) -> int:
-        tests = (m + 1) * max(self.cap, 2)
-        return max(7, math.ceil(2.0 * math.log(tests / self.delta)))
+    return CodewordLabel(SymMat(m, (0,) * m), ell)
 
 
 def sample_pairs(
@@ -70,8 +41,8 @@ def sample_pairs(
 
 def exhaustive_pairs(n: int, j: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every (y1, y2, suffix) triple exactly once; 2^(n+j) of them."""
-    if n + j > 22:
-        raise ValueError("exhaustive pair enumeration capped at n + j <= 22")
+    if (1 << (n + j)) > PAIR_CAP:
+        raise ValueError(f"exhaustive pair enumeration capped at {PAIR_CAP} triples")
     y1, y2, suf = np.meshgrid(
         np.arange(1 << j, dtype=np.uint32),
         np.arange(1 << j, dtype=np.uint32),
@@ -107,49 +78,54 @@ def bucket_energies(
 
 
 def km_list(
-    oracle: SampleOracle, params: KmParams, seed: int = 0
+    oracle: SampleOracle, theta: float, seed: int = 0
 ) -> List[Tuple[int, complex]]:
-    """All tone labels carrying a theta fraction of the energy, with high probability.
+    """All tone labels carrying a theta fraction of the energy, failing w.p. <= DELTA.
 
-    Levels j = 1..m each extend the surviving prefixes, one uint32 array,
-    by one bit, score the extensions with a median over repeated
-    shared-sample bucket estimates, keep those above (theta/2) hint^2,
-    and truncate to the ceil(4/theta) Parseval cap (ties broken toward
-    smaller prefixes).
-    Surviving full-length ells get sampled coefficient estimates and a
-    final prune at the same threshold. Output is sorted by descending
-    |coefficient|, then ascending ell. Raises ValueError before any read
-    when m < 1 or the norm hint squares to 0.
+    theta in (0, 1] is the heaviness threshold relative to the squared
+    norm hint. Levels j = 1..m each extend the surviving prefixes, one
+    uint32 array, by one bit and score the extensions with the median of
+    bucket estimates over the level's draws: one exhaustive enumeration
+    when its 2^(m+j) pairs fit the sample budget and PAIR_CAP, else
+    `repeats` samples of max(16, ceil(48/theta^2)) pairs, enough for the
+    theta/4 estimation gap (Chebyshev per draw, median across draws) at
+    failure probability DELTA over all tests. Extensions above
+    (theta/2) hint^2 are kept, truncated to the ceil(4/theta) Parseval
+    cap (ties broken toward smaller prefixes). Surviving full-length ells
+    get sampled coefficient estimates and a final prune at the same
+    threshold. Output is sorted by descending |coefficient|, then
+    ascending ell. Raises ValueError before any read when theta is
+    outside (0, 1], m < 1 or the norm hint squares to 0.
     """
+    if not 0.0 < theta <= 1.0:
+        raise ValueError(f"theta must lie in (0, 1], got {theta:g}")
     m = oracle.n
     if m < 1:
         raise ValueError("domain must have at least one bit")
-    if oracle.norm_hint**2 == 0:
+    hint_sq = oracle.norm_hint**2
+    if hint_sq == 0:
         raise ValueError(
             f"norm hint {oracle.norm_hint:g} has a zero square (a zero signal?): the threshold "
             "scales with hint^2, so every tone would be listed; give a larger norm hint"
         )
-    hint_sq = oracle.norm_hint**2
-    samples = params.resolved_samples()
-    repeats = params.resolved_repeats(m)
-    threshold = 0.5 * params.theta * hint_sq
+    cap = math.ceil(4.0 / theta)
+    samples = max(16, math.ceil(48.0 / theta**2))
+    repeats = max(7, math.ceil(2.0 * math.log((m + 1) * max(cap, 2) / DELTA)))
+    threshold = 0.5 * theta * hint_sq
 
     candidates = np.zeros(1, np.uint32)
     for j in range(1, m + 1):
         extended = (candidates[:, None] | np.array([0, 1 << (j - 1)], np.uint32)).ravel()
-        if (1 << (m + j)) <= samples:
-            y1, y2, suf = exhaustive_pairs(m, j)
-            est = bucket_energies(oracle, j, extended, y1, y2, suf)
+        if (1 << (m + j)) <= min(samples, PAIR_CAP):
+            draws = [exhaustive_pairs(m, j)]
         else:
             rng = child_rng(seed, "km-level", j)
-            reps = np.empty((repeats, len(extended)))
-            for r in range(repeats):
-                y1, y2, suf = sample_pairs(rng, m, j, samples)
-                reps[r] = bucket_energies(oracle, j, extended, y1, y2, suf)
-            est = np.median(reps, axis=0)
+            draws = (sample_pairs(rng, m, j, samples) for _ in range(repeats))
+        # the median of one draw is that draw, bit for bit
+        est = np.median([bucket_energies(oracle, j, extended, *d) for d in draws], axis=0)
         heavy = np.flatnonzero(est >= threshold)
         order = heavy[np.lexsort((extended[heavy], -est[heavy]))]
-        candidates = extended[order[: params.cap]]
+        candidates = extended[order[:cap]]
         if not candidates.size:
             return []
 

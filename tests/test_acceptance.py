@@ -34,7 +34,7 @@ from kerdock.oracle import (
     verify_kerdock_set,
 )
 from kerdock.pursuit import PursuitParams, sparse_approx
-from kerdock.rm1 import KmParams, km_list, rm1_label
+from kerdock.rm1 import km_list, rm1_label
 from kerdock.signal import DenseOracle, SyntheticOracle, fwht, make_noisy
 
 
@@ -141,7 +141,7 @@ def test_criterion_06_tone_decoder():
         ell = int(rng.integers(1 << m))
         terms = [(rm1_label(m, ell), 1.0)]
         o = SyntheticOracle(m, terms, noise_energy=1.0, seed=trial)
-        got = {e for e, _ in km_list(o, KmParams(theta=theta, delta=0.01), seed=trial)}
+        got = {e for e, _ in km_list(o, theta, seed=trial)}
         vals = SyntheticOracle(m, terms, noise_energy=1.0, seed=trial).query_many(
             np.arange(1 << m)
         )

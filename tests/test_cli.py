@@ -451,6 +451,14 @@ def test_verify_kerdock_skips_past_its_range(monkeypatch, capsys):
     assert "SKIP kerdock (exact check needs n <= 12)" in out.splitlines()
 
 
+def test_verify_summary_counts_only_checks_that_ran(capsys):
+    assert main(["verify", "--suite", "kerdock", "--n", "13"]) == 0
+    assert capsys.readouterr().out == (
+        "SKIP kerdock (exact check needs n <= 12)\n"
+        "ALL PASS (0 checks, 1 skipped)\n"
+    )
+
+
 @pytest.mark.parametrize("suite", ["dickson", "rank-count"])
 def test_verify_refuses_n_below_one(suite, capsys):
     assert main(["verify", "--suite", suite, "--n", "0"]) == 2

@@ -53,6 +53,14 @@ def test_poly_table_covers_1_through_20_and_is_primitive():
         assert is_primitive(h, n)
 
 
+def test_poly_table_is_read_only():
+    before = primitive_poly(5)
+    with pytest.raises(TypeError):
+        poly_table()[5] = 7
+    assert primitive_poly(5) == before
+    assert poly_table() is poly_table()
+
+
 def test_poly_line_round_trip():
     n, h = parse_poly_line(format_poly_line(5, primitive_poly(5)))
     assert (n, h) == (5, primitive_poly(5))

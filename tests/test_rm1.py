@@ -3,7 +3,6 @@ import pytest
 
 from kerdock import rm1
 from kerdock.rm1 import (
-    KmParams,
     bucket_energies,
     exhaustive_pairs,
     km_list,
@@ -29,15 +28,12 @@ def test_rm1_label_is_a_pure_tone():
     assert all(r == 0 for r in lab.q.rows)
 
 
-def test_params_validation_and_defaults():
-    with pytest.raises(ValueError):
-        KmParams(theta=0.0)
-    with pytest.raises(ValueError):
-        KmParams(theta=0.5, delta=1.0)
-    p = KmParams(theta=0.25)
-    assert p.cap == 16
-    assert p.resolved_samples() == 768
-    assert p.resolved_repeats(10) >= 7
+def test_km_list_refuses_a_theta_outside_the_unit_interval_before_any_read():
+    o = SyntheticOracle(6, [(rm1_label(6, 5), 1.0)])
+    for theta in [0.0, -0.5, 1.5, float("nan")]:
+        with pytest.raises(ValueError, match="theta must lie in"):
+            km_list(o, theta)
+    assert o.query_count == 0
 
 
 def test_exhaustive_pairs_enumerates_once():
@@ -45,8 +41,19 @@ def test_exhaustive_pairs_enumerates_once():
     assert len(y1) == 1 << 6
     trips = set(zip(y1.tolist(), y2.tolist(), suf.tolist()))
     assert len(trips) == 1 << 6
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="capped at 4194304 triples"):
         exhaustive_pairs(16, 8)
+
+
+def test_km_list_samples_a_level_whose_enumeration_passes_the_pair_cap(monkeypatch):
+    # at theta=0.2 the budget is 1,200 pairs, so levels 3 and 4 (128 and 256 pairs)
+    # would enumerate; under a cap of 2^6 they must sample instead of raising
+    monkeypatch.setattr(rm1, "PAIR_CAP", 1 << 6)
+    m = 4
+    o = DenseOracle(_tone_signal(m, {0b1010: 1.0, 0b0001: 0.6, 0b1111: 0.1}))
+    got = dict(km_list(o, 0.2, seed=0))
+    assert 0b1010 in got
+    assert abs(got[0b1010] - 1.0) < 0.25
 
 
 def test_sample_pairs_ranges():
@@ -85,7 +92,7 @@ def test_km_list_exact_small_domain():
     m = 4
     coeffs = {0b1010: 1.0, 0b0001: 0.6, 0b1111: 0.1}
     o = DenseOracle(_tone_signal(m, coeffs))
-    got = km_list(o, KmParams(theta=0.2))
+    got = km_list(o, 0.2)
     found = dict(got)
     assert set(found) == {0b1010, 0b0001}  # 0b1111 is below theta
     for ell in found:
@@ -97,7 +104,7 @@ def test_km_list_sampled_recovers_planted_tone():
     m = 10
     ell = 0b1011001101
     o = SyntheticOracle(m, [(rm1_label(m, ell), 1.0)], noise_energy=1.0, seed=3)
-    got = km_list(o, KmParams(theta=0.25), seed=5)
+    got = km_list(o, 0.25, seed=5)
     assert any(e == ell for e, _ in got)
     c = dict(got)[ell]
     assert abs(c - 1.0) < 0.25
@@ -109,7 +116,7 @@ def test_km_list_soundness_no_light_tones():
     terms = [(rm1_label(m, e), c) for e, c in [(7, 1.0), (100, 0.9), (255, 0.05)]]
     o = SyntheticOracle(m, terms, noise_energy=0.2, seed=1)
     theta = 0.25
-    got = km_list(o, KmParams(theta=theta), seed=2)
+    got = km_list(o, theta, seed=2)
     hint_sq = o.norm_hint**2
     for ell, c in got:
         assert abs(c) ** 2 >= 0.5 * theta * hint_sq
@@ -124,9 +131,8 @@ def _eight_tones_hint_one():
 def test_km_list_cap_enforced():
     # 8 equal tones under a norm hint of 1: each clears (theta/2) hint^2, so
     # from level 3 on more prefixes are heavy than the ceil(4/theta) = 5 cap
-    params = KmParams(theta=0.8)
-    got = km_list(_eight_tones_hint_one(), params, seed=0)
-    assert len(got) == params.cap == 5
+    got = km_list(_eight_tones_hint_one(), 0.8, seed=0)
+    assert len(got) == 5
     assert {e for e, _ in got} < {1, 2, 4, 8, 16, 32, 3, 5}
 
 
@@ -193,7 +199,7 @@ def test_km_list_output_is_pinned(case, monkeypatch):
 
     monkeypatch.setattr(rm1, "bucket_energies", spy)
     o = make()
-    got = km_list(o, KmParams(theta=theta), seed=seed)
+    got = km_list(o, theta, seed=seed)
     assert [(e, c.real.hex(), c.imag.hex()) for e, c in got] == want
     assert o.query_count == queries
     if want_levels is not None:
@@ -203,7 +209,7 @@ def test_km_list_output_is_pinned(case, monkeypatch):
 def test_km_list_empty_when_nothing_is_heavy():
     m = 6
     o = SyntheticOracle(m, [], noise_energy=1.0, seed=4)
-    got = km_list(o, KmParams(theta=0.5), seed=1)
+    got = km_list(o, 0.5, seed=1)
     assert got == []
 
 
@@ -211,7 +217,7 @@ def test_km_list_refuses_a_zero_hint_before_any_read():
     # a zero hint makes the threshold 0, which >= admits: every tone would be listed
     o = DenseOracle(np.zeros(1 << 8, dtype=np.complex128))
     with pytest.raises(ValueError, match="norm hint 0 has a zero square"):
-        km_list(o, KmParams(theta=0.5), seed=0)
+        km_list(o, 0.5, seed=0)
     assert o.query_count == 0
 
 
@@ -219,8 +225,8 @@ def test_km_list_deterministic_for_fixed_seed():
     m = 9
     o1 = SyntheticOracle(m, [(rm1_label(m, 77), 1.0)], noise_energy=0.7, seed=6)
     o2 = SyntheticOracle(m, [(rm1_label(m, 77), 1.0)], noise_energy=0.7, seed=6)
-    a = km_list(o1, KmParams(theta=0.3), seed=9)
-    b = km_list(o2, KmParams(theta=0.3), seed=9)
+    a = km_list(o1, 0.3, seed=9)
+    b = km_list(o2, 0.3, seed=9)
     assert a == b
 
 
@@ -234,7 +240,7 @@ def test_km_list_superset_of_brute_force_heavy_set():
         theta = 0.05
         spectrum = fwht(vals) / np.sqrt(1 << m)
         heavy = {int(e) for e in np.nonzero(np.abs(spectrum) ** 2 >= theta)[0]}
-        got = {e for e, _ in km_list(o, KmParams(theta=theta), seed=trial)}
+        got = {e for e, _ in km_list(o, theta, seed=trial)}
         assert heavy <= got
         # soundness: nothing below a quarter of the threshold
         for e in got:
