@@ -9,6 +9,7 @@ decode failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -155,10 +156,11 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 def _cmd_sparse_approx(args: argparse.Namespace) -> int:
     params = PursuitParams(k=args.k, eps=args.eps)
     oracle = _load_oracle(args)
-    rep = sparse_approx(oracle, params, seed=args.seed)
-    write_representation(rep, sys.stdout)
-    if args.out:
-        with open(args.out, "w") as fh:
+    # open --out first, so a bad path fails before the pursuit reads or prints anything
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as fh:
+        rep = sparse_approx(oracle, params, seed=args.seed)
+        write_representation(rep, sys.stdout)
+        if fh:
             write_representation(rep, fh)
     return 0
 
@@ -326,10 +328,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    ns = [int(x) for x in args.n_list.split(",")]
+    # every n's field is built up front, so an untabled n fails before the first row is printed
+    ctxs = [FieldContext.default(int(x)) for x in args.n_list.split(",")]
     rows = []
-    for n in ns:
-        ctx = FieldContext.default(n)
+    for ctx in ctxs:
+        n = ctx.n
         counts = []
         for trial in range(args.trials):
             rng = np.random.default_rng([args.seed, n, trial])

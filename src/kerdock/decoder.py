@@ -22,9 +22,12 @@ largest tone power is at least its energy, and the tone bar is 2^j /
 the signal norm. So while 2^j <= 4 k C2, a level keeps every prefix,
 2 * 4^(j-1) at level j, when the hint does not exceed the signal norm
 and most slices carry near-mean energy; a zero signal passes no slice
-and ends at level one. Degenerate inputs (n < 2 or k >= 2^n) run only
-level n, over every Hankel diag, and list its tones without its keep
-mask.
+and ends at level one. At k >= 2^n, n = 1 included, every level reads
+every suffix (16k ceil(ln 200n) > 2^(n-j)), so one passing slice keeps
+a prefix; a tone whose squared dot clears hint^2 / 2k gives its prefix a
+slice tone of power N |dot|^2 / 4^(n-j) or more, 4x the level bar, so
+level n lists every such tone of the whole Hankel code, and the cap
+max(64 k^3, 4096) > 2^(2n-1) never binds.
 
 The lean profile is the query-sublinear one: it drives every decision
 from one small global position pool, nesting pair probes across levels
@@ -97,9 +100,9 @@ class DecoderParams:
     by transform. The last level is the finish: its one slice is all 2^n
     positions, and every tone whose squared dot clears hint^2 / 2k is
     listed with that exact dot. So the robust profile is an exact prefix
-    search that reads every position, limited to n <= DENSE_MAX_N;
-    degenerate inputs (n < 2 or k >= 2^n, n <= 7) run only that last
-    level, over every Hankel diag. candidate_cap aborts the run via
+    search that reads every position, limited to n <= DENSE_MAX_N; at
+    k >= 2^n (refused at n > 7) it lists the whole code's heavy tones
+    (see the module docstring). candidate_cap aborts the run via
     CandidateOverflow instead of trimming; its default is the larger of
     64 k^3 and 4096, whose floor lets small k through the wide middle
     levels of a noisy search (1,400-3,600 prefixes on two noisy words at
@@ -110,8 +113,8 @@ class DecoderParams:
     at about twice the peak RSS, with the same list.
 
     profile "lean" switches to the query-sublinear pooled probe regime
-    with POOL_BASES anchor positions, about 8n positions in all; see the
-    module docstring for what that trades away.
+    with POOL_BASES anchor positions, about 8n positions in all at every
+    k; see the module docstring for what that trades away.
     """
 
     k: int
@@ -324,11 +327,12 @@ def list_decode_hankel(
     pairs sorted by descending estimated energy. The oracle is wrapped in
     a cache, so repeated positions are charged once; stats.queries is the
     count of distinct positions read and stats.queries_raw the total
-    request volume. Degenerate inputs (n < 2 or k >= 2^n) are decoded
-    densely. Raises CandidateOverflow when a level exceeds the cap, and
-    ValueError before any read when n < 1, when a robust decode would
-    exceed n = DENSE_MAX_N, when the norm hint squares to 0 (every bar
-    would be 0 and list every codeword), or when k >= 2^n at n > 7.
+    request volume. Each profile runs its own search at every n and k
+    (see the module docstring for k >= 2^n). Raises CandidateOverflow
+    when a level exceeds the cap, and ValueError before any read when
+    n < 1, when a robust decode would exceed n = DENSE_MAX_N, when the
+    norm hint squares to 0 (every bar would be 0 and list every
+    codeword), or when a robust decode has k >= 2^n at n > 7.
     """
     if oracle.n < 1:
         raise ValueError(f"decoding needs n >= 1, got n={oracle.n}")
@@ -342,23 +346,21 @@ def list_decode_hankel(
             f"norm hint {oracle.norm_hint:g} has a zero square (a zero signal?): every bar "
             "scales with hint^2, so every codeword would be listed; give a larger norm hint"
         )
+    if params.profile == "robust" and params.k >= 1 << oracle.n and oracle.n > 7:
+        raise ValueError(
+            f"k >= 2^n (k={params.k}, n={oracle.n}) asks for every Hankel codeword, "
+            f"a dense scan limited to n <= 7; lower k below 2^n = {1 << oracle.n}"
+        )
     t0 = time.perf_counter()
     cached = oracle if isinstance(oracle, CachingOracle) else CachingOracle(oracle)
     n = cached.n
     stats = DecodeStats(n=n, k=params.k, profile=params.profile)
 
     results: List[Tuple[CodewordLabel, complex]] = []
-    level = partial(_exact_level, cached, params, seed, results)
-    if n < 2 or params.k >= (1 << n):
-        if n > 7:
-            raise ValueError(
-                f"k >= 2^n (k={params.k}, n={n}) asks for every Hankel codeword, "
-                f"a dense scan limited to n <= 7; lower k below 2^n = {1 << n}"
-            )
-        level(n, np.arange(1 << (2 * n - 1), dtype=np.uint64))
-    elif params.profile == "lean":
+    if params.profile == "lean":
         results = _lean_decode(cached, params, seed, stats)
     else:
+        level = partial(_exact_level, cached, params, seed, results)
         _search(n, params.resolved_cap(), stats, level)
 
     results.sort(key=lambda t: (-abs(t[1]) ** 2, t[0].q.diag, t[0].ell))

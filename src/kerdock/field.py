@@ -201,16 +201,6 @@ class FieldContext:
     def square(self, a: int) -> int:
         return self.mul(a, a)
 
-    def pow(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
     def sqrt(self, a: int) -> int:
         """Unique square root, a^(2^(n-1)); inverse of squaring."""
         for _ in range(self.n - 1):

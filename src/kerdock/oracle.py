@@ -112,6 +112,8 @@ def best_k_kerdock(
     and takes the largest (ties broken by (Q, l) order); coefficients are then
     refit jointly by least squares. Returns (labels, coefficients, error norm).
     """
+    if k < 1:
+        raise ValueError(f"best_k_kerdock needs k >= 1, got k={k}")
     values = np.asarray(values, dtype=np.complex128)
     chosen: List[CodewordLabel] = []
     vectors: List[np.ndarray] = []

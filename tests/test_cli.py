@@ -154,6 +154,16 @@ def test_errors_say_which_k_to_use(capsys):
     )
 
 
+def test_lean_decode_takes_a_k_of_2_to_the_n(capsys):
+    spec = _plant_spec(8, [0x2B], ["1.0"])
+    argv = ["decode", "--plant", spec, "--n", "8", "--k", "256", "--profile", "lean"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    diag = lf_kerdock(FieldContext.default(8), 0x2B).diag
+    assert out.splitlines()[0].startswith(pack_hex(diag, 15) + " ")
+    assert "# levels 8\n" in out
+
+
 def test_decode_plant_requires_n(capsys):
     assert main(["decode", "--k", "2", "--plant", "junk"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -396,6 +406,15 @@ def test_decode_rejects_nonpositive_cap_and_threads(flag, capsys):
     assert "error:" in err and "at least 1" in err
 
 
+def test_sparse_approx_checks_its_out_path_before_the_pursuit(no_reads, tmp_path, capsys):
+    spec = _plant_spec(6, [0x2B], ["1.0"])
+    argv = ["sparse-approx", "--plant", spec, "--n", "6", "--k", "1", "--eps", "0.1",
+            "--out", str(tmp_path / "missing" / "rep.txt")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "No such file or directory" in err
+
+
 def test_sparse_approx_writes_representation(tmp_path, capsys):
     n = 9
     spec = _plant_spec(n, [0x10F, 0x071], ["1.0", "0.5"], ell=4)
@@ -492,6 +511,13 @@ def test_verify_all_suites_small_n(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "ALL PASS" in out
+
+
+@pytest.mark.parametrize("n_list", ["8,25", "8,0"])
+def test_bench_checks_every_n_before_the_first_trial(n_list, capsys):
+    assert main(["bench", "--k", "2", "--n-list", n_list, "--trials", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "no tabled primitive polynomial" in err
 
 
 def test_bench_reports_scaling(capsys):

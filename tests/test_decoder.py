@@ -206,7 +206,8 @@ def test_degenerate_small_domain_decodes_densely():
     lab = CodewordLabel(HankelMat(1, 1), 0, 0)
     o = DenseOracle(2.0 * dense_codeword(lab))
     results, stats = list_decode_hankel(o, DecoderParams(k=1), seed=0)
-    assert stats.g == [] and stats.f == []
+    # level 1 is level n: it tests both diags and lists the heavy tones
+    assert stats.g == [2] and len(stats.f) == n
     assert _keys([(lab, 2.0)]) <= _keys(results)
 
 
@@ -216,7 +217,7 @@ def test_degenerate_large_k_decodes_densely():
     o = SyntheticOracle(n, terms)
     results, stats = list_decode_hankel(o, DecoderParams(k=8), seed=0)
     assert _keys([terms[0]]) <= _keys(results)
-    assert stats.g == []
+    assert len(stats.g) == n
 
 
 def test_lean_profile_recovers_within_linear_query_budget():
@@ -247,6 +248,16 @@ def test_lean_keeps_at_most_one_prefix_per_level(n):
                 DenseOracle(vals), DecoderParams(k=2, profile="lean"), seed=seed
             )
             assert max(stats.f) <= 1
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (6, 64), (8, 256)])
+def test_lean_stays_lean_at_k_of_at_least_2_to_the_n(n, k):
+    lab = CodewordLabel(HankelMat(n, (1 << (2 * n - 1)) - 1), 1, 0)
+    o = SyntheticOracle(n, [(lab, 1.0)])
+    results, stats = list_decode_hankel(o, DecoderParams(k=k, profile="lean"), seed=0)
+    assert stats.profile == "lean" and len(stats.g) == n
+    assert stats.queries <= 8 * n
+    assert _keys([(lab, 1.0)]) <= _keys(results)
 
 
 def test_lean_profile_survives_mild_noise():
@@ -434,16 +445,18 @@ def test_demodulate_transform_equals_pair_dot_exactly(n):
             assert dots[diag, ell] == want
 
 
-@pytest.mark.parametrize("n, k", [(4, 2), (2, 4), (4, 16)])
+@pytest.mark.parametrize("n, k", [(4, 2), (2, 4), (4, 16), (3, 8), (3, 11)])
 def test_exact_finish_coefficients_equal_pair_dot(n, k):
-    # k = 2 at n = 4 runs every level and lists the last one's tones;
-    # k >= 2^n runs only the last level, over every Hankel diag
+    # every k runs every level and lists the last one's tones; at k >= 2^n
+    # every heavy tone's prefix survives, so the list is the whole code's
     terms = _dyadic_terms(n)
     oracle = DenseOracle(sum(c * dense_codeword(lab) for lab, c in terms))
     results, stats = list_decode_hankel(oracle, DecoderParams(k=k))
-    assert results and len(stats.g) == (n if k < 1 << n else 0)
+    assert results and len(stats.g) == n
+    # at odd n, 1/sqrt(N) rounds, so the dots agree to within an ulp or two
+    tol = 0.0 if n % 2 == 0 else 4 * np.finfo(float).eps
     for lab, c in results:
-        assert c == _exact_dot(terms, lab)
+        assert abs(c - _exact_dot(terms, lab)) <= tol
     if k >= 1 << n:
         prune = oracle.norm_hint**2 / (2.0 * k)
         want = {

@@ -149,15 +149,6 @@ def test_trace_matches_sum_of_frobenius_orbits():
         assert ctx.trace(x) == acc
 
 
-def test_pow_agrees_with_repeated_mul():
-    ctx = FieldContext.default(5)
-    x = 7
-    acc = 1
-    for e in range(10):
-        assert ctx.pow(x, e) == acc
-        acc = ctx.mul(acc, x)
-
-
 def test_gcd_of_multiples():
     a = poly_mul(0b111, 0b1011)
     b = poly_mul(0b111, 0b1101)

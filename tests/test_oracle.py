@@ -92,6 +92,12 @@ def test_best_k_recovers_planted_kerdock_terms():
         assert abs(by_key[(lab.q.diag, lab.ell)] - c) < 1e-9
 
 
+def test_best_k_refuses_a_k_below_one():
+    ctx = FieldContext.default(3)
+    with pytest.raises(ValueError, match="needs k >= 1, got k=0"):
+        best_k_kerdock(ctx, np.ones(1 << 3, dtype=np.complex128), 0)
+
+
 def test_best_k_error_is_monotone_in_k():
     rng = np.random.default_rng(7)
     n = 4
