@@ -45,6 +45,7 @@ __all__ = [
     "rank_distance",
     "check_commute",
     "lf_kerdock",
+    "lf_prefix_mask",
     "trace_kerdock",
     "kerdock_set",
     "format_label",
@@ -483,6 +484,23 @@ def lf_kerdock(ctx: FieldContext, top_row: int) -> HankelMat:
         bit = (((diag >> (j - n)) & ((1 << n) - 1)) & h_low).bit_count() & 1
         diag |= bit << j
     return HankelMat(n, diag)
+
+
+def lf_prefix_mask(ctx: FieldContext, diags: np.ndarray, j: int) -> np.ndarray:
+    """Which level-j prefix diags (uint64) agree with lf_kerdock on the bits level j adds.
+
+    A level-j prefix holds diag bits 0..2j-2, and level j adds bits 2j-3
+    and 2j-2. Bits below n are the free top row; a bit m >= n is the
+    parity of bits m-n..m-1 under h_low. So a prefix whose parent passed
+    is an lf-Kerdock prefix exactly when its new bits pass.
+    """
+    n = ctx.n
+    h_low = np.uint64(ctx.h & ((1 << n) - 1))
+    keep = np.ones(diags.shape, dtype=bool)
+    for m in range(max(n, 2 * j - 3), 2 * j - 1):
+        fill = np.bitwise_count((diags >> np.uint64(m - n)) & h_low) & 1
+        keep &= ((diags >> np.uint64(m)) & np.uint64(1)) == fill
+    return keep
 
 
 def trace_kerdock(ctx: FieldContext, alpha: int) -> HankelMat:

@@ -54,8 +54,10 @@ from kerdock.codebook import (
     HankelMat,
     demodulate,
     diag_chunks,
+    lf_prefix_mask,
     pack_hex,
 )
+from kerdock.field import FieldContext
 from kerdock.rng import child_rng
 from kerdock.signal import CachingOracle, SampleOracle, draw_indices, fwht
 
@@ -160,12 +162,18 @@ def extend_prefix(diags: np.ndarray, j: int) -> np.ndarray:
 
 
 def _search(
-    n: int, cap: int, stats: DecodeStats, level_keep: Callable[[int, np.ndarray], np.ndarray]
+    n: int,
+    cap: int,
+    stats: DecodeStats,
+    level_keep: Callable[[int, np.ndarray], np.ndarray],
+    kerdock: Optional[FieldContext],
 ) -> np.ndarray:
     """The prefix search both profiles run, one Hankel size per level.
 
     level_keep(j, test_set) gives the keep mask of the level-j diags (uint64);
     returns the full-size survivors, or an empty array once a level keeps nothing.
+    Given a kerdock field, each level tests only the extensions that are
+    prefixes of its lf-Kerdock subcode (lf_prefix_mask).
     """
     test_set = np.array([0, 1], dtype=np.uint64)
     for j in range(1, n + 1):
@@ -178,6 +186,8 @@ def _search(
             return kept
         if j < n:
             test_set = extend_prefix(kept, j)
+            if kerdock is not None:
+                test_set = test_set[lf_prefix_mask(kerdock, test_set, j + 1)]
     return kept
 
 
@@ -239,7 +249,11 @@ def _exact_level(
 
 
 def _lean_decode(
-    oracle: SampleOracle, params: DecoderParams, seed: int, stats: DecodeStats
+    oracle: SampleOracle,
+    params: DecoderParams,
+    seed: int,
+    stats: DecodeStats,
+    kerdock: Optional[FieldContext],
 ) -> List[Tuple[CodewordLabel, complex]]:
     """Pooled-probe decode: every statistic reads the same few positions.
 
@@ -298,7 +312,7 @@ def _lean_decode(
         v_prev = v1
         return keep
 
-    kept = _search(n, params.resolved_cap(), stats, level_keep)
+    kept = _search(n, params.resolved_cap(), stats, level_keep, kerdock)
     if not kept.size:
         return []
 
@@ -319,9 +333,18 @@ def _lean_decode(
 
 
 def list_decode_hankel(
-    oracle: SampleOracle, params: DecoderParams, seed: int = 0
+    oracle: SampleOracle,
+    params: DecoderParams,
+    seed: int = 0,
+    kerdock: Optional[FieldContext] = None,
 ) -> Tuple[List[Tuple[CodewordLabel, complex]], DecodeStats]:
     """All Hankel codewords carrying a 1/k energy fraction, with estimates.
+
+    Given a kerdock field, the search runs over that field's lf-Kerdock
+    subcode alone. Where the whole-code decode finishes, it lists exactly
+    that decode's Kerdock labels with the same coefficients: a prefix's
+    keep decision depends only on its own diag and the level's seeded
+    suffix draw.
 
     Returns (results, stats) where results holds (label, coefficient)
     pairs sorted by descending estimated energy. The oracle is wrapped in
@@ -332,10 +355,16 @@ def list_decode_hankel(
     when a level exceeds the cap, and ValueError before any read when
     n < 1, when a robust decode would exceed n = DENSE_MAX_N, when the
     norm hint squares to 0 (every bar would be 0 and list every
-    codeword), or when a robust decode has k >= 2^n at n > 7.
+    codeword), when a robust decode has k >= 2^n at n > 7, or when the
+    kerdock field's n is not the oracle's.
     """
     if oracle.n < 1:
         raise ValueError(f"decoding needs n >= 1, got n={oracle.n}")
+    if kerdock is not None and kerdock.n != oracle.n:
+        raise ValueError(
+            f"the Kerdock subcode's field has n={kerdock.n} but the oracle has "
+            f"n={oracle.n}; give the field of the oracle's size"
+        )
     if params.profile == "robust" and oracle.n > DENSE_MAX_N:
         raise ValueError(
             f"the robust profile reads all 2^n positions and is limited to "
@@ -358,10 +387,10 @@ def list_decode_hankel(
 
     results: List[Tuple[CodewordLabel, complex]] = []
     if params.profile == "lean":
-        results = _lean_decode(cached, params, seed, stats)
+        results = _lean_decode(cached, params, seed, stats, kerdock)
     else:
         level = partial(_exact_level, cached, params, seed, results)
-        _search(n, params.resolved_cap(), stats, level)
+        _search(n, params.resolved_cap(), stats, level, kerdock)
 
     results.sort(key=lambda t: (-abs(t[1]) ** 2, t[0].q.diag, t[0].ell))
     stats.queries = cached.distinct_count

@@ -1,13 +1,13 @@
 """Sparse approximation over the Kerdock dictionary by greedy pursuit.
 
-Each round list-decodes the current residual, admits the heaviest new
-Kerdock labels into the representation, and re-estimates every
-coefficient against the original signal. The Kerdock set's pairwise
+Each round list-decodes the current residual over the Kerdock subcode,
+admits the heaviest new labels into the representation, and re-estimates
+every coefficient against the original signal. The Kerdock set's pairwise
 full-rank property does the heavy lifting: distinct members are nearly
 orthogonal, so independently estimated coefficients are accurate to
-O(k/sqrt(N)) without joint least squares, and any low-rank Hankel
-neighbor the decoder drags in is discarded by a membership check rather
-than by thresholding.
+O(k/sqrt(N)) without joint least squares. The low-rank Hankel neighbors
+of a heavy word are never listed, because the decoder's prefix search
+extends only prefixes of lf-Kerdock diags.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def sparse_approx(
 ) -> Representation:
     """Greedy k-term Kerdock pursuit of the signal behind the oracle.
 
-    Round structure: decode the residual, keep only lf-Kerdock labels,
+    Round structure: decode the residual over the lf-Kerdock subcode,
     admit the largest new coefficients up to the budget, then re-estimate
     every kept coefficient against the original oracle so errors do not
     compound. Residual norm hints for later rounds come from a sampled
@@ -157,14 +157,13 @@ def sparse_approx(
                 break
             residual = ResidualOracle(cached, rep, math.sqrt(2.0 * est))
         found, _ = list_decode_hankel(
-            residual, inner, seed=int(child_rng(seed, "round", rnd).integers(1 << 30))
+            residual,
+            inner,
+            seed=int(child_rng(seed, "round", rnd).integers(1 << 30)),
+            kerdock=ctx,
         )
         have = {lab for lab, _ in rep.terms}
-        fresh = [
-            (lab, c)
-            for lab, c in found
-            if lab not in have and is_kerdock_label(ctx, lab.q.diag)
-        ]
+        fresh = [(lab, c) for lab, c in found if lab not in have]
         fresh.sort(key=lambda t: -abs(t[1]))
         room = params.k - len(rep.terms)
         if not fresh[:room]:

@@ -23,6 +23,7 @@ from kerdock.codebook import (
     hankel_exponents_batch,
     kerdock_set,
     lf_kerdock,
+    lf_prefix_mask,
     pack_hex,
     pair_dot,
     parse_label,
@@ -234,6 +235,38 @@ def test_lf_kerdock_regenerates_from_top_row():
     ctx = FieldContext.default(6)
     for m in kerdock_set(ctx):
         assert lf_kerdock(ctx, m.top_row).diag == m.diag
+
+
+def _prefix_mask_all_levels(ctx, diags):
+    """lf_prefix_mask applied at levels 1..n to each level's prefix of the diags."""
+    keep = np.ones(diags.shape, dtype=bool)
+    for j in range(1, ctx.n + 1):
+        keep &= lf_prefix_mask(ctx, diags & np.uint64((1 << (2 * j - 1)) - 1), j)
+    return keep
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_lf_prefix_mask_level_by_level_finds_exactly_the_lf_diags(n):
+    ctx = FieldContext.default(n)
+    diags = np.arange(1 << (2 * n - 1), dtype=np.uint64)
+    want = [lf_kerdock(ctx, int(d) & ((1 << n) - 1)).diag == int(d) for d in diags]
+    assert _prefix_mask_all_levels(ctx, diags).tolist() == want
+
+
+@pytest.mark.parametrize("n", range(9, 17))
+def test_lf_prefix_mask_on_random_and_near_miss_diags(n):
+    # random diags are almost never members, so members and one-bit flips of them ride along
+    ctx = FieldContext.default(n)
+    rng = np.random.default_rng(n)
+    members = np.array(
+        [lf_kerdock(ctx, int(t)).diag for t in rng.integers(1 << n, size=500)], dtype=np.uint64
+    )
+    flips = members ^ (np.uint64(1) << rng.integers(2 * n - 1, size=500).astype(np.uint64))
+    noise = rng.integers(0, 1 << (2 * n - 1), size=5000, dtype=np.uint64)
+    diags = np.concatenate([members, flips, noise])
+    want = [lf_kerdock(ctx, int(d) & ((1 << n) - 1)).diag == int(d) for d in diags]
+    assert _prefix_mask_all_levels(ctx, diags).tolist() == want
+    assert all(want[:500]) and not any(want[500:1000])
 
 
 def test_check_commute_accepts_exactly_the_members():

@@ -193,6 +193,51 @@ def test_a_zero_hint_is_refused_before_any_read(profile):
     assert o.query_count == 0
 
 
+def test_a_kerdock_field_of_another_size_is_refused_before_any_read():
+    o = DenseOracle(np.ones(1 << 6, dtype=np.complex128))
+    with pytest.raises(ValueError, match="field has n=7 but the oracle has n=6"):
+        list_decode_hankel(o, DecoderParams(k=1), seed=0, kerdock=FieldContext.default(7))
+    assert o.query_count == 0
+
+
+def _kept_per_level(oracle, params, kerdock):
+    """Run a robust decode and log each level's kept diags through a spy on _exact_level."""
+    kept = []
+    real = decoder_mod._exact_level
+
+    def spy(oracle, params, seed, found, j, diags):
+        keep = real(oracle, params, seed, found, j, diags)
+        kept.append(diags[keep].tolist())
+        return keep
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoder_mod, "_exact_level", spy)
+        results, _ = list_decode_hankel(oracle, params, seed=3, kerdock=kerdock)
+    return kept, [(lab, c.real.hex(), c.imag.hex()) for lab, c in results]
+
+
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_kerdock_search_keeps_the_kerdock_subset_of_every_level(n):
+    # n - 6 noisy words: the filter changes which prefixes are tested, never a kept one's fate
+    ctx = FieldContext.default(n)
+    terms = _kerdock_terms(n, [5, 40, 77][: n - 6], [1.0, 0.7, 0.5], seed=n)
+    o = DenseOracle(make_noisy(n, terms, noise_energy=0.3, seed=n))
+    # the cap only aborts, it never changes a keep decision; the whole-code search needs room
+    params = DecoderParams(k=3, candidate_cap=1 << 15)
+    whole, whole_list = _kept_per_level(o, params, None)
+    sub, sub_list = _kept_per_level(o, params, ctx)
+
+    def is_lf_prefix(d, j):
+        return lf_kerdock(ctx, d & ((1 << n) - 1)).diag & ((1 << (2 * j - 1)) - 1) == d
+
+    assert len(sub) == len(whole) == n
+    for j, (w, s) in enumerate(zip(whole, sub), start=1):
+        assert s == [d for d in w if is_lf_prefix(d, j)]
+    assert sub_list == [t for t in whole_list if is_lf_prefix(t[0].q.diag, n)]
+    heavy = [(lab, c) for lab, c in terms if abs(c) ** 2 >= o.norm_hint**2 / params.k]
+    assert heavy and _keys(heavy) <= {(lab.q.diag, lab.ell) for lab, _, _ in sub_list}
+
+
 @pytest.mark.parametrize("profile", ["robust", "lean"])
 def test_a_zero_signal_ends_the_search_at_level_one(profile):
     o = DenseOracle(np.zeros(1 << 5, dtype=np.complex128), norm_hint=1.0)
@@ -232,6 +277,20 @@ def test_lean_profile_recovers_within_linear_query_budget():
     assert stats.profile == "lean"
     assert stats.queries < (1 << n) // 8
     assert all(f == 1 for f in stats.f)
+
+
+def test_lean_profile_searches_the_kerdock_subcode_too():
+    n = 12
+    terms = _kerdock_terms(n, [300], [1.0], seed=4)
+    params = DecoderParams(k=4, profile="lean")
+    whole, _ = list_decode_hankel(SyntheticOracle(n, terms), params, seed=1)
+    sub, stats = list_decode_hankel(
+        SyntheticOracle(n, terms), params, seed=1, kerdock=FieldContext.default(n)
+    )
+    assert sub == whole and _keys(sub) == _keys(terms)
+    # from level 8 on both new bits (2j-3, 2j-2) are past the 12-bit top row,
+    # so the one kept prefix has one Kerdock child
+    assert stats.g[7:] == [1] * 5
 
 
 @pytest.mark.parametrize("n", [6, 9, 12])

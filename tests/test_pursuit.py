@@ -1,11 +1,13 @@
+import importlib.util
 import io
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kerdock.pursuit as pursuit_mod
-from kerdock.codebook import CodewordLabel, HankelMat, dense_codeword, kerdock_set
+from kerdock.codebook import CodewordLabel, HankelMat, dense_codeword, kerdock_set, lf_kerdock
 from kerdock.decoder import DecoderParams
 from kerdock.field import FieldContext
 from kerdock.oracle import best_k_kerdock
@@ -20,6 +22,8 @@ from kerdock.pursuit import (
 )
 from kerdock.rm1 import rm1_label
 from kerdock.signal import DenseOracle, SampleOracle, SyntheticOracle, make_noisy
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _terms(n, picks, coeffs, ell_seed=0):
@@ -63,9 +67,9 @@ def test_params_validation_and_defaults(monkeypatch):
     inner = []
     real = pursuit_mod.list_decode_hankel
 
-    def spy(oracle, decoder_params, seed=0):
+    def spy(oracle, decoder_params, seed=0, kerdock=None):
         inner.append(decoder_params)
-        return real(oracle, decoder_params, seed)
+        return real(oracle, decoder_params, seed, kerdock)
 
     monkeypatch.setattr(pursuit_mod, "list_decode_hankel", spy)
     sparse_approx(DenseOracle(vals), params, seed=0)
@@ -196,6 +200,44 @@ def test_pursuit_outputs_only_kerdock_labels():
         assert is_kerdock_label(ctx, lab.q.diag)
 
 
+def test_pursuit_lists_three_noisy_words_at_k_3():
+    # the whole-code search kept 4,603 prefixes at level 7 here, over the 4,096 cap;
+    # the Kerdock subcode search finishes
+    n = 10
+    ctx = FieldContext.default(n)
+    rng = np.random.default_rng(10)
+    terms = [
+        (CodewordLabel(lf_kerdock(ctx, int(rng.integers(1 << n))), int(rng.integers(1 << n)), 0), c)
+        for c in (1.0, 0.6, 0.4)
+    ]
+    vals = make_noisy(n, terms, noise_energy=0.2, seed=10)
+    rep = sparse_approx(DenseOracle(vals), PursuitParams(k=3, eps=0.1), seed=0)
+    assert _keys(rep.terms) == _keys(terms)
+
+
+def _digest_script():
+    spec = importlib.util.spec_from_file_location(
+        "pursuit_digests", ROOT / "scripts" / "pursuit_digests.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pursuit_outputs_match_their_pinned_digests():
+    # regenerate with scripts/pursuit_digests.py only when an output change is intended
+    script = _digest_script()
+    pinned = dict(line.split() for line in script.OUT.read_text().splitlines())
+    names = [name for name, _, _, _ in script.cases()]
+    assert sorted(pinned) == sorted(names)
+    differ = [
+        name
+        for name, n, k, noisy in script.cases()
+        if script.case_digest(n, k, noisy) != pinned[name]
+    ]
+    assert differ == []
+
+
 def test_pursuit_is_deterministic():
     n = 8
     terms = _terms(n, [3, 40], [1.0, 0.5], ell_seed=2)
@@ -261,8 +303,8 @@ def _spy_decodes(monkeypatch):
     seen = []
     real = pursuit_mod.list_decode_hankel
 
-    def spy(oracle, params, seed=0):
-        results, stats = real(oracle, params, seed)
+    def spy(oracle, params, seed=0, kerdock=None):
+        results, stats = real(oracle, params, seed, kerdock)
         seen.append((oracle, stats))
         return results, stats
 
