@@ -22,16 +22,7 @@ from kerdock.codebook import (
     predict_dot_magnitude,
     rank_distance,
 )
-
-
-def random_sym(rng, n: int) -> SymMat:
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i, n):
-            if rng.integers(0, 2):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return SymMat(n, tuple(rows))
+from kerdock.oracle import random_sym_rows
 
 
 def run(n: int, pairs: int, seed: int) -> None:
@@ -39,9 +30,9 @@ def run(n: int, pairs: int, seed: int) -> None:
     by_rank = defaultdict(lambda: [0, 0, 0.0])  # zero-branch, nonzero-branch, worst
     mismatches = 0
     for _ in range(pairs):
-        a = CodewordLabel(random_sym(rng, n), int(rng.integers(1 << n)),
+        a = CodewordLabel(SymMat(n, random_sym_rows(rng, n)), int(rng.integers(1 << n)),
                           int(rng.integers(4)))
-        b = CodewordLabel(random_sym(rng, n), int(rng.integers(1 << n)),
+        b = CodewordLabel(SymMat(n, random_sym_rows(rng, n)), int(rng.integers(1 << n)),
                           int(rng.integers(4)))
         r = rank_distance(a.q, b.q)
         mag = abs(pair_dot(a, b))

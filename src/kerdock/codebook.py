@@ -45,6 +45,7 @@ __all__ = [
     "rank_distance",
     "check_commute",
     "lf_kerdock",
+    "is_kerdock_label",
     "lf_prefix_mask",
     "trace_kerdock",
     "kerdock_set",
@@ -78,11 +79,6 @@ class SymMat:
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
-
-    def __xor__(self, other: "SymMat") -> "SymMat":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return SymMat(self.n, tuple(a ^ b for a, b in zip(self.rows, other.rows)))
 
 
 @dataclass(frozen=True)
@@ -484,6 +480,12 @@ def lf_kerdock(ctx: FieldContext, top_row: int) -> HankelMat:
         bit = (((diag >> (j - n)) & ((1 << n) - 1)) & h_low).bit_count() & 1
         diag |= bit << j
     return HankelMat(n, diag)
+
+
+def is_kerdock_label(ctx: FieldContext, diag: int) -> bool:
+    """Whether the diag is the left-multiplication matrix of its top row."""
+    top = diag & ((1 << ctx.n) - 1)
+    return lf_kerdock(ctx, top).diag == diag
 
 
 def lf_prefix_mask(ctx: FieldContext, diags: np.ndarray, j: int) -> np.ndarray:

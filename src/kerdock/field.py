@@ -113,11 +113,10 @@ def is_primitive(h: int, n: int) -> bool:
     The order check walks the divisors of 2^n - 1 via its prime factorization
     (trial division; n <= 24 keeps every factor small).
     """
-    if not is_irreducible(h, n):
+    # with h_0 = 1, t is a unit of the field GF(2)[t]/h of 2^n elements, so t^(2^n - 1) = 1
+    if not h & 1 or not is_irreducible(h, n):
         return False
     order = (1 << n) - 1
-    if _poly_modexp_t(order, h) != 1:
-        return False
     for q in _prime_factors(order):
         if _poly_modexp_t(order // q, h) == 1:
             return False

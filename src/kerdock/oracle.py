@@ -28,8 +28,8 @@ from kerdock.codebook import (
     gf2_rank,
     gf2_rank_batch,
     gray_codeword,
+    is_kerdock_label,
     kerdock_set,
-    lf_kerdock,
     pair_dot,
     predict_dot_magnitude,
     rank_distance,
@@ -50,52 +50,39 @@ __all__ = [
     "verify_gray_independence",
     "verify_commute_equivalence",
     "verify_homomorphism",
+    "random_sym_rows",
 ]
 
-# the families dense_dot_table enumerates; _family_diags lists each one's diags
-_FAMILIES = ("kerdock", "hankel")
 
+def dense_dot_table(values: np.ndarray, diags: Optional[np.ndarray] = None):
+    """Exact <s, phi_(Q,l)> for every label whose Hankel diag is given, eps = 0.
 
-def _family_diags(family: str, ctx: Optional[FieldContext], n: int) -> np.ndarray:
-    if family == "kerdock":
-        if ctx is None:
-            ctx = FieldContext.default(n)
-        return np.array(sorted(m.diag for m in kerdock_set(ctx)), dtype=np.int64)
-    if family == "hankel":
-        return np.arange(1 << (2 * n - 1), dtype=np.int64)
-    raise ValueError(f"unknown family {family!r}; expected one of {_FAMILIES}")
-
-
-def dense_dot_table(
-    values: np.ndarray,
-    family: str = "hankel",
-    ctx: Optional[FieldContext] = None,
-):
-    """Exact <s, phi_(Q,l)> for every label of the family, eps = 0.
-
-    Yields (diags_block, dots_block) with dots of shape (len(block), 2^n);
+    diags defaults to all 2^(2n-1) Hankel diags in order. Yields
+    (diags_block, dots_block) with dots of shape (len(block), 2^n);
     dots_block[a, l] is the inner product against the codeword (Q_a, l).
     Blocks are sized to the decoder's demodulate-and-transform budget.
     """
     values = np.asarray(values, dtype=np.complex128)
     n = signal_n(values.size)
+    if diags is None:
+        diags = np.arange(1 << (2 * n - 1), dtype=np.int64)
     ys = np.arange(1 << n, dtype=np.uint32)
     scale = 1.0 / np.sqrt(1 << n)
-    for chunk in diag_chunks(_family_diags(family, ctx, n), 1 << n):
+    for chunk in diag_chunks(diags, 1 << n):
         dots = fwht(demodulate(values, chunk, n, ys), axis=1) * scale
         yield chunk, dots
 
 
 def dense_heavy_set(
-    values: np.ndarray,
-    threshold_sq: float,
-    family: str = "hankel",
-    ctx: Optional[FieldContext] = None,
+    values: np.ndarray, threshold_sq: float, diags: Optional[np.ndarray] = None
 ) -> List[Tuple[CodewordLabel, complex]]:
-    """All labels whose exact |<s, phi>|^2 meets threshold_sq, sorted by (Q, l)."""
+    """All labels over the given diags whose exact |<s, phi>|^2 meets threshold_sq.
+
+    Listed in the order of diags, then l; so sorted by (Q, l) by default.
+    """
     n = signal_n(np.asarray(values).size)
     out = []
-    for chunk, dots in dense_dot_table(values, family, ctx):
+    for chunk, dots in dense_dot_table(values, diags):
         hits = np.nonzero(np.abs(dots) ** 2 >= threshold_sq)
         for a, ell in zip(*hits):
             lab = CodewordLabel(HankelMat(n, int(chunk[a])), int(ell), 0)
@@ -109,26 +96,26 @@ def best_k_kerdock(
     """Greedy brute-force k-term Kerdock approximation with joint refit.
 
     Each round scans every Kerdock codeword's exact dot against the residual
-    and takes the largest (ties broken by (Q, l) order); coefficients are then
-    refit jointly by least squares. Returns (labels, coefficients, error norm).
+    and takes the largest |dot|, exact ties going to the smallest (Q, l), so
+    the pick does not depend on how the scan is batched; coefficients are
+    then refit jointly by least squares. Returns (labels, coefficients,
+    error norm).
     """
     if k < 1:
         raise ValueError(f"best_k_kerdock needs k >= 1, got k={k}")
     values = np.asarray(values, dtype=np.complex128)
+    diags = np.array(sorted(m.diag for m in kerdock_set(ctx)), dtype=np.int64)
     chosen: List[CodewordLabel] = []
     vectors: List[np.ndarray] = []
     residual = values.copy()
     for _ in range(k):
-        best = None
-        for chunk, dots in dense_dot_table(residual, "kerdock", ctx):
+        picks = []
+        for chunk, dots in dense_dot_table(residual, diags):
             mags = np.abs(dots)
+            # argmax returns the first maximum, the smallest (Q, l) in the batch
             a, ell = np.unravel_index(np.argmax(mags), mags.shape)
-            cand = (float(mags[a, ell]), int(chunk[a]), int(ell))
-            if best is None or cand[0] > best[0] + 1e-15 or (
-                abs(cand[0] - best[0]) <= 1e-15 and (cand[1], cand[2]) < (best[1], best[2])
-            ):
-                best = cand
-        _, diag, ell = best
+            picks.append((-float(mags[a, ell]), int(chunk[a]), int(ell)))
+        _, diag, ell = min(picks)
         lab = CodewordLabel(HankelMat(ctx.n, diag), ell, 0)
         if any(lab == c for c in chosen):
             break
@@ -205,8 +192,8 @@ def verify_dickson(
     full_rank_equal_ell_zero = 0
     checked = 0
     for trial in range(num_pairs):
-        rows1 = _random_sym_rows(rng, n)
-        rows2 = _random_sym_rows(rng, n)
+        rows1 = random_sym_rows(rng, n)
+        rows2 = random_sym_rows(rng, n)
         same_ell = trial % 2 == 0
         ell1 = int(rng.integers(0, 1 << n))
         ell2 = ell1 if same_ell else int(rng.integers(0, 1 << n))
@@ -239,7 +226,8 @@ def verify_dickson(
     }
 
 
-def _random_sym_rows(rng, n: int) -> tuple:
+def random_sym_rows(rng, n: int) -> tuple:
+    """Rows of a symmetric n x n GF(2) matrix, one rng.integers(0, 2) draw per upper entry."""
     rows = [0] * n
     for i in range(n):
         for j in range(i, n):
@@ -356,7 +344,7 @@ def verify_commute_equivalence(ctx: FieldContext) -> Dict[str, object]:
     witness = None
     for diag in range(1 << (2 * n - 1)):
         mat = HankelMat(n, diag)
-        a = lf_kerdock(ctx, mat.top_row).diag == diag
+        a = is_kerdock_label(ctx, diag)
         b = check_commute(ctx, mat)
         bil = (np.bitwise_count(np.uint32(diag) & pm) & 1).astype(np.int64)
         qvec = (np.bitwise_count(np.uint32(diag) & pm_self) & 1).astype(np.int64)

@@ -23,7 +23,6 @@ from kerdock.codebook import (
     CodewordLabel,
     HankelMat,
     codeword_sum,
-    lf_kerdock,
     pack_hex,
     unpack_hex,
 )
@@ -89,12 +88,6 @@ class ResidualOracle(SampleOracle):
 
     def _values(self, ys: np.ndarray) -> np.ndarray:
         return self.base.query_many(ys) - self.rep.evaluate(ys)
-
-
-def is_kerdock_label(ctx: FieldContext, diag: int) -> bool:
-    """Whether the diag is the left-multiplication matrix of its top row."""
-    top = diag & ((1 << ctx.n) - 1)
-    return lf_kerdock(ctx, top).diag == diag
 
 
 def sparse_approx(

@@ -534,3 +534,41 @@ def test_parser_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "plant, message",
+    [
+        ("3;Q=00;l=1;e=0", "plant term needs label:coeff, got '3;Q=00;l=1;e=0'"),
+        ("3;Q=00;l=1;e=0:1.0", "plant label has n=3, expected 4"),
+    ],
+    ids=["no-colon", "wrong-n"],
+)
+def test_a_bad_plant_term_exits_two(plant, message, capsys):
+    assert main(["decode", "--plant", plant, "--n", "4", "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_encode_refuses_a_label_and_coefficient_count_mismatch(tmp_path, capsys):
+    labels = tmp_path / "labels.txt"
+    coeffs = tmp_path / "coeffs.txt"
+    labels.write_text("3;Q=00;l=1;e=0\n3;Q=01;l=2;e=0\n")
+    coeffs.write_text("1.0 0.0\n")
+    out = tmp_path / "sig.txt"
+    argv = ["encode", "--labels", str(labels), "--coeffs", str(coeffs), "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2 labels but 1 coefficients" in captured.err
+    assert not out.exists()
+
+
+def test_verify_independence_at_even_n_checks_the_violated_half(capsys):
+    assert main(["verify", "--suite", "independence", "--n", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "PASS independence.3-wise\n"
+        "PASS independence.3.5-wise-violated witness=(0, 1, 6, 7)\n"
+        "ALL PASS (2 checks)\n"
+    )

@@ -356,3 +356,31 @@ def test_parse_label_rejects_missing_fields():
         parse_label("3;Q=1f;x=1;e=0")
     with pytest.raises(ValueError, match="Q"):
         parse_label("3;q=1f;l=1;e=0")
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SymMat(3, (0, 0)), "row count must equal n"),
+        (lambda: SymMat(2, (0b100, 0)), "row has bits beyond n"),
+        (lambda: HankelMat(3, 1 << 5), "diag has bits beyond 2n-1"),
+        (lambda: CodewordLabel(HankelMat(3, 0), 1 << 3, 0), "ell has bits beyond n"),
+        (lambda: CodewordLabel(HankelMat(3, 0), 0, 4), "eps must be in Z4"),
+        (lambda: dense_codeword(CodewordLabel(HankelMat(21, 0), 0, 0)), "dense evaluation limited to n <= 20"),
+        (lambda: parse_label("3;Q=00;l=1"), "label must have 4 ;-separated fields"),
+        (lambda: parse_label("3;Q=0000;l=1;e=0"), "Q field width matches neither Hankel nor full form"),
+    ],
+    ids=[
+        "sym-row-count",
+        "sym-bits-beyond-n",
+        "hankel-bits-beyond-2n-1",
+        "ell-bits-beyond-n",
+        "eps-outside-z4",
+        "dense-past-20",
+        "label-field-count",
+        "label-q-width",
+    ],
+)
+def test_malformed_codebook_inputs_are_refused(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -45,6 +45,12 @@ def test_is_primitive_classifies_degree_4():
     assert not is_primitive(0b11111, 4)
 
 
+def test_t_is_irreducible_but_not_primitive():
+    # t is 0 in GF(2)[t]/t, so it generates no unit group
+    assert is_irreducible(0b10, 1)
+    assert not is_primitive(0b10, 1)
+
+
 def test_poly_table_covers_1_through_20_and_is_primitive():
     table = poly_table()
     assert set(table) >= set(range(1, 21))
@@ -155,3 +161,31 @@ def test_gcd_of_multiples():
     g = poly_gcd(a, b)
     assert poly_mod(a, g) == 0 and poly_mod(b, g) == 0
     assert poly_degree(g) >= 2
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("4: 1 1 0 1", "expected 5 coefficients, got 4"),
+        ("4: 1 1 0 0 2", "coefficients must be 0 or 1"),
+        ("4: 0 1 0 0 1", "polynomial must have h_0 = h_n = 1"),
+        ("4: 1 1 0 0 0", "polynomial must have h_0 = h_n = 1"),
+    ],
+    ids=["count", "not-binary", "h0-zero", "hn-zero"],
+)
+def test_parse_poly_line_refuses_malformed_lines(line, message):
+    with pytest.raises(ValueError, match=message):
+        parse_poly_line(line)
+
+
+def test_field_context_refuses_n_below_one():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        FieldContext(0, 1)
+
+
+def test_is_irreducible_rejects_a_degree_mismatch_and_a_hidden_factor():
+    assert not is_irreducible(0b10011, 5)
+    # (t+1)(t^2+t+1)(t^3+t+1) has t^64 = t mod h but a factor of degree 6/3 = 2
+    h = 0b1010011
+    assert poly_mul(poly_mul(0b11, 0b111), 0b1011) == h
+    assert not is_irreducible(h, 6)

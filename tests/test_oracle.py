@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import kerdock.oracle as oracle_mod
 from kerdock.codebook import (
     CodewordLabel,
     HankelMat,
@@ -24,12 +25,16 @@ from kerdock.oracle import (
 from kerdock.signal import make_noisy
 
 
+def _kerdock_diags(ctx):
+    return np.array([m.diag for m in kerdock_set(ctx)])
+
+
 def test_dot_table_matches_direct_inner_products():
     rng = np.random.default_rng(0)
     n = 4
     vals = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     seen = 0
-    for chunk, dots in dense_dot_table(vals, "hankel"):
+    for chunk, dots in dense_dot_table(vals):
         for a in (0, len(chunk) // 2):
             for ell in (0, 5):
                 lab = CodewordLabel(HankelMat(n, int(chunk[a])), ell, 0)
@@ -43,7 +48,7 @@ def test_dot_table_kerdock_family_size():
     ctx = FieldContext.default(4)
     vals = np.zeros(16, dtype=np.complex128)
     vals[0] = 1.0
-    seen = sum(len(chunk) for chunk, _ in dense_dot_table(vals, "kerdock", ctx))
+    seen = sum(len(chunk) for chunk, _ in dense_dot_table(vals, _kerdock_diags(ctx)))
     assert seen == 16
 
 
@@ -56,7 +61,7 @@ def test_heavy_set_equals_brute_force():
         (CodewordLabel(mats[12], 1, 0), -0.5j),
     ]
     vals = make_noisy(n, terms, noise_energy=0.05, seed=1)
-    heavy = dense_heavy_set(vals, threshold_sq=0.1, family="kerdock", ctx=ctx)
+    heavy = dense_heavy_set(vals, threshold_sq=0.1, diags=_kerdock_diags(ctx))
     found = {(lab.q.diag, lab.ell): c for lab, c in heavy}
     want = {}
     for m in mats:
@@ -98,6 +103,33 @@ def test_best_k_refuses_a_k_below_one():
         best_k_kerdock(ctx, np.ones(1 << 3, dtype=np.complex128), 0)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_best_k_does_not_depend_on_the_scan_batches(k, monkeypatch):
+    # two equal-magnitude words: the largest |dot| ties up to rounding
+    n = 6
+    mats = kerdock_set(FieldContext.default(n))
+    rng = np.random.default_rng(106)
+    i, j = rng.choice(64, 2, replace=False)
+    li, lj = rng.integers(64), rng.integers(64)
+    c = np.exp(2j * np.pi * rng.uniform())
+    vals = c * dense_codeword(CodewordLabel(mats[i], int(li), 0)) + c * dense_codeword(
+        CodewordLabel(mats[j], int(lj), 0)
+    )
+
+    def picks():
+        labels, coeffs, _ = best_k_kerdock(FieldContext.default(n), vals, k)
+        return [(lab.q.diag, lab.ell) for lab in labels], [
+            (complex(x).real.hex(), complex(x).imag.hex()) for x in coeffs
+        ]
+
+    def one_diag_batches(diags, row_elems):
+        return [diags[a : a + 1] for a in range(len(diags))]
+
+    whole = picks()
+    monkeypatch.setattr(oracle_mod, "diag_chunks", one_diag_batches)
+    assert picks() == whole
+
+
 def test_best_k_error_is_monotone_in_k():
     rng = np.random.default_rng(7)
     n = 4
@@ -120,8 +152,6 @@ def test_kerdock_set_properties(n):
 
 
 def test_kerdock_set_check_catches_a_low_rank_pairwise_sum(monkeypatch):
-    import kerdock.oracle as oracle_mod
-
     n = 5
     mats = kerdock_set(FieldContext.default(n))
     # the last member differs from member 1 by the rank-1 matrix e0 e0^T

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 import kerdock.pursuit as pursuit_mod
-from kerdock.codebook import CodewordLabel, HankelMat, dense_codeword, kerdock_set, lf_kerdock
+from kerdock.codebook import (
+    CodewordLabel,
+    HankelMat,
+    dense_codeword,
+    is_kerdock_label,
+    kerdock_set,
+    lf_kerdock,
+)
 from kerdock.decoder import DecoderParams
 from kerdock.field import FieldContext
 from kerdock.oracle import best_k_kerdock
@@ -15,7 +22,6 @@ from kerdock.pursuit import (
     PursuitParams,
     Representation,
     ResidualOracle,
-    is_kerdock_label,
     read_representation,
     sparse_approx,
     write_representation,
@@ -217,7 +223,7 @@ def test_pursuit_lists_three_noisy_words_at_k_3():
 
 def _digest_script():
     spec = importlib.util.spec_from_file_location(
-        "pursuit_digests", ROOT / "scripts" / "pursuit_digests.py"
+        "output_digests", ROOT / "scripts" / "output_digests.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -225,16 +231,12 @@ def _digest_script():
 
 
 def test_pursuit_outputs_match_their_pinned_digests():
-    # regenerate with scripts/pursuit_digests.py only when an output change is intended
+    # regenerate with scripts/output_digests.py only when an output change is intended
     script = _digest_script()
-    pinned = dict(line.split() for line in script.OUT.read_text().splitlines())
-    names = [name for name, _, _, _ in script.cases()]
-    assert sorted(pinned) == sorted(names)
-    differ = [
-        name
-        for name, n, k, noisy in script.cases()
-        if script.case_digest(n, k, noisy) != pinned[name]
-    ]
+    pinned = dict(line.split() for line in script.PURSUIT_OUT.read_text().splitlines())
+    cases = script.pursuit_cases()
+    assert sorted(pinned) == sorted(name for name, _ in cases)
+    differ = [name for name, digest in cases if digest() != pinned[name]]
     assert differ == []
 
 

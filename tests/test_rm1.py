@@ -245,3 +245,10 @@ def test_km_list_superset_of_brute_force_heavy_set():
         # soundness: nothing below a quarter of the threshold
         for e in got:
             assert abs(spectrum[e]) ** 2 >= theta / 4.0
+
+
+def test_km_list_refuses_an_empty_domain_before_any_read():
+    o = DenseOracle(np.ones(1, dtype=np.complex128))
+    with pytest.raises(ValueError, match="domain must have at least one bit"):
+        km_list(o, 0.5, seed=0)
+    assert o.query_count == 0

@@ -484,3 +484,28 @@ def test_fwht_does_not_mutate_and_respects_axis():
         assert np.allclose(col_wise[i], fwht(a[i]))
     with pytest.raises(ValueError):
         fwht(np.zeros(3))
+
+
+def _label(n):
+    return CodewordLabel(HankelMat(n, 0), 0, 0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SyntheticOracle(4, [(_label(3), 1.0)]), "term dimension mismatch"),
+        (lambda: make_noisy(4, [(_label(3), 1.0)]), "term dimension mismatch"),
+        (lambda: make_noisy(21, [(_label(21), 1.0)]), "dense evaluation limited to n <= 20"),
+    ],
+    ids=["synthetic-dimension", "noisy-dimension", "noisy-past-20"],
+)
+def test_planted_signals_refuse_bad_terms(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_read_signal_names_a_short_line(tmp_path):
+    path = tmp_path / "sig.txt"
+    path.write_text("n=1\n1.0 0.0\n2.0\n")
+    with pytest.raises(ValueError, match="bad line at position 1"):
+        read_signal(str(path))
