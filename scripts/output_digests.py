@@ -8,18 +8,23 @@ changes its digest. The slices:
   n = 6..10 and k = 1..3 within the sqrt(N)/6 coherence regime, clean
   and at noise 0.1 (tests/pursuit_digests.txt);
 - robust: list_decode_hankel at seed 0 on k planted Hankel words
-  (at most three) at n = 1..9 with k in {1, 3}, plus k = 2^n + 1 at
-  n = 2..4 (at n = 1 that is k = 3), clean and at noise 0.2;
+  (at most three) at n = 1..10 with k in {1, 3}, plus k = 2^n + 1 at
+  n = 2..6 (at n = 1 that is k = 3), clean and at noise 0.2; n = 7
+  takes about 6 s per case and is left out;
 - lean: the lean profile at k = 1 on one planted Hankel word at
   n = 3..24, clean and at noise 0.1;
 - heavy: dense_heavy_set at n = 3..7 on two Hankel words at noise 0.2,
   with the bar |s|^2 / 4;
 - bestk: best_k_kerdock at n = 6..9 and k = 1..3 on k lf-Kerdock words
-  at noise 0.1.
+  at noise 0.1;
+- km: km_list at theta = 0.2 and seed 0 on two RM(1) tones at
+  m = 1..12, clean and at noise 0.2.
 
 A decode digest covers the labels, the coefficient hex, the per-level
-tested and kept counts and both query counts; a reference digest covers
-its labels and hex. The robust, lean, heavy and bestk slices go to
+tested and kept counts and both query counts, or the level, count and
+cap of a CandidateOverflow; a reference digest covers its labels and
+hex; a km digest covers the tones, the coefficient hex and the query
+count. The robust, lean, heavy, bestk and km slices go to
 tests/output_digests.txt. tests/test_pursuit.py and
 tests/test_output_digests.py recompute every digest and name each case
 that differs from its file.
@@ -37,10 +42,11 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from kerdock.codebook import CodewordLabel, HankelMat, lf_kerdock
-from kerdock.decoder import DecoderParams, list_decode_hankel
+from kerdock.decoder import CandidateOverflow, DecoderParams, list_decode_hankel
 from kerdock.field import FieldContext
 from kerdock.oracle import best_k_kerdock, dense_heavy_set
 from kerdock.pursuit import PursuitParams, sparse_approx
+from kerdock.rm1 import km_list, rm1_label
 from kerdock.signal import DenseOracle, SyntheticOracle, make_noisy
 
 TESTS = Path(__file__).resolve().parent.parent / "tests"
@@ -95,7 +101,10 @@ def _dense_or_clean(n: int, terms: list, noise: float, rng: np.random.Generator)
 
 
 def _decode_digest(oracle, params: DecoderParams) -> str:
-    found, stats = list_decode_hankel(oracle, params, seed=0)
+    try:
+        found, stats = list_decode_hankel(oracle, params, seed=0)
+    except CandidateOverflow as err:
+        return _hash([f"overflow {err.level} {err.count} {err.cap}"])
     return _hash(
         [_term_text(lab, c) for lab, c in found]
         + [f"g {stats.g}", f"f {stats.f}", f"queries {stats.queries} raw {stats.queries_raw}"]
@@ -139,6 +148,21 @@ def best_k_digest(n: int, k: int) -> str:
     return _hash([_term_text(lab, complex(c)) for lab, c in zip(labels, coeffs)] + [err.hex()])
 
 
+def km_digest(m: int, noisy: bool) -> str:
+    rng = np.random.default_rng([5, m, int(noisy)])
+    ells = rng.choice(1 << m, size=2, replace=False)
+    terms = [
+        (rm1_label(m, int(ell)), complex(mag * np.exp(2j * np.pi * rng.uniform())))
+        for ell, mag in zip(ells, MAGNITUDES)
+    ]
+    oracle = _dense_or_clean(m, terms, ROBUST_NOISE if noisy else 0.0, rng)
+    tones = km_list(oracle, 0.2, seed=0)
+    return _hash(
+        [f"{ell:x} {c.real.hex()} {c.imag.hex()}" for ell, c in tones]
+        + [f"queries {oracle.query_count}"]
+    )
+
+
 def pursuit_cases() -> List[Case]:
     return [
         (f"n{n}-k{k}-{'noisy' if noisy else 'clean'}", partial(pursuit_digest, n, k, noisy))
@@ -152,8 +176,8 @@ def output_cases() -> List[Case]:
     def tag(noisy: bool) -> str:
         return "noisy" if noisy else "clean"
 
-    robust_sizes = [(n, k) for n in range(1, 10) for k in (1, 3)]
-    robust_sizes += [(n, (1 << n) + 1) for n in range(2, 5)]  # 2^1 + 1 = 3 is listed
+    robust_sizes = [(n, k) for n in range(1, 11) for k in (1, 3)]
+    robust_sizes += [(n, (1 << n) + 1) for n in range(2, 7)]  # 2^1 + 1 = 3 is listed
     return (
         [
             (f"robust-n{n}-k{k}-{tag(noisy)}", partial(robust_digest, n, k, noisy))
@@ -167,6 +191,11 @@ def output_cases() -> List[Case]:
         ]
         + [(f"heavy-n{n}", partial(heavy_digest, n)) for n in range(3, 8)]
         + [(f"bestk-n{n}-k{k}", partial(best_k_digest, n, k)) for n in range(6, 10) for k in (1, 2, 3)]
+        + [
+            (f"km-m{m}-{tag(noisy)}", partial(km_digest, m, noisy))
+            for m in range(1, 13)
+            for noisy in (False, True)
+        ]
     )
 
 

@@ -1,4 +1,4 @@
-"""The committed output corpus: robust and lean decodes and the exact references."""
+"""The committed output corpus: robust and lean decodes, the exact references and km_list."""
 
 import importlib.util
 from pathlib import Path
