@@ -29,6 +29,11 @@ slice tone of power N |dot|^2 / 4^(n-j) or more, 4x the level bar, so
 level n lists every such tone of the whole Hankel code, and the cap
 max(64 k^3, 4096) > 2^(2n-1) never binds.
 
+The four children of a kept prefix differ only in two diag bits, so
+the robust level test shares their work: each parent's slices are
+demodulated once and transformed as two halves, and every child's
+spectrum is the last butterfly stage over those halves.
+
 The lean profile is the query-sublinear one: it drives every decision
 from one small global position pool, nesting pair probes across levels
 so the whole run touches O(pool * n) positions; it is meant for clean,
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -108,11 +114,13 @@ class DecoderParams:
     CandidateOverflow instead of trimming; its default is the larger of
     64 k^3 and 4096, whose floor lets small k through the wide middle
     levels of a noisy search (1,400-3,600 prefixes on two noisy words at
-    k = 2, 3). threads runs the exact level test's diag batches
-    (diag_chunks, at most 48 MB of demodulated rows each) on that many
-    threads. Only a level with more than one batch gains: on two noisy
-    words at n = 12 and 14 (2 cores), threads=2 took about half the time
-    at about twice the peak RSS, with the same list.
+    k = 2, 3). The exact level test batches a level's candidates by
+    parent (diag_chunks at four times the row size: at most 12 MB of
+    demodulated parent rows, with room for their children's spectra), and
+    threads runs those batches on that many threads. Only a level with
+    more than one batch gains: on two noisy words at n = 14 (2 cores),
+    threads=2 took about half the time at about 1.7x the peak RSS, with
+    the same list.
 
     profile "lean" switches to the query-sublinear pooled probe regime
     with POOL_BASES anchor positions, about 8n positions in all at every
@@ -144,13 +152,20 @@ class DecoderParams:
 
 @dataclass
 class DecodeStats:
-    """Per-level candidate counts and the query bill of one decode."""
+    """Per-level candidate counts and seconds, and the query bill of one decode.
+
+    level_seconds[j - 1] is the wall time of level j's test; in the robust
+    profile level n is the finish. It is an array of doubles, 8 bytes a
+    level where a list of floats holds about 32, so that callers keeping
+    many stats keep little. format_decode_report leaves it out.
+    """
 
     n: int
     k: int
     profile: str
     g: List[int] = field(default_factory=list)
     f: List[int] = field(default_factory=list)
+    level_seconds: array = field(default_factory=lambda: array("d"))
     queries: int = 0
     queries_raw: int = 0
     seconds: float = 0.0
@@ -177,7 +192,9 @@ def _search(
     """
     test_set = np.array([0, 1], dtype=np.uint64)
     for j in range(1, n + 1):
+        t0 = time.perf_counter()
         kept = test_set[level_keep(j, test_set)]
+        stats.level_seconds.append(time.perf_counter() - t0)
         stats.g.append(len(test_set))
         stats.f.append(len(kept))
         if len(kept) > cap:
@@ -201,8 +218,8 @@ def _exact_level(
 ) -> np.ndarray:
     """Keep mask from full restricted-slice reads, vectorized over candidates.
 
-    Every drawn slice is demodulated by every candidate's quadratic phase
-    and transformed, making the per-suffix decision exact. A candidate
+    Every drawn slice, demodulated by each candidate's quadratic phase
+    and transformed, makes the per-suffix decision exact. A candidate
     passes a slice when its largest tone power reaches the bar, 2^j /
     (4 k C2) times the slice's share of hint^2, or when the slice's energy
     is over the gate; it is kept when it passes a (1 + C1) / 8k fraction.
@@ -210,6 +227,17 @@ def _exact_level(
     every tone's exact dot: each whose squared dot clears hint^2 / 2k is
     appended to found. That is 4x the level's bar, so every listed diag
     is also kept.
+
+    Siblings share their transforms. A level-j diag's children differ
+    only in its two new bits, b_o (bit 2j-3) and b_d (bit 2j-2), and
+    these touch only the slice's high half (top coordinate t = 1): they
+    add t (b_d + 2 b_o y_{j-2}) to the exponent. So each parent, the
+    child with both bits clear, demodulates a slice once, and the two
+    half-length transforms A (low half) and B (high half) give every
+    child's spectrum [A + B', A - B'], fwht's own last stage, where B'
+    is B with its quarters swapped when b_o is set (u -> u xor
+    2^(j-2)), times -i when b_d is set. The spectra are the same bits
+    as transforming each child's slice in full.
     """
     n, k = oracle.n, params.k
     hint_sq = oracle.norm_hint**2
@@ -217,6 +245,7 @@ def _exact_level(
     rng = child_rng(seed, "suffix", j, 0)
     suffixes = draw_indices(1 << (n - j), params.resolved_suffix_samples(n), rng, np.uint32)
     width = 1 << j
+    half = width >> 1
     ys = np.arange(width, dtype=np.uint32)
     pos = (suffixes[:, None] << np.uint32(j)) | ys[None, :]
     vals = oracle.query_many(pos.ravel()).reshape(len(suffixes), width)
@@ -225,25 +254,60 @@ def _exact_level(
     gated = np.einsum("sy,sy->s", np.abs(vals), np.abs(vals)) > (k / (C1 / 40.0)) * scale
     need = math.ceil((1.0 + C1) / (8.0 * k) * len(suffixes) - 1e-12)
 
-    def run(chunk: np.ndarray) -> Tuple[np.ndarray, list]:
-        spec = fwht(demodulate(vals, chunk, j, ys), axis=-1)
-        power = (spec.real**2 + spec.imag**2).max(axis=-1)
-        keep = ((power >= bar) | gated).sum(axis=1) >= need
-        if j < n:
-            return keep, []
-        spec /= math.sqrt(width)
-        hits = zip(*np.nonzero(np.abs(spec[:, 0]) ** 2 >= hint_sq / (2.0 * k)))
-        return keep, [
-            (CodewordLabel(HankelMat(n, int(chunk[a])), int(ell), 0), complex(spec[a, 0, ell]))
-            for a, ell in hits
-        ]
+    # children of one parent are contiguous (extend_prefix order, kept by
+    # lf_prefix_mask), so one run-length pass over the parent keys groups them
+    keys = diags & np.uint64((1 << max(2 * j - 3, 0)) - 1)
+    kinds = ((diags << np.uint64(1)) >> np.uint64(2 * j - 2)) & np.uint64(3)
+    first = np.ones(len(diags), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.append(np.flatnonzero(first), len(diags))
+    parents = keys[first]
+    parent_of = np.cumsum(first) - 1
 
-    chunks = diag_chunks(diags, vals.size)
-    if params.threads > 1 and len(chunks) > 1:
+    def run(lo: int, hi: int) -> Tuple[np.ndarray, list]:
+        spec = fwht(demodulate(vals, parents[lo:hi], j, ys).reshape(hi - lo, -1, 2, half), axis=-1)
+        low, high = spec[:, :, 0], spec[:, :, 1]
+        c0, c1 = starts[lo], starts[hi]
+        keep = np.empty(c1 - c0, dtype=bool)
+        hits = []
+        for kind in range(4):
+            at = np.flatnonzero(kinds[c0:c1] == kind)
+            if not at.size:
+                continue
+            whole = at.size == hi - lo  # every parent has this child: no gather
+            idx = parent_of[c0 + at] - lo
+            a = low if whole else low[idx]
+            b = high if whole else high[idx]
+            if kind & 2:
+                b = b * I_POWERS[3]
+            if kind & 1:
+                # u -> u xor 2^(j-2): the quarters of the high half swap
+                a = a.reshape(a.shape[:-1] + (2, half >> 1))
+                b = b.reshape(a.shape)[..., ::-1, :]
+            top = (a + b).reshape(at.size, -1, half)
+            bot = (a - b).reshape(top.shape)
+            power = np.maximum(
+                (top.real**2 + top.imag**2).max(axis=-1), (bot.real**2 + bot.imag**2).max(axis=-1)
+            )
+            keep[at] = ((power >= bar) | gated).sum(axis=1) >= need
+            if j == n:
+                full = np.concatenate([top[:, 0], bot[:, 0]], axis=-1)
+                full /= math.sqrt(width)
+                child = diags[c0 + at]
+                hits += [
+                    (CodewordLabel(HankelMat(n, int(child[r])), int(ell), 0), complex(full[r, ell]))
+                    for r, ell in zip(*np.nonzero(np.abs(full) ** 2 >= hint_sq / (2.0 * k)))
+                ]
+        return keep, hits
+
+    # a batch's children need about three times its demodulated rows again
+    # (gathered halves, sums, powers), so parents are batched at 4x the row size
+    edges = np.cumsum([0] + [len(c) for c in diag_chunks(parents, 4 * vals.size)])
+    if params.threads > 1 and len(edges) > 2:
         with ThreadPoolExecutor(max_workers=params.threads) as pool:
-            parts = list(pool.map(run, chunks))
+            parts = list(pool.map(run, edges[:-1], edges[1:]))
     else:
-        parts = [run(c) for c in chunks]
+        parts = [run(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     found.extend(hit for _, hits in parts for hit in hits)
     return np.concatenate([keep for keep, _ in parts])
 

@@ -384,3 +384,16 @@ def test_parse_label_rejects_missing_fields():
 def test_malformed_codebook_inputs_are_refused(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+def test_size_mismatches_are_refused_by_name():
+    a = CodewordLabel(HankelMat(3, 0b10110), 1, 0)
+    b = CodewordLabel(HankelMat(4, 0b1011001), 2, 0)
+    with pytest.raises(ValueError, match="labels live on different domains"):
+        pair_dot(a, b)
+    with pytest.raises(ValueError, match="labels live on different domains"):
+        predict_dot_magnitude(a, b)
+    with pytest.raises(ValueError, match="matrix size must match field degree"):
+        check_commute(FieldContext.default(4), a.q)
+    with pytest.raises(ValueError, match="size mismatch"):
+        a.q ^ b.q

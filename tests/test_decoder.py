@@ -13,6 +13,7 @@ from kerdock.codebook import (
     diag_chunks,
     kerdock_set,
     lf_kerdock,
+    lf_prefix_mask,
     pair_dot,
 )
 from kerdock.decoder import (
@@ -25,11 +26,13 @@ from kerdock.decoder import (
 )
 from kerdock.field import FieldContext
 from kerdock.oracle import dense_heavy_set
+from kerdock.rng import child_rng
 from kerdock.signal import (
     CachingOracle,
     DenseOracle,
     SampleOracle,
     SyntheticOracle,
+    draw_indices,
     fwht,
     make_noisy,
 )
@@ -120,6 +123,9 @@ def test_level_counts_track_the_prefix_tree(profile):
     for j in range(1, n):
         assert stats.g[j] == 4 * stats.f[j - 1]
     assert stats.f[-1] >= 1
+    # one wall time per level, all inside the decode's own
+    assert len(stats.level_seconds) == n and min(stats.level_seconds) > 0
+    assert sum(stats.level_seconds) <= stats.seconds
 
 
 def test_robust_output_is_sound_and_complete_for_heavy_labels():
@@ -376,6 +382,76 @@ def test_threaded_level_test_matches_serial(monkeypatch):
     assert pools
 
 
+def _per_child_level(oracle, params, seed, j, diags):
+    """The level test with every child's slice demodulated and transformed in full."""
+    n, k = oracle.n, params.k
+    hint_sq = oracle.norm_hint**2
+    rng = child_rng(seed, "suffix", j, 0)
+    suffixes = draw_indices(1 << (n - j), params.resolved_suffix_samples(n), rng, np.uint32)
+    width = 1 << j
+    ys = np.arange(width, dtype=np.uint32)
+    pos = (suffixes[:, None] << np.uint32(j)) | ys[None, :]
+    vals = oracle.query_many(pos.ravel()).reshape(len(suffixes), width)
+    scale = 2.0 ** (j - n) * hint_sq
+    bar = scale / (4.0 * k * decoder_mod.C2) * width
+    gated = np.einsum("sy,sy->s", np.abs(vals), np.abs(vals)) > (k / (decoder_mod.C1 / 40.0)) * scale
+    need = np.ceil((1.0 + decoder_mod.C1) / (8.0 * k) * len(suffixes) - 1e-12)
+    keep, hits = [], []
+    for chunk in diag_chunks(diags, vals.size):
+        spec = fwht(demodulate(vals, chunk, j, ys), axis=-1)
+        power = (spec.real**2 + spec.imag**2).max(axis=-1)
+        keep.append(((power >= bar) | gated).sum(axis=1) >= need)
+        if j == n:
+            spec /= np.sqrt(width)
+            for a, ell in zip(*np.nonzero(np.abs(spec[:, 0]) ** 2 >= hint_sq / (2.0 * k))):
+                c = spec[a, 0, ell]
+                hits.append((int(chunk[a]), int(ell), c.real.hex(), c.imag.hex()))
+    return np.concatenate(keep), hits
+
+
+def _slice_signal(kind, n):
+    rng = np.random.default_rng([n, len(kind)])
+    if kind == "clean":
+        # one planted word: every value is +-1 or +-i over sqrt(N), exact zeros in each part
+        lab = CodewordLabel(HankelMat(n, int(rng.integers(1 << (2 * n - 1)))), int(rng.integers(1 << n)), 0)
+        return SyntheticOracle(n, [(lab, 1.0)])
+    if kind == "integer":
+        vals = rng.integers(-2, 3, size=1 << n) + 1j * rng.integers(-2, 3, size=1 << n)
+    else:
+        vals = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    return DenseOracle(vals)
+
+
+@pytest.mark.parametrize("kind", ["clean", "integer", "gaussian"])
+@pytest.mark.parametrize("kerdock", [False, True])
+def test_shared_spectra_match_the_per_child_transforms(kind, kerdock):
+    # every diag of every level j = 1..8 (or every Kerdock prefix): the keep
+    # masks, and at j = n the listed tones with their coefficient bits, are
+    # those of transforming each child's slice in full
+    outcomes, listed = set(), 0
+    for n in (1, 2, 3, 5, 8):
+        oracle = _slice_signal(kind, n)
+        ctx = FieldContext.default(n) if kerdock else None
+        # k = 4 lists many tones at n <= 5; k = 1 prunes the middle levels at n = 8
+        params = DecoderParams(k=1 if n == 8 else 4)
+        diags = np.array([0, 1], dtype=np.uint64)
+        for j in range(1, n + 1):
+            found = []
+            got = decoder_mod._exact_level(oracle, params, 5, found, j, diags)
+            want, want_hits = _per_child_level(oracle, params, 5, j, diags)
+            assert got.tolist() == want.tolist(), (n, j)
+            outcomes.update(want.tolist())
+            if j == n:
+                hits = [(lab.q.diag, lab.ell, c.real.hex(), c.imag.hex()) for lab, c in found]
+                assert sorted(hits) == sorted(want_hits)
+                listed += len(hits)
+            else:
+                diags = extend_prefix(diags, j)
+                if ctx is not None:
+                    diags = diags[lf_prefix_mask(ctx, diags, j + 1)]
+    assert outcomes == {False, True} and listed
+
+
 class _PositionLog(SampleOracle):
     """Delegating oracle that records every position it serves."""
 
@@ -404,8 +480,9 @@ def test_robust_bill_is_bounded():
 
 
 def test_last_level_is_the_finish(monkeypatch):
-    # level j transforms one row per (candidate, drawn suffix); no full-size
-    # candidate is demodulated and transformed a second time
+    # level j transforms two half-length rows per (parent, drawn suffix), the
+    # parents being level j-1's kept diags (one, key 0, at level 1); no
+    # full-size candidate is demodulated and transformed a second time
     n, k = 7, 10
     rng = np.random.default_rng(12)
     lab = CodewordLabel(HankelMat(n, int(rng.integers(1 << (2 * n - 1)))), 5, 0)
@@ -421,7 +498,8 @@ def test_last_level_is_the_finish(monkeypatch):
     results, stats = list_decode_hankel(DenseOracle(vals), params, seed=0)
     assert (lab.q.diag, lab.ell) in _keys(results)
     drawn = [min(1 << (n - j), params.resolved_suffix_samples(n)) for j in range(1, n + 1)]
-    assert sum(rows) == sum(g * s for g, s in zip(stats.g, drawn))
+    parents = [1] + stats.f[:-1]
+    assert sum(rows) == sum(2 * p * s for p, s in zip(parents, drawn))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -452,7 +530,9 @@ def test_robust_size_guard_reads_nothing():
 def test_report_layout():
     n = 4
     lab = CodewordLabel(HankelMat(n, 0x2A), 5, 0)
-    stats = DecodeStats(n=n, k=2, profile="robust", g=[2, 8], f=[2, 1], queries=7, queries_raw=9)
+    stats = DecodeStats(
+        n=n, k=2, profile="robust", g=[2, 8], f=[2, 1], level_seconds=[0.5, 0.25], queries=7, queries_raw=9
+    )
     text = format_decode_report([(lab, 1.5 + 0.25j)], stats)
     lines = text.splitlines()
     assert lines[0] == "2a 5 1.5 0.25 2.3125"
@@ -460,7 +540,7 @@ def test_report_layout():
     assert lines[2] == "# level 1 tested 2 kept 2"
     assert lines[3] == "# level 2 tested 8 kept 1"
     assert lines[4] == "# queries 7 raw 9"
-    assert "seconds" not in text
+    assert len(lines) == 5 and "seconds" not in text
 
 
 def test_caller_supplied_cache_is_reused():

@@ -229,3 +229,20 @@ def test_commute_equivalence_three_ways():
 def test_trace_matrices_multiply_like_the_field():
     rep = verify_homomorphism(FieldContext.default(4))
     assert rep == {"additive": True, "multiplicative": True}
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_independence_check_refuses_other_sizes(n):
+    with pytest.raises(ValueError, match=r"supports n in \{3,4,5\}"):
+        verify_independence(n)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_gray_check_refuses_other_sizes(n):
+    with pytest.raises(ValueError, match=r"supports n in \{3,4\}"):
+        verify_gray_independence(n)
+
+
+def test_three_way_check_refuses_past_n_6():
+    with pytest.raises(ValueError, match="limited to n <= 6"):
+        verify_commute_equivalence(FieldContext.default(7))
