@@ -115,10 +115,12 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         labels = [parse_label(line) for line in fh if line.strip()]
     with open(args.coeffs) as fh:
         rows = [line.split() for line in fh if line.strip()]
-    coeffs = [
-        _finite(complex(float(r[0]), float(r[1]) if len(r) > 1 else 0.0), f"coefficient {i}")
-        for i, r in enumerate(rows, start=1)
-    ]
+    for i, r in enumerate(rows, start=1):
+        if len(r) > 2:
+            raise ValueError(
+                f"coefficient {i} has {len(r)} fields; give a real and at most an imaginary part"
+            )
+    coeffs = [_finite(complex(*map(float, r)), f"coefficient {i}") for i, r in enumerate(rows, 1)]
     if not labels:
         raise ValueError(f"no labels in {args.labels}")
     if len(labels) != len(coeffs):

@@ -23,6 +23,7 @@ from kerdock.field import FieldContext
 __all__ = [
     "SymMat",
     "HankelMat",
+    "MatLike",
     "CodewordLabel",
     "diag_bits",
     "quad_form",
@@ -38,10 +39,12 @@ __all__ = [
     "gf2_rank_batch",
     "gf2_inv",
     "gf2_matmul",
+    "gf2_nullspace",
     "gray_exp",
     "gray_codeword",
     "z4_to_z2_label",
     "pair_dot",
+    "predict_dot_magnitude",
     "rank_distance",
     "check_commute",
     "lf_kerdock",
@@ -102,15 +105,6 @@ class HankelMat:
     def rows(self) -> tuple:
         mask = (1 << self.n) - 1
         return tuple((self.diag >> i) & mask for i in range(self.n))
-
-    @property
-    def top_row(self) -> int:
-        return self.diag & ((1 << self.n) - 1)
-
-    def __xor__(self, other: "HankelMat") -> "HankelMat":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return HankelMat(self.n, self.diag ^ other.diag)
 
 
 MatLike = Union[SymMat, HankelMat]

@@ -154,8 +154,8 @@ class DecoderParams:
 class DecodeStats:
     """Per-level candidate counts and seconds, and the query bill of one decode.
 
-    level_seconds[j - 1] is the wall time of level j's test; in the robust
-    profile level n is the finish. It is an array of doubles, 8 bytes a
+    level_seconds[j - 1] is the wall time of level j's test; in both
+    profiles level n is the finish. It is an array of doubles, 8 bytes a
     level where a list of floats holds about 32, so that callers keeping
     many stats keep little. format_decode_report leaves it out.
     """
@@ -182,13 +182,14 @@ def _search(
     stats: DecodeStats,
     level_keep: Callable[[int, np.ndarray], np.ndarray],
     kerdock: Optional[FieldContext],
-) -> np.ndarray:
+) -> None:
     """The prefix search both profiles run, one Hankel size per level.
 
-    level_keep(j, test_set) gives the keep mask of the level-j diags (uint64);
-    returns the full-size survivors, or an empty array once a level keeps nothing.
-    Given a kerdock field, each level tests only the extensions that are
-    prefixes of its lf-Kerdock subcode (lf_prefix_mask).
+    level_keep(j, test_set) gives the keep mask of the level-j diags (uint64).
+    A profile is its level function: its level n is the finish and appends
+    the results, so the search returns nothing; it stops once a level keeps
+    nothing. Given a kerdock field, each level tests only the extensions that
+    are prefixes of its lf-Kerdock subcode (lf_prefix_mask).
     """
     test_set = np.array([0, 1], dtype=np.uint64)
     for j in range(1, n + 1):
@@ -200,12 +201,11 @@ def _search(
         if len(kept) > cap:
             raise CandidateOverflow(j, len(kept), cap)
         if not kept.size:
-            return kept
+            return
         if j < n:
             test_set = extend_prefix(kept, j)
             if kerdock is not None:
                 test_set = test_set[lf_prefix_mask(kerdock, test_set, j + 1)]
-    return kept
 
 
 def _exact_level(
@@ -312,14 +312,13 @@ def _exact_level(
     return np.concatenate([keep for keep, _ in parts])
 
 
-def _lean_decode(
+def _lean_levels(
     oracle: SampleOracle,
     params: DecoderParams,
     seed: int,
-    stats: DecodeStats,
-    kerdock: Optional[FieldContext],
-) -> List[Tuple[CodewordLabel, complex]]:
-    """Pooled-probe decode: every statistic reads the same few positions.
+    found: List[Tuple[CodewordLabel, complex]],
+) -> Callable[[int, np.ndarray], np.ndarray]:
+    """The lean profile's level function: every statistic reads the same few positions.
 
     The two bits a level-j extension introduces are the new reverse
     diagonals h_{2j-2} (a diagonal entry) and h_{2j-3} (the adjacent
@@ -330,14 +329,15 @@ def _lean_decode(
     that square away), and the second mixed difference along
     (e_{j-1}, e_{j-2}) isolates the off-diagonal entry the same way. So
     keeping a child only needs the sign of a mean over a handful of
-    anchor positions. Probes nest across levels, the linear part falls
-    out of the same pair products after full demodulation, and the
-    coefficient is read off the whole pool, so the run touches
-    O(POOL_BASES * n) positions total. Flipping a child's new diagonal
-    bit negates s_diag exactly and its new off-diagonal bit negates
-    s_off, so at most one of the four extensions clears both positive
-    bars: each level keeps at most one prefix, and the candidate cap
-    never binds for this profile.
+    anchor positions. Probes nest across levels, and level n is the
+    finish: when it keeps a diag, the linear part falls out of the same
+    pair products after full demodulation, the coefficient is read off
+    the whole pool, and each whose square clears hint^2 / 2k is appended
+    to found. So the run touches O(POOL_BASES * n) positions total.
+    Flipping a child's new diagonal bit negates s_diag exactly and its
+    new off-diagonal bit negates s_off, so at most one of the four
+    extensions clears both positive bars: each level keeps at most one
+    prefix, and the candidate cap never binds for this profile.
     """
     n = oracle.n
     rng = child_rng(seed, "pool")
@@ -374,26 +374,26 @@ def _lean_decode(
             s_off = np.mean(mixed.real, axis=1) / np.maximum(norm, 1e-300)
             keep &= s_off >= bar
         v_prev = v1
+        if j < n or not keep.any():
+            return keep
+        # finish: linear parts from the sign of the pair correlation along each coordinate
+        kept = test_set[keep]
+        positions = np.unique(np.concatenate(pool))
+        walls = demodulate(oracle.query_many(positions), kept, n, positions)
+        coords = np.uint32(1) << np.arange(n, dtype=np.uint32)
+        partners = np.searchsorted(positions, bases ^ coords[:, None])
+        anchors = np.conj(walls[:, None, np.searchsorted(positions, bases)])
+        corr = np.mean(walls[:, partners] * anchors, axis=-1)
+        ells = ((corr.real < 0.0) * coords).sum(axis=1, dtype=np.uint32)
+        # coefficients: the whole pool, demodulated by each survivor's linear part
+        eell = 2 * (np.bitwise_count(positions & ells[:, None]) & 1)
+        chats = np.mean(walls * I_POWERS[(-eell) & 3], axis=1) * math.sqrt(1 << n)
+        heavy = np.flatnonzero(np.abs(chats) ** 2 >= oracle.norm_hint**2 / (2.0 * params.k))
+        labels = [CodewordLabel(HankelMat(n, int(kept[a])), int(ells[a]), 0) for a in heavy]
+        found.extend(zip(labels, chats[heavy].tolist()))
         return keep
 
-    kept = _search(n, params.resolved_cap(), stats, level_keep, kerdock)
-    if not kept.size:
-        return []
-
-    # linear parts: sign of the pair correlation along each coordinate
-    positions = np.unique(np.concatenate(pool))
-    walls = demodulate(oracle.query_many(positions), kept, n, positions)
-    coords = np.uint32(1) << np.arange(n, dtype=np.uint32)
-    partners = np.searchsorted(positions, bases ^ coords[:, None])
-    anchors = np.conj(walls[:, None, np.searchsorted(positions, bases)])
-    corr = np.mean(walls[:, partners] * anchors, axis=-1)
-    ells = ((corr.real < 0.0) * coords).sum(axis=1, dtype=np.uint32)
-    # coefficients: the whole pool, demodulated by each survivor's linear part
-    eell = 2 * (np.bitwise_count(positions & ells[:, None]) & 1)
-    chats = np.mean(walls * I_POWERS[(-eell) & 3], axis=1) * math.sqrt(1 << n)
-    heavy = np.flatnonzero(np.abs(chats) ** 2 >= oracle.norm_hint**2 / (2.0 * params.k))
-    labels = [CodewordLabel(HankelMat(n, int(kept[a])), int(ells[a]), 0) for a in heavy]
-    return list(zip(labels, chats[heavy].tolist()))
+    return level_keep
 
 
 def list_decode_hankel(
@@ -414,13 +414,13 @@ def list_decode_hankel(
     pairs sorted by descending estimated energy. The oracle is wrapped in
     a cache, so repeated positions are charged once; stats.queries is the
     count of distinct positions read and stats.queries_raw the total
-    request volume. Each profile runs its own search at every n and k
-    (see the module docstring for k >= 2^n). Raises CandidateOverflow
-    when a level exceeds the cap, and ValueError before any read when
-    n < 1, when a robust decode would exceed n = DENSE_MAX_N, when the
-    norm hint squares to 0 (every bar would be 0 and list every
-    codeword), when a robust decode has k >= 2^n at n > 7, or when the
-    kerdock field's n is not the oracle's.
+    request volume. Each profile is its level function in the one search,
+    at every n and k (see the module docstring for k >= 2^n). Raises
+    CandidateOverflow when a level exceeds the cap, and ValueError before
+    any read when n < 1, when a robust decode would exceed n =
+    DENSE_MAX_N, when the norm hint squares to 0 (every bar would be 0
+    and list every codeword), when a robust decode has k >= 2^n at n > 7,
+    or when the kerdock field's n is not the oracle's.
     """
     if oracle.n < 1:
         raise ValueError(f"decoding needs n >= 1, got n={oracle.n}")
@@ -441,8 +441,9 @@ def list_decode_hankel(
         )
     if params.profile == "robust" and params.k >= 1 << oracle.n and oracle.n > 7:
         raise ValueError(
-            f"k >= 2^n (k={params.k}, n={oracle.n}) asks for every Hankel codeword, "
-            f"a dense scan limited to n <= 7; lower k below 2^n = {1 << oracle.n}"
+            f"k >= 2^n (k={params.k}, n={oracle.n}) keeps every prefix at every level, so "
+            "level n would test 2 * 4^(n-1) diags (about 6 s at n = 7); "
+            f"lower k below 2^n = {1 << oracle.n}"
         )
     t0 = time.perf_counter()
     cached = oracle if isinstance(oracle, CachingOracle) else CachingOracle(oracle)
@@ -451,10 +452,10 @@ def list_decode_hankel(
 
     results: List[Tuple[CodewordLabel, complex]] = []
     if params.profile == "lean":
-        results = _lean_decode(cached, params, seed, stats, kerdock)
+        level = _lean_levels(cached, params, seed, results)
     else:
         level = partial(_exact_level, cached, params, seed, results)
-        _search(n, params.resolved_cap(), stats, level, kerdock)
+    _search(n, params.resolved_cap(), stats, level, kerdock)
 
     results.sort(key=lambda t: (-abs(t[1]) ** 2, t[0].q.diag, t[0].ell))
     stats.queries = cached.distinct_count

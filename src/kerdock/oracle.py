@@ -46,6 +46,7 @@ __all__ = [
     "verify_kerdock_set",
     "count_hankel_by_rank",
     "verify_dickson",
+    "IndependenceReport",
     "verify_independence",
     "verify_gray_independence",
     "verify_commute_equivalence",
@@ -262,7 +263,7 @@ class IndependenceReport:
     four_witness: Optional[tuple] = None
 
 
-def verify_independence(n: int, ctx: Optional[FieldContext] = None) -> IndependenceReport:
+def verify_independence(n: int) -> IndependenceReport:
     """Exhaustive k-position balance checks of the Z4 Kerdock code.
 
     A uniformly random codeword should be uniform on any 3 positions; on a
@@ -272,8 +273,7 @@ def verify_independence(n: int, ctx: Optional[FieldContext] = None) -> Independe
     """
     if n not in (3, 4, 5):
         raise ValueError("exhaustive independence check supports n in {3,4,5}")
-    ctx = ctx or FieldContext.default(n)
-    cw = _kerdock_codeword_values(ctx).astype(np.int64)
+    cw = _kerdock_codeword_values(FieldContext.default(n)).astype(np.int64)
     N = 1 << n
     m = len(cw)
     three = True
@@ -302,12 +302,11 @@ def verify_independence(n: int, ctx: Optional[FieldContext] = None) -> Independe
     return IndependenceReport(n, three, three_half and three, four, th_witness, four_witness)
 
 
-def verify_gray_independence(n: int, ctx: Optional[FieldContext] = None) -> bool:
+def verify_gray_independence(n: int) -> bool:
     """Whether the Gray image of the Kerdock code is 4-wise independent."""
     if n not in (3, 4):
         raise ValueError("exhaustive Gray check supports n in {3,4}")
-    ctx = ctx or FieldContext.default(n)
-    cw = _kerdock_codeword_values(ctx)
+    cw = _kerdock_codeword_values(FieldContext.default(n))
     bits = np.empty((len(cw), 2 << n), dtype=np.int64)
     for i, row in enumerate(cw):
         bits[i] = gray_codeword(row)

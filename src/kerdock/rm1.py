@@ -110,7 +110,7 @@ def km_list(
         )
     cap = math.ceil(4.0 / theta)
     samples = max(16, math.ceil(48.0 / theta**2))
-    repeats = max(7, math.ceil(2.0 * math.log((m + 1) * max(cap, 2) / DELTA)))
+    repeats = max(7, math.ceil(2.0 * math.log((m + 1) * cap / DELTA)))
     threshold = 0.5 * theta * hint_sq
 
     candidates = np.zeros(1, np.uint32)

@@ -123,6 +123,19 @@ def test_encode_rejects_a_non_finite_coefficient(line, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_encode_rejects_a_coefficient_line_with_extra_fields(tmp_path, capsys):
+    labels = tmp_path / "labels.txt"
+    coeffs = tmp_path / "coeffs.txt"
+    out = tmp_path / "out.sig"
+    lab = CodewordLabel(lf_kerdock(FieldContext.default(4), 3), 1, 0)
+    labels.write_text(f"{format_label(lab)}\n" * 2)
+    coeffs.write_text("1.0 0.0\n1.0 0.0 7.0\n")
+    argv = ["encode", "--labels", str(labels), "--coeffs", str(coeffs), "--out", str(out)]
+    assert main(argv) == 2
+    assert "coefficient 2 has 3 fields" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decode_rejects_non_finite_and_empty_files(tmp_path, capsys):
     sig = tmp_path / "s.sig"
     vals = make_noisy(4, [(CodewordLabel(lf_kerdock(FieldContext.default(4), 3), 1, 0), 1.0)])

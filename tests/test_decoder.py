@@ -285,6 +285,27 @@ def test_lean_profile_recovers_within_linear_query_budget():
     assert all(f == 1 for f in stats.f)
 
 
+def test_the_lean_finish_reads_inside_level_n(monkeypatch):
+    # a profile is its level function: nothing reads after its last level
+    n = 10
+    cached = CachingOracle(SyntheticOracle(n, _kerdock_terms(n, [19], [1.0], seed=9)))
+    after = []
+    search = decoder_mod._search
+
+    def spy(size, cap, stats, level_keep, kerdock):
+        def level(j, test_set):
+            keep = level_keep(j, test_set)
+            after.append(cached.query_count)
+            return keep
+
+        return search(size, cap, stats, level, kerdock)
+
+    monkeypatch.setattr(decoder_mod, "_search", spy)
+    results, stats = list_decode_hankel(cached, DecoderParams(k=4, profile="lean"), seed=0)
+    assert len(results) == 1 and len(after) == n
+    assert after[-1] == stats.queries_raw
+
+
 def test_lean_profile_searches_the_kerdock_subcode_too():
     n = 12
     terms = _kerdock_terms(n, [300], [1.0], seed=4)

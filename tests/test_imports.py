@@ -1,4 +1,5 @@
-"""Every imported name is used in its module or re-exported through __all__."""
+"""Every imported name is used in its module or re-exported through __all__,
+and every __all__ lists exactly its module's public top-level names."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,37 @@ def test_the_scan_sees_unused_and_exported_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def public_names(path: Path):
+    """Non-underscore names a module binds at top level: definitions and
+    assignments, and in a package __init__ its imports too (re-exports)."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.ImportFrom) and path.name == "__init__.py":
+            names |= {alias.asname or alias.name for alias in node.names}
+    return {name for name in names if not name.startswith("_")}
+
+
+def declared_all(path: Path):
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
+EXPORTING = [p for p in FILES if p.parent.name == "kerdock" and declared_all(p) is not None]
+
+
+@pytest.mark.parametrize("path", EXPORTING, ids=lambda p: p.name)
+def test_all_lists_exactly_the_public_names(path):
+    exported = declared_all(path)
+    assert len(exported) == len(set(exported))
+    assert set(exported) == public_names(path)

@@ -155,7 +155,7 @@ def test_kerdock_set_check_catches_a_low_rank_pairwise_sum(monkeypatch):
     n = 5
     mats = kerdock_set(FieldContext.default(n))
     # the last member differs from member 1 by the rank-1 matrix e0 e0^T
-    bad = mats[:-1] + [mats[1] ^ HankelMat(n, 1)]
+    bad = mats[:-1] + [HankelMat(n, mats[1].diag ^ 1)]
     monkeypatch.setattr(oracle_mod, "kerdock_set", lambda ctx: bad)
     report = verify_kerdock_set(FieldContext.default(n))
     assert report["pairwise_sums_full_rank"] is False
@@ -229,6 +229,60 @@ def test_commute_equivalence_three_ways():
 def test_trace_matrices_multiply_like_the_field():
     rep = verify_homomorphism(FieldContext.default(4))
     assert rep == {"additive": True, "multiplicative": True}
+
+
+# each verifier's failure branch, reached by breaking the primitive it calls
+
+
+@pytest.mark.parametrize("mag", [0.0, 0.3])
+def test_dickson_reports_a_broken_pair_dot(mag, monkeypatch):
+    monkeypatch.setattr(oracle_mod, "pair_dot", lambda a, b: mag)
+    report = verify_dickson(3, num_pairs=200, seed=0)
+    assert report["branch_mismatches"]
+    if mag:
+        # 0.3 is neither 0 nor any 2^(-r/2)
+        assert len(report["failures"]) == 200
+    else:
+        assert report["failures"] == []
+        assert report["full_rank_equal_ell_zero"] == report["full_rank_equal_ell"] > 0
+
+
+def _zero_quadratic_parts(monkeypatch, n):
+    # every member's Q = 0 leaves the linear code 2 l.y + eps, even on every difference
+    monkeypatch.setattr(oracle_mod, "kerdock_set", lambda ctx: [HankelMat(n, 0)] * (1 << n))
+
+
+def test_independence_reports_a_code_that_is_not_three_wise(monkeypatch):
+    _zero_quadratic_parts(monkeypatch, 3)
+    rep = verify_independence(3)
+    assert not rep.three_wise and not rep.three_half_wise and not rep.four_wise
+
+
+def test_gray_check_reports_a_code_that_is_not_four_wise(monkeypatch):
+    _zero_quadratic_parts(monkeypatch, 3)
+    assert verify_gray_independence(3) is False
+
+
+def test_commute_equivalence_reports_a_broken_commute_check(monkeypatch):
+    monkeypatch.setattr(oracle_mod, "check_commute", lambda ctx, mat: False)
+    eq = verify_commute_equivalence(FieldContext.default(4))
+    assert eq["agree"] is False
+    # diag 0 is a member by recurrence and by (c), not by the broken check
+    assert eq["witness"] == (0, True, False, True)
+
+
+def test_homomorphism_reports_a_broken_inverse(monkeypatch):
+    # J = I leaves K_x K_y = K_xy, which fails because K_1 is not the identity
+    monkeypatch.setattr(oracle_mod, "gf2_inv", lambda rows, n: [1 << i for i in range(n)])
+    rep = verify_homomorphism(FieldContext.default(4))
+    assert rep == {"additive": True, "multiplicative": False}
+
+
+def test_best_k_stops_when_the_residual_picks_a_chosen_word_again():
+    n = 6
+    labels, coeffs, err = best_k_kerdock(FieldContext.default(n), np.zeros(1 << n), 2)
+    assert len(labels) == 1
+    assert coeffs.tolist() == [0.0] and err == 0.0
 
 
 @pytest.mark.parametrize("n", [2, 6])

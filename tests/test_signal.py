@@ -182,6 +182,11 @@ def test_caching_oracle_counts_distinct_positions():
     assert o.distinct_count == 4  # {1,2,3,4}
 
 
+def test_the_base_oracle_leaves_its_values_to_subclasses():
+    with pytest.raises(NotImplementedError):
+        SampleOracle(3, 1.0).query_many(np.array([0]))
+
+
 class _PositionLog(SampleOracle):
     """Delegating oracle that records every position it serves."""
 
