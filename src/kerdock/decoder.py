@@ -39,6 +39,9 @@ from one small global position pool, nesting pair probes across levels
 so the whole run touches O(pool * n) positions; it is meant for clean,
 very sparse signals where query counting is the point, and it trades
 list completeness for that budget.
+
+The lf-Kerdock subcode needs no search: one shift names its heavy words'
+top rows, and the robust level n finishes them (list_decode_hankel).
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from kerdock.codebook import (
     HankelMat,
     demodulate,
     diag_chunks,
-    lf_prefix_mask,
+    lf_kerdock,
     pack_hex,
 )
 from kerdock.field import FieldContext
@@ -104,23 +107,16 @@ class DecoderParams:
     slack) and C2 (threshold relaxation) shape the two-sided suffix test;
     the per-suffix energy gate is (40 k/C1) 2^(j-n) hint^2. Each level
     tests ceil(8k/C1) * ceil(log(2n / DELTA)) suffixes, or every suffix
-    when 2^(n-j) is smaller; each tested slice is read in full and decided
-    by transform. The last level is the finish: its one slice is all 2^n
-    positions, and every tone whose squared dot clears hint^2 / 2k is
-    listed with that exact dot. So the robust profile is an exact prefix
-    search that reads every position, limited to n <= DENSE_MAX_N; at
-    k >= 2^n (refused at n > 7) it lists the whole code's heavy tones
-    (see the module docstring). candidate_cap aborts the run via
-    CandidateOverflow instead of trimming; its default is the larger of
-    64 k^3 and 4096, whose floor lets small k through the wide middle
-    levels of a noisy search (1,400-3,600 prefixes on two noisy words at
-    k = 2, 3). The exact level test batches a level's candidates by
-    parent (diag_chunks at four times the row size: at most 12 MB of
+    when 2^(n-j) is smaller, each read in full and decided by transform;
+    the last level is the finish (see the module docstring). candidate_cap
+    aborts the run via CandidateOverflow instead of trimming; its default
+    is the larger of 64 k^3 and 4096, whose floor lets small k through the
+    wide middle levels of a noisy search (1,400-3,600 prefixes on two noisy
+    words at k = 2, 3). The exact level test batches a level's candidates
+    by parent (diag_chunks at four times the row size: at most 12 MB of
     demodulated parent rows, with room for their children's spectra), and
-    threads runs those batches on that many threads. Only a level with
-    more than one batch gains: on two noisy words at n = 14 (2 cores),
-    threads=2 took about half the time at about 1.7x the peak RSS, with
-    the same list.
+    threads runs those batches on that many threads; only a level with
+    more than one batch gains (the README has measurements).
 
     profile "lean" switches to the query-sublinear pooled probe regime
     with POOL_BASES anchor positions, about 8n positions in all at every
@@ -155,8 +151,9 @@ class DecodeStats:
     """Per-level candidate counts and seconds, and the query bill of one decode.
 
     level_seconds[j - 1] is the wall time of level j's test; in both
-    profiles level n is the finish. It is an array of doubles, 8 bytes a
-    level where a list of floats holds about 32, so that callers keeping
+    profiles level n is the finish, and a Kerdock decode's one level tests
+    N top rows and keeps its candidates. It is an array of doubles, 8 bytes
+    a level where a list of floats holds about 32, so that callers keeping
     many stats keep little. format_decode_report leaves it out.
     """
 
@@ -181,15 +178,12 @@ def _search(
     cap: int,
     stats: DecodeStats,
     level_keep: Callable[[int, np.ndarray], np.ndarray],
-    kerdock: Optional[FieldContext],
 ) -> None:
     """The prefix search both profiles run, one Hankel size per level.
 
     level_keep(j, test_set) gives the keep mask of the level-j diags (uint64).
     A profile is its level function: its level n is the finish and appends
-    the results, so the search returns nothing; it stops once a level keeps
-    nothing. Given a kerdock field, each level tests only the extensions that
-    are prefixes of its lf-Kerdock subcode (lf_prefix_mask).
+    the results, so the search returns nothing; it stops once a level keeps nothing.
     """
     test_set = np.array([0, 1], dtype=np.uint64)
     for j in range(1, n + 1):
@@ -204,8 +198,6 @@ def _search(
             return
         if j < n:
             test_set = extend_prefix(kept, j)
-            if kerdock is not None:
-                test_set = test_set[lf_prefix_mask(kerdock, test_set, j + 1)]
 
 
 def _exact_level(
@@ -254,8 +246,8 @@ def _exact_level(
     gated = np.einsum("sy,sy->s", np.abs(vals), np.abs(vals)) > (k / (C1 / 40.0)) * scale
     need = math.ceil((1.0 + C1) / (8.0 * k) * len(suffixes) - 1e-12)
 
-    # children of one parent are contiguous (extend_prefix order, kept by
-    # lf_prefix_mask), so one run-length pass over the parent keys groups them
+    # children of one parent are contiguous in extend_prefix order, so one run-length
+    # pass over the parent keys groups them (any other order only repeats a parent)
     keys = diags & np.uint64((1 << max(2 * j - 3, 0)) - 1)
     kinds = ((diags << np.uint64(1)) >> np.uint64(2 * j - 2)) & np.uint64(3)
     first = np.ones(len(diags), dtype=bool)
@@ -404,11 +396,21 @@ def list_decode_hankel(
 ) -> Tuple[List[Tuple[CodewordLabel, complex]], DecodeStats]:
     """All Hankel codewords carrying a 1/k energy fraction, with estimates.
 
-    Given a kerdock field, the search runs over that field's lf-Kerdock
-    subcode alone. Where the whole-code decode finishes, it lists exactly
-    that decode's Kerdock labels with the same coefficients: a prefix's
-    keep decision depends only on its own diag and the level's seeded
-    suffix draw.
+    Given a kerdock field, the lf-Kerdock subcode is listed by one shift
+    instead of a search. For a word c with matrix P, s(y) conj s(y xor 1)
+    is a Walsh tone of height |c|^2 at P e_0, its top row. Each u where the
+    fwht of that product has magnitude hint^2 / 4k or more names
+    lf_kerdock(kerdock, u), and the robust level n lists its tones whose
+    squared dot clears hint^2 / 2k. The bar rests on the cross terms of
+    distinct Kerdock words being flat, |c_a c_b| / sqrt(N) per tone, as
+    their difference has full rank (criteria 02, 03); it does not cover a
+    low-rank non-Kerdock neighbour of a heavy word, a rank-r difference
+    putting |c_a c_b| 2^(-r/2) on each of 2^r tones. On 100 seeded inputs of
+    1-3 Kerdock words (1.0, 0.7, 0.5; noise up to the signal energy; k = 3)
+    at n = 6..10 the list held every Kerdock word of energy hint^2 / k, and
+    99 equalled the whole-code list's Kerdock labels (one word of 0.25
+    hint^2 at n = 6 fell under the bar); three words (1.0, 0.6, 0.4; noise
+    0.2; k = 3) were listed at n = 13..20.
 
     Returns (results, stats) where results holds (label, coefficient)
     pairs sorted by descending estimated energy. The oracle is wrapped in
@@ -420,7 +422,7 @@ def list_decode_hankel(
     any read when n < 1, when a robust decode would exceed n =
     DENSE_MAX_N, when the norm hint squares to 0 (every bar would be 0
     and list every codeword), when a robust decode has k >= 2^n at n > 7,
-    or when the kerdock field's n is not the oracle's.
+    or when a kerdock field is not of the oracle's n or comes with lean.
     """
     if oracle.n < 1:
         raise ValueError(f"decoding needs n >= 1, got n={oracle.n}")
@@ -429,6 +431,8 @@ def list_decode_hankel(
             f"the Kerdock subcode's field has n={kerdock.n} but the oracle has "
             f"n={oracle.n}; give the field of the oracle's size"
         )
+    if kerdock is not None and params.profile == "lean":
+        raise ValueError('the Kerdock decode reads all 2^n positions: use profile="robust"')
     if params.profile == "robust" and oracle.n > DENSE_MAX_N:
         raise ValueError(
             f"the robust profile reads all 2^n positions and is limited to "
@@ -451,11 +455,23 @@ def list_decode_hankel(
     stats = DecodeStats(n=n, k=params.k, profile=params.profile)
 
     results: List[Tuple[CodewordLabel, complex]] = []
-    if params.profile == "lean":
-        level = _lean_levels(cached, params, seed, results)
+    cap = params.resolved_cap()
+    if kerdock is not None:
+        ys = np.arange(1 << n, dtype=np.uint32)
+        vals = cached.query_many(ys)
+        peaks = np.abs(fwht(vals * np.conj(vals[ys ^ np.uint32(1)])))
+        tops = np.flatnonzero(peaks >= cached.norm_hint**2 / (4.0 * params.k))
+        stats.g, stats.f = [1 << n], [len(tops)]
+        if len(tops) > cap:
+            raise CandidateOverflow(1, len(tops), cap)
+        diags = np.array([lf_kerdock(kerdock, int(u)).diag for u in tops], dtype=np.uint64)
+        if diags.size:
+            _exact_level(cached, params, seed, results, n, diags)
+        stats.level_seconds.append(time.perf_counter() - t0)
+    elif params.profile == "lean":
+        _search(n, cap, stats, _lean_levels(cached, params, seed, results))
     else:
-        level = partial(_exact_level, cached, params, seed, results)
-    _search(n, params.resolved_cap(), stats, level, kerdock)
+        _search(n, cap, stats, partial(_exact_level, cached, params, seed, results))
 
     results.sort(key=lambda t: (-abs(t[1]) ** 2, t[0].q.diag, t[0].ell))
     stats.queries = cached.distinct_count

@@ -6,8 +6,7 @@ every coefficient against the original signal. The Kerdock set's pairwise
 full-rank property does the heavy lifting: distinct members are nearly
 orthogonal, so independently estimated coefficients are accurate to
 O(k/sqrt(N)) without joint least squares. The low-rank Hankel neighbors
-of a heavy word are never listed, because the decoder's prefix search
-extends only prefixes of lf-Kerdock diags.
+of a heavy word are never listed: the inner decode names lf-Kerdock diags.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ class PursuitParams:
     """Term budget k and target accuracy eps.
 
     eps sets the round count, max(1, ceil(log(1/eps)) + 1); every round
-    decodes the residual with DecoderParams(k=k), default cap included. The
+    decodes the residual's Kerdock subcode with DecoderParams(k=k). The
     coherence regime check (k at most sqrt(N)/6, so that mu*k <= 1/6 and
     per-term estimates stay inside half a coefficient) happens at decode
     time, when n is known.
@@ -106,7 +105,7 @@ def sparse_approx(
     unchanged) or a residual estimated at zero ends the loop early. All
     reads share one cache: each position is read at most once. Raises
     ValueError before any read when n < 6 (no k >= 1 fits the coherence
-    regime), n > DENSE_MAX_N (the inner robust decodes read every
+    regime), n > DENSE_MAX_N (the inner shift decodes read every
     position) or k > sqrt(N)/6.
     """
     n = oracle.n
@@ -120,8 +119,8 @@ def sparse_approx(
         )
     if n > DENSE_MAX_N:
         raise ValueError(
-            f"sparse approximation decodes with the robust profile, which reads "
-            f"every position: it needs n <= {DENSE_MAX_N}, got n={n}"
+            f"sparse approximation decodes each residual's Kerdock subcode by a shift "
+            f"decode that reads every position: it needs n <= {DENSE_MAX_N}, got n={n}"
         )
     if params.k > k_max:
         raise ValueError(

@@ -163,7 +163,9 @@ class CachingOracle(SampleOracle):
         known = at < self._pos.size
         known[known] = self._pos[at[known]] == flat[known]
         if not known.all():
-            new = np.unique(flat[~known])
+            # np.unique's hash path (numpy 2.4) took 40 us on 512 positions and 0.4 s on 2^20
+            new = np.sort(flat[~known])
+            new = new[np.append(True, new[1:] != new[:-1])]
             pos = np.concatenate([self._pos, new])
             order = np.argsort(pos, kind="stable")
             self._pos = pos[order]

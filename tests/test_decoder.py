@@ -11,6 +11,7 @@ from kerdock.codebook import (
     demodulate,
     dense_codeword,
     diag_chunks,
+    is_kerdock_label,
     kerdock_set,
     lf_kerdock,
     lf_prefix_mask,
@@ -206,42 +207,45 @@ def test_a_kerdock_field_of_another_size_is_refused_before_any_read():
     assert o.query_count == 0
 
 
-def _kept_per_level(oracle, params, kerdock):
-    """Run a robust decode and log each level's kept diags through a spy on _exact_level."""
-    kept = []
-    real = decoder_mod._exact_level
-
-    def spy(oracle, params, seed, found, j, diags):
-        keep = real(oracle, params, seed, found, j, diags)
-        kept.append(diags[keep].tolist())
-        return keep
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decoder_mod, "_exact_level", spy)
-        results, _ = list_decode_hankel(oracle, params, seed=3, kerdock=kerdock)
-    return kept, [(lab, c.real.hex(), c.imag.hex()) for lab, c in results]
+def _hex_list(results):
+    return [(lab, c.real.hex(), c.imag.hex()) for lab, c in results]
 
 
-@pytest.mark.parametrize("n", [7, 8, 9])
-def test_kerdock_search_keeps_the_kerdock_subset_of_every_level(n):
-    # n - 6 noisy words: the filter changes which prefixes are tested, never a kept one's fate
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_kerdock_decode_lists_the_kerdock_subset_of_the_whole_code_list(n):
+    # 1-3 noisy words: the shift decode lists exactly the whole-code search's
+    # Kerdock labels, with the same coefficient bits, and every heavy Kerdock word
     ctx = FieldContext.default(n)
-    terms = _kerdock_terms(n, [5, 40, 77][: n - 6], [1.0, 0.7, 0.5], seed=n)
-    o = DenseOracle(make_noisy(n, terms, noise_energy=0.3, seed=n))
+    kerdock_diags = np.array([m.diag for m in kerdock_set(ctx)], dtype=np.uint64)
     # the cap only aborts, it never changes a keep decision; the whole-code search needs room
-    params = DecoderParams(k=3, candidate_cap=1 << 15)
-    whole, whole_list = _kept_per_level(o, params, None)
-    sub, sub_list = _kept_per_level(o, params, ctx)
+    whole_params = DecoderParams(k=3, candidate_cap=1 << 16)
+    rng = np.random.default_rng(n)
+    listed = 0
+    for words in (1, 2, 3):
+        picks = [int(p) for p in rng.choice(1 << n, size=words, replace=False)]
+        terms = _kerdock_terms(n, picks, [1.0, 0.7, 0.5][:words], seed=int(rng.integers(1 << 16)))
+        energy = sum(abs(c) ** 2 for _, c in terms)
+        vals = make_noisy(n, terms, noise_energy=float(rng.uniform(0.0, energy)), seed=words)
+        whole, _ = list_decode_hankel(DenseOracle(vals), whole_params, seed=3)
+        sub, stats = list_decode_hankel(DenseOracle(vals), DecoderParams(k=3), seed=3, kerdock=ctx)
+        assert _hex_list(sub) == [t for t in _hex_list(whole) if is_kerdock_label(ctx, t[0].q.diag)]
+        heavy = dense_heavy_set(vals, np.vdot(vals, vals).real / 3, diags=kerdock_diags)
+        assert _keys(heavy) <= _keys(sub)
+        # the candidates' level n reads the whole domain again, from the cache
+        assert stats.g == [1 << n] and (stats.queries, stats.queries_raw) == (1 << n, 2 << n)
+        listed += len(heavy)
+    assert listed
 
-    def is_lf_prefix(d, j):
-        return lf_kerdock(ctx, d & ((1 << n) - 1)).diag & ((1 << (2 * j - 1)) - 1) == d
 
-    assert len(sub) == len(whole) == n
-    for j, (w, s) in enumerate(zip(whole, sub), start=1):
-        assert s == [d for d in w if is_lf_prefix(d, j)]
-    assert sub_list == [t for t in whole_list if is_lf_prefix(t[0].q.diag, n)]
-    heavy = [(lab, c) for lab, c in terms if abs(c) ** 2 >= o.norm_hint**2 / params.k]
-    assert heavy and _keys(heavy) <= {(lab.q.diag, lab.ell) for lab, _, _ in sub_list}
+def test_the_kerdock_decode_aborts_over_the_cap():
+    # a pair of adjacent spikes puts a peak of the full energy on every even top row
+    n = 6
+    vals = np.zeros(1 << n, dtype=np.complex128)
+    vals[:2] = 1.0
+    with pytest.raises(CandidateOverflow, match="level 1 kept 32 candidates, cap 31"):
+        list_decode_hankel(
+            DenseOracle(vals), DecoderParams(k=1, candidate_cap=31), kerdock=FieldContext.default(n)
+        )
 
 
 @pytest.mark.parametrize("profile", ["robust", "lean"])
@@ -292,13 +296,13 @@ def test_the_lean_finish_reads_inside_level_n(monkeypatch):
     after = []
     search = decoder_mod._search
 
-    def spy(size, cap, stats, level_keep, kerdock):
+    def spy(size, cap, stats, level_keep):
         def level(j, test_set):
             keep = level_keep(j, test_set)
             after.append(cached.query_count)
             return keep
 
-        return search(size, cap, stats, level, kerdock)
+        return search(size, cap, stats, level)
 
     monkeypatch.setattr(decoder_mod, "_search", spy)
     results, stats = list_decode_hankel(cached, DecoderParams(k=4, profile="lean"), seed=0)
@@ -306,18 +310,13 @@ def test_the_lean_finish_reads_inside_level_n(monkeypatch):
     assert after[-1] == stats.queries_raw
 
 
-def test_lean_profile_searches_the_kerdock_subcode_too():
-    n = 12
-    terms = _kerdock_terms(n, [300], [1.0], seed=4)
-    params = DecoderParams(k=4, profile="lean")
-    whole, _ = list_decode_hankel(SyntheticOracle(n, terms), params, seed=1)
-    sub, stats = list_decode_hankel(
-        SyntheticOracle(n, terms), params, seed=1, kerdock=FieldContext.default(n)
-    )
-    assert sub == whole and _keys(sub) == _keys(terms)
-    # from level 8 on both new bits (2j-3, 2j-2) are past the 12-bit top row,
-    # so the one kept prefix has one Kerdock child
-    assert stats.g[7:] == [1] * 5
+def test_lean_profile_refuses_the_kerdock_subcode():
+    # the Kerdock decode reads every position: it runs under the robust profile only
+    o = SyntheticOracle(12, _kerdock_terms(12, [300], [1.0], seed=4))
+    lean = DecoderParams(k=4, profile="lean")
+    with pytest.raises(ValueError, match='use profile="robust"'):
+        list_decode_hankel(o, lean, seed=1, kerdock=FieldContext.default(12))
+    assert o.query_count == 0
 
 
 @pytest.mark.parametrize("n", [6, 9, 12])
@@ -446,9 +445,10 @@ def _slice_signal(kind, n):
 @pytest.mark.parametrize("kind", ["clean", "integer", "gaussian"])
 @pytest.mark.parametrize("kerdock", [False, True])
 def test_shared_spectra_match_the_per_child_transforms(kind, kerdock):
-    # every diag of every level j = 1..8 (or every Kerdock prefix): the keep
-    # masks, and at j = n the listed tones with their coefficient bits, are
-    # those of transforming each child's slice in full
+    # every diag of every level j = 1..8 (or every Kerdock prefix, so that a
+    # parent lacks some children): the keep masks, and at j = n the listed
+    # tones with their coefficient bits, are those of transforming each
+    # child's slice in full
     outcomes, listed = set(), 0
     for n in (1, 2, 3, 5, 8):
         oracle = _slice_signal(kind, n)

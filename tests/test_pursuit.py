@@ -140,6 +140,24 @@ def test_is_kerdock_label_matches_the_family():
         assert is_kerdock_label(ctx, diag) == (diag in members)
 
 
+@pytest.mark.parametrize("n", [13, 14])
+def test_pursuit_lists_three_noisy_words_at_n_13_and_14(n):
+    # a search over Kerdock prefixes overflowed the default cap here: every
+    # level up to (n+1)/2 holds only top-row bits, so it pruned nothing
+    # (4,720 prefixes kept at level 7 at n = 13); the shift decode names the
+    # three top rows directly
+    ctx = FieldContext.default(n)
+    rng = np.random.default_rng(n)
+    rows, ells = rng.integers(1, 1 << n, size=3), rng.integers(1 << n, size=3)
+    terms = [
+        (CodewordLabel(lf_kerdock(ctx, int(r)), int(ell), 0), c)
+        for r, ell, c in zip(rows, ells, (1.0, 0.6, 0.4))
+    ]
+    vals = make_noisy(n, terms, noise_energy=0.2, seed=n)
+    rep = sparse_approx(DenseOracle(vals), PursuitParams(k=3, eps=0.1), seed=0)
+    assert _keys(rep.terms) == _keys(terms)
+
+
 def test_pursuit_recovers_exact_sparse_signal():
     n = 9
     terms = _terms(n, [3, 40, 111], [1.0, 0.5, 0.25], ell_seed=2)
