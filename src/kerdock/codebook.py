@@ -49,7 +49,6 @@ __all__ = [
     "check_commute",
     "lf_kerdock",
     "is_kerdock_label",
-    "lf_prefix_mask",
     "trace_kerdock",
     "kerdock_set",
     "format_label",
@@ -162,15 +161,21 @@ def _quad_exponents(rows: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return total & 3
 
 
-def exponents_at(label: CodewordLabel, ys: np.ndarray) -> np.ndarray:
-    """Phase exponents mod 4 at the given positions, vectorized."""
+def exponents_at(labels: Sequence[CodewordLabel], ys: np.ndarray) -> np.ndarray:
+    """Phase exponents mod 4 of each label (all of one n) at the given positions.
+
+    One stacked pass over the labels; the output has shape (len(labels),) + ys.shape.
+    """
     ys = np.asarray(ys, dtype=np.uint64)
-    q = label.q
-    rows = np.array(q.rows, dtype=np.uint64).reshape((q.n,) + (1,) * ys.ndim)
-    total = _quad_exponents(rows, ys)
-    total += np.uint8(2) * (np.bitwise_count(ys & np.uint64(label.ell)) & np.uint8(1))
-    total += np.uint8(label.eps)
-    return total & 3
+    # one value per label, broadcast over ys; one label broadcasts without the label
+    # axis, as each small ufunc call costs more with it (the lean path reads 4 positions)
+    lead = (len(labels),) * (len(labels) != 1) + (1,) * ys.ndim
+    rows = np.array([lab.q.rows for lab in labels], dtype=np.uint64).T
+    total = _quad_exponents(rows.reshape((len(rows),) + lead), ys)
+    ells = np.array([lab.ell for lab in labels], dtype=np.uint64).reshape(lead)
+    total += np.uint8(2) * (np.bitwise_count(ys & ells) & np.uint8(1))
+    total += np.array([lab.eps for lab in labels], dtype=np.uint8).reshape(lead)
+    return (total & 3).reshape((len(labels),) + ys.shape)
 
 
 def codeword_sum(
@@ -178,13 +183,15 @@ def codeword_sum(
 ) -> np.ndarray:
     """Sum of coeff * codeword over (label, coeff) terms at positions ys.
 
-    The one evaluator of codeword values, i^exponent / sqrt(N): terms are
-    added in order, each as coeff * (1 / sqrt(N)) times a unit phase, so every
-    caller that sums the same terms gets the same bits.
+    The one evaluator of codeword values, i^exponent / sqrt(N): exponents from
+    one stacked pass, terms added in order, each as coeff * (1 / sqrt(N)) times
+    a unit phase, so every caller that sums the same terms gets the same bits.
     """
+    terms = list(terms)
     out = np.zeros(np.shape(ys), dtype=np.complex128)
-    for label, coeff in terms:
-        out += coeff * (1.0 / np.sqrt(1 << label.n)) * I_POWERS[exponents_at(label, ys)]
+    for (label, coeff), e in zip(terms, exponents_at([label for label, _ in terms], ys)):
+        # the term's four values, looked up per position: the same bits as multiplying each
+        out += (coeff * (1.0 / np.sqrt(1 << label.n)) * I_POWERS)[e]
     return out
 
 
@@ -386,8 +393,7 @@ def pair_dot(a: CodewordLabel, b: CodewordLabel) -> complex:
     if a.n > 14:
         raise ValueError("exact pair_dot capped at n <= 14")
     ys = np.arange(1 << a.n, dtype=np.uint32)
-    ea = exponents_at(a, ys).astype(np.int64)
-    eb = exponents_at(b, ys).astype(np.int64)
+    ea, eb = exponents_at([a, b], ys).astype(np.int64)
     counts = np.bincount((ea - eb) & 3, minlength=4)
     num = complex(int(counts[0]) - int(counts[2]), int(counts[1]) - int(counts[3]))
     return num / (1 << a.n)
@@ -480,23 +486,6 @@ def is_kerdock_label(ctx: FieldContext, diag: int) -> bool:
     """Whether the diag is the left-multiplication matrix of its top row."""
     top = diag & ((1 << ctx.n) - 1)
     return lf_kerdock(ctx, top).diag == diag
-
-
-def lf_prefix_mask(ctx: FieldContext, diags: np.ndarray, j: int) -> np.ndarray:
-    """Which level-j prefix diags (uint64) agree with lf_kerdock on the bits level j adds.
-
-    A level-j prefix holds diag bits 0..2j-2, and level j adds bits 2j-3
-    and 2j-2. Bits below n are the free top row; a bit m >= n is the
-    parity of bits m-n..m-1 under h_low. So a prefix whose parent passed
-    is an lf-Kerdock prefix exactly when its new bits pass.
-    """
-    n = ctx.n
-    h_low = np.uint64(ctx.h & ((1 << n) - 1))
-    keep = np.ones(diags.shape, dtype=bool)
-    for m in range(max(n, 2 * j - 3), 2 * j - 1):
-        fill = np.bitwise_count((diags >> np.uint64(m - n)) & h_low) & 1
-        keep &= ((diags >> np.uint64(m)) & np.uint64(1)) == fill
-    return keep
 
 
 def trace_kerdock(ctx: FieldContext, alpha: int) -> HankelMat:

@@ -41,7 +41,7 @@ very sparse signals where query counting is the point, and it trades
 list completeness for that budget.
 
 The lf-Kerdock subcode needs no search: one shift names its heavy words'
-top rows, and the robust level n finishes them (list_decode_hankel).
+top rows, and the values it read give their level-n dots (list_decode_hankel).
 """
 
 from __future__ import annotations
@@ -400,8 +400,9 @@ def list_decode_hankel(
     instead of a search. For a word c with matrix P, s(y) conj s(y xor 1)
     is a Walsh tone of height |c|^2 at P e_0, its top row. Each u where the
     fwht of that product has magnitude hint^2 / 4k or more names
-    lf_kerdock(kerdock, u), and the robust level n lists its tones whose
-    squared dot clears hint^2 / 2k. The bar rests on the cross terms of
+    lf_kerdock(kerdock, u); the fwht of the values already read, demodulated
+    by it, gives the robust level n's dots, and each tone whose squared dot
+    clears hint^2 / 2k is listed. The bar rests on the cross terms of
     distinct Kerdock words being flat, |c_a c_b| / sqrt(N) per tone, as
     their difference has full rank (criteria 02, 03); it does not cover a
     low-rank non-Kerdock neighbour of a heavy word, a rank-r difference
@@ -419,7 +420,7 @@ def list_decode_hankel(
     request volume. Each profile is its level function in the one search,
     at every n and k (see the module docstring for k >= 2^n). Raises
     CandidateOverflow when a level exceeds the cap, and ValueError before
-    any read when n < 1, when a robust decode would exceed n =
+    any read when n < 1, when a robust or Kerdock decode would exceed n =
     DENSE_MAX_N, when the norm hint squares to 0 (every bar would be 0
     and list every codeword), when a robust decode has k >= 2^n at n > 7,
     or when a kerdock field is not of the oracle's n or comes with lean.
@@ -430,6 +431,11 @@ def list_decode_hankel(
         raise ValueError(
             f"the Kerdock subcode's field has n={kerdock.n} but the oracle has "
             f"n={oracle.n}; give the field of the oracle's size"
+        )
+    if kerdock is not None and oracle.n > DENSE_MAX_N:
+        raise ValueError(
+            f"the Kerdock decode reads all 2^n positions and is limited to n <= {DENSE_MAX_N}, "
+            f"got n={oracle.n}; a sampled Kerdock decode past that is ROADMAP item 11"
         )
     if kerdock is not None and params.profile == "lean":
         raise ValueError('the Kerdock decode reads all 2^n positions: use profile="robust"')
@@ -465,8 +471,15 @@ def list_decode_hankel(
         if len(tops) > cap:
             raise CandidateOverflow(1, len(tops), cap)
         diags = np.array([lf_kerdock(kerdock, int(u)).diag for u in tops], dtype=np.uint64)
-        if diags.size:
-            _exact_level(cached, params, seed, results, n, diags)
+        # the finish, from the values already read: the robust level n's dots, bit for bit
+        bar = cached.norm_hint**2 / (2.0 * params.k)
+        for batch in diag_chunks(diags, 4 * vals.size):
+            dots = fwht(demodulate(vals, batch, n, ys))
+            dots /= math.sqrt(1 << n)
+            results += [
+                (CodewordLabel(HankelMat(n, int(batch[r])), int(ell), 0), complex(dots[r, ell]))
+                for r, ell in zip(*np.nonzero(np.abs(dots) ** 2 >= bar))
+            ]
         stats.level_seconds.append(time.perf_counter() - t0)
     elif params.profile == "lean":
         _search(n, cap, stats, _lean_levels(cached, params, seed, results))

@@ -178,7 +178,9 @@ class FieldContext:
     h: int
 
     @staticmethod
+    @functools.cache
     def default(n: int) -> "FieldContext":
+        """The context of the shipped modulus for n, built and validated once per n."""
         return FieldContext(n, primitive_poly(n))
 
     def __post_init__(self):

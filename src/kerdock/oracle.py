@@ -240,17 +240,11 @@ def random_sym_rows(rng, n: int) -> tuple:
 
 def _kerdock_codeword_values(ctx: FieldContext) -> np.ndarray:
     """All N^2 * 4 Kerdock codewords as Z4 rows of length N."""
-    n = ctx.n
-    N = 1 << n
-    ys = np.arange(N, dtype=np.uint32)
-    rows = np.empty((N * N * 4, N), dtype=np.int8)
-    i = 0
-    for m in kerdock_set(ctx):
-        for ell in range(N):
-            for eps in range(4):
-                rows[i] = exponents_at(CodewordLabel(m, ell, eps), ys)
-                i += 1
-    return rows
+    N = 1 << ctx.n
+    labels = [
+        CodewordLabel(m, ell, eps) for m in kerdock_set(ctx) for ell in range(N) for eps in range(4)
+    ]
+    return exponents_at(labels, np.arange(N, dtype=np.uint32)).astype(np.int8)
 
 
 @dataclass

@@ -148,12 +148,8 @@ def sparse_approx(
             if est <= 1e-18 * max(oracle.norm_hint**2, 1.0):
                 break
             residual = ResidualOracle(cached, rep, math.sqrt(2.0 * est))
-        found, _ = list_decode_hankel(
-            residual,
-            inner,
-            seed=int(child_rng(seed, "round", rnd).integers(1 << 30)),
-            kerdock=ctx,
-        )
+        # the shift decode draws nothing, so it takes no seed
+        found, _ = list_decode_hankel(residual, inner, kerdock=ctx)
         have = {lab for lab, _ in rep.terms}
         fresh = [(lab, c) for lab, c in found if lab not in have]
         fresh.sort(key=lambda t: -abs(t[1]))

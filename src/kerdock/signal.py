@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from kerdock.codebook import DENSE_MAX_N, CodewordLabel, codeword_sum
+from kerdock.codebook import DENSE_MAX_N, I_POWERS, CodewordLabel, codeword_sum, exponents_at
 from kerdock.rng import child_rng, hashed_normals
 
 __all__ = [
@@ -269,11 +269,10 @@ def estimate_dots(
     """
     ys = draw_indices(1 << o.n, samples, child_rng(seed, "dot"), np.int64)
     vals = o.query_many(ys)
-    out = np.empty(len(labels), dtype=np.complex128)
-    for i, label in enumerate(labels):
-        phases = np.conj(codeword_sum([(label, 1.0)], ys))
-        out[i] = (1 << o.n) * np.mean(vals * phases)
-    return out
+    # conj of the values codeword_sum gives one unit term, 0 + i^e / sqrt(N), per exponent e
+    phases = np.conj(np.zeros(4, dtype=np.complex128) + (1.0 / np.sqrt(1 << o.n)) * I_POWERS)
+    exps = exponents_at(labels, ys)
+    return np.array([(1 << o.n) * np.mean(vals * phases[e]) for e in exps], dtype=np.complex128)
 
 
 def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerdock.codebook import (
+    I_POWERS,
     CodewordLabel,
     HankelMat,
     SymMat,
@@ -23,7 +24,6 @@ from kerdock.codebook import (
     hankel_exponents_batch,
     kerdock_set,
     lf_kerdock,
-    lf_prefix_mask,
     pack_hex,
     pair_dot,
     parse_label,
@@ -88,7 +88,7 @@ def test_dense_exponents_matches_quad_form():
     ys = np.arange(16, dtype=np.uint32)
     for _ in range(20):
         lab = _random_label(rng, 4, hankel=bool(rng.integers(2)))
-        e = exponents_at(CodewordLabel(lab.q, 0, 0), ys)
+        e = exponents_at([CodewordLabel(lab.q, 0, 0)], ys)[0]
         for y in range(16):
             assert e[y] == quad_form(lab.q, y)
         if isinstance(lab.q, HankelMat):
@@ -99,12 +99,67 @@ def test_exponents_at_includes_linear_and_eps():
     rng = np.random.default_rng(1)
     lab = _random_label(rng, 5)
     ys = np.arange(32, dtype=np.uint32)
-    e = exponents_at(lab, ys)
+    e = exponents_at([lab], ys)[0]
     vals = codeword_sum([(lab, 1.0)], ys)
     for y in range(32):
         want = (quad_form(lab.q, y) + 2 * bin(y & lab.ell).count("1") + lab.eps) % 4
         assert e[y] == want
         assert abs(vals[y] - (1j**want) / np.sqrt(32)) < 1e-12
+
+
+def _per_label_exponents(label, ys):
+    """One label's exponents from the scalar quad_form: the reference for the stacked pass."""
+    ys = np.asarray(ys, dtype=np.uint64)
+    total = np.array([quad_form(label.q, int(y)) for y in ys.ravel()], dtype=np.uint8)
+    total = total.reshape(ys.shape)
+    total += np.uint8(2) * (np.bitwise_count(ys & np.uint64(label.ell)) & np.uint8(1))
+    total += np.uint8(label.eps)
+    return total & 3
+
+
+def _per_term_sum(terms, ys):
+    """codeword_sum one term at a time: each term's phases evaluated and added in order."""
+    out = np.zeros(np.shape(ys), dtype=np.complex128)
+    for label, coeff in terms:
+        out += coeff * (1.0 / np.sqrt(1 << label.n)) * I_POWERS[_per_label_exponents(label, ys)]
+    return out
+
+
+def _hex(values):
+    return [(v.real.hex(), v.imag.hex()) for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_stacked_exponents_equal_the_per_label_ones(count):
+    # SymMat and HankelMat labels, eps 0..3 over the counts, on 1-d and 2-d positions
+    rng = np.random.default_rng(count)
+    for n in (1, 3, 6):
+        labels = [_random_label(rng, n, hankel=bool(i % 2)) for i in range(count)]
+        labels = [CodewordLabel(lab.q, lab.ell, (i + count) % 4) for i, lab in enumerate(labels)]
+        for ys in (np.arange(1 << n), rng.integers(0, 1 << n, size=(3, 5))):
+            stacked = exponents_at(labels, ys)
+            assert stacked.dtype == np.uint8 and stacked.shape == (count,) + ys.shape
+            for lab, row in zip(labels, stacked):
+                assert row.tolist() == _per_label_exponents(lab, ys).tolist()
+                assert row.tolist() == exponents_at([lab], ys)[0].tolist()
+    assert exponents_at([], ys).shape == (0,) + ys.shape
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_codeword_sum_equals_the_per_term_sum_bit_for_bit(count):
+    # from two terms on, the second has a zero coefficient, so signed zeros reach the
+    # sum; at four, three nonzero terms make the order of the additions show
+    rng = np.random.default_rng([7, count])
+    for n in (2, 5, 8):
+        terms = [
+            (_random_label(rng, n, hankel=bool(i % 2)), complex(*rng.standard_normal(2)))
+            for i in range(count)
+        ]
+        terms[1:2] = [(lab, complex(-0.0, -0.0)) for lab, _ in terms[1:2]]
+        ys = rng.integers(0, 1 << n, size=40)
+        assert _hex(codeword_sum(terms, ys)) == _hex(_per_term_sum(terms, ys))
+        assert _hex(codeword_sum(iter(terms), ys)) == _hex(_per_term_sum(terms, ys))
+    assert codeword_sum([], ys).tolist() == [0j] * len(ys)
 
 
 def test_dense_codeword_unit_norm_and_value_convention():
@@ -237,38 +292,6 @@ def test_lf_kerdock_regenerates_from_top_row():
         assert lf_kerdock(ctx, m.diag & ((1 << ctx.n) - 1)).diag == m.diag
 
 
-def _prefix_mask_all_levels(ctx, diags):
-    """lf_prefix_mask applied at levels 1..n to each level's prefix of the diags."""
-    keep = np.ones(diags.shape, dtype=bool)
-    for j in range(1, ctx.n + 1):
-        keep &= lf_prefix_mask(ctx, diags & np.uint64((1 << (2 * j - 1)) - 1), j)
-    return keep
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_lf_prefix_mask_level_by_level_finds_exactly_the_lf_diags(n):
-    ctx = FieldContext.default(n)
-    diags = np.arange(1 << (2 * n - 1), dtype=np.uint64)
-    want = [lf_kerdock(ctx, int(d) & ((1 << n) - 1)).diag == int(d) for d in diags]
-    assert _prefix_mask_all_levels(ctx, diags).tolist() == want
-
-
-@pytest.mark.parametrize("n", range(9, 17))
-def test_lf_prefix_mask_on_random_and_near_miss_diags(n):
-    # random diags are almost never members, so members and one-bit flips of them ride along
-    ctx = FieldContext.default(n)
-    rng = np.random.default_rng(n)
-    members = np.array(
-        [lf_kerdock(ctx, int(t)).diag for t in rng.integers(1 << n, size=500)], dtype=np.uint64
-    )
-    flips = members ^ (np.uint64(1) << rng.integers(2 * n - 1, size=500).astype(np.uint64))
-    noise = rng.integers(0, 1 << (2 * n - 1), size=5000, dtype=np.uint64)
-    diags = np.concatenate([members, flips, noise])
-    want = [lf_kerdock(ctx, int(d) & ((1 << n) - 1)).diag == int(d) for d in diags]
-    assert _prefix_mask_all_levels(ctx, diags).tolist() == want
-    assert all(want[:500]) and not any(want[500:1000])
-
-
 def test_check_commute_accepts_exactly_the_members():
     ctx = FieldContext.default(4)
     members = {m.diag for m in kerdock_set(ctx)}
@@ -348,7 +371,7 @@ def test_label_round_trip(n, data):
     else:
         assert type(again.q) is type(lab.q)
     ys = np.arange(1 << n, dtype=np.uint32)
-    assert (exponents_at(again, ys) == exponents_at(lab, ys)).all()
+    assert (exponents_at([again], ys) == exponents_at([lab], ys)).all()
 
 
 def test_parse_label_rejects_missing_fields():

@@ -14,7 +14,6 @@ from kerdock.codebook import (
     is_kerdock_label,
     kerdock_set,
     lf_kerdock,
-    lf_prefix_mask,
     pair_dot,
 )
 from kerdock.decoder import (
@@ -213,28 +212,37 @@ def _hex_list(results):
 
 @pytest.mark.parametrize("n", [6, 7, 8, 9])
 def test_kerdock_decode_lists_the_kerdock_subset_of_the_whole_code_list(n):
-    # 1-3 noisy words: the shift decode lists exactly the whole-code search's
-    # Kerdock labels, with the same coefficient bits, and every heavy Kerdock word
+    # 1-3 words, noisy and dense or clean and synthetic: the shift decode lists
+    # exactly the whole-code search's Kerdock labels, with the same coefficient
+    # bits, and every heavy Kerdock word. Clean words of real coefficients have
+    # dots with exact zero parts, so the sign of zero is compared too.
     ctx = FieldContext.default(n)
     kerdock_diags = np.array([m.diag for m in kerdock_set(ctx)], dtype=np.uint64)
     # the cap only aborts, it never changes a keep decision; the whole-code search needs room
     whole_params = DecoderParams(k=3, candidate_cap=1 << 16)
     rng = np.random.default_rng(n)
-    listed = 0
+    listed, zeros = 0, 0
     for words in (1, 2, 3):
         picks = [int(p) for p in rng.choice(1 << n, size=words, replace=False)]
         terms = _kerdock_terms(n, picks, [1.0, 0.7, 0.5][:words], seed=int(rng.integers(1 << 16)))
         energy = sum(abs(c) ** 2 for _, c in terms)
-        vals = make_noisy(n, terms, noise_energy=float(rng.uniform(0.0, energy)), seed=words)
-        whole, _ = list_decode_hankel(DenseOracle(vals), whole_params, seed=3)
-        sub, stats = list_decode_hankel(DenseOracle(vals), DecoderParams(k=3), seed=3, kerdock=ctx)
-        assert _hex_list(sub) == [t for t in _hex_list(whole) if is_kerdock_label(ctx, t[0].q.diag)]
-        heavy = dense_heavy_set(vals, np.vdot(vals, vals).real / 3, diags=kerdock_diags)
-        assert _keys(heavy) <= _keys(sub)
-        # the candidates' level n reads the whole domain again, from the cache
-        assert stats.g == [1 << n] and (stats.queries, stats.queries_raw) == (1 << n, 2 << n)
-        listed += len(heavy)
-    assert listed
+        noisy = make_noisy(n, terms, noise_energy=float(rng.uniform(0.0, energy)), seed=words)
+        inputs = [
+            (noisy, lambda: DenseOracle(noisy)),
+            (make_noisy(n, terms), lambda: SyntheticOracle(n, terms)),
+        ]
+        for vals, oracle in inputs:
+            whole, _ = list_decode_hankel(oracle(), whole_params, seed=3)
+            sub, stats = list_decode_hankel(oracle(), DecoderParams(k=3), seed=3, kerdock=ctx)
+            kerdock_part = [t for t in _hex_list(whole) if is_kerdock_label(ctx, t[0].q.diag)]
+            assert _hex_list(sub) == kerdock_part
+            heavy = dense_heavy_set(vals, np.vdot(vals, vals).real / 3, diags=kerdock_diags)
+            assert _keys(heavy) <= _keys(sub)
+            # the finish transforms the values the shift read: each position is read once
+            assert stats.g == [1 << n] and (stats.queries, stats.queries_raw) == (1 << n, 1 << n)
+            listed += len(heavy)
+            zeros += sum(c.real == 0.0 or c.imag == 0.0 for _, c in sub)
+    assert listed and zeros
 
 
 def test_the_kerdock_decode_aborts_over_the_cap():
@@ -308,6 +316,16 @@ def test_the_lean_finish_reads_inside_level_n(monkeypatch):
     results, stats = list_decode_hankel(cached, DecoderParams(k=4, profile="lean"), seed=0)
     assert len(results) == 1 and len(after) == n
     assert after[-1] == stats.queries_raw
+
+
+@pytest.mark.parametrize("profile", ["robust", "lean"])
+def test_the_kerdock_decode_past_its_size_limit_reads_nothing(profile):
+    # the refusal names the Kerdock decode's own limit: the lean profile refuses it too
+    o = SyntheticOracle(21, [])
+    with pytest.raises(ValueError, match="limited to n <= 20, got n=21") as err:
+        list_decode_hankel(o, DecoderParams(k=1, profile=profile), kerdock=FieldContext.default(21))
+    assert "lean" not in str(err.value) and "item 11" in str(err.value)
+    assert o.query_count == 0
 
 
 def test_lean_profile_refuses_the_kerdock_subcode():
@@ -443,16 +461,15 @@ def _slice_signal(kind, n):
 
 
 @pytest.mark.parametrize("kind", ["clean", "integer", "gaussian"])
-@pytest.mark.parametrize("kerdock", [False, True])
-def test_shared_spectra_match_the_per_child_transforms(kind, kerdock):
-    # every diag of every level j = 1..8 (or every Kerdock prefix, so that a
-    # parent lacks some children): the keep masks, and at j = n the listed
-    # tones with their coefficient bits, are those of transforming each
-    # child's slice in full
-    outcomes, listed = set(), 0
+@pytest.mark.parametrize("thinned", [False, True])
+def test_shared_spectra_match_the_per_child_transforms(kind, thinned):
+    # every diag of every level j = 1..8 (or a seeded half of each level's
+    # children, scattered so that parents lack some children and the level
+    # test gathers): the keep masks, and at j = n the listed tones with their
+    # coefficient bits, are those of transforming each child's slice in full
+    outcomes, listed, gathered = set(), 0, 0
     for n in (1, 2, 3, 5, 8):
         oracle = _slice_signal(kind, n)
-        ctx = FieldContext.default(n) if kerdock else None
         # k = 4 lists many tones at n <= 5; k = 1 prunes the middle levels at n = 8
         params = DecoderParams(k=1 if n == 8 else 4)
         diags = np.array([0, 1], dtype=np.uint64)
@@ -468,9 +485,13 @@ def test_shared_spectra_match_the_per_child_transforms(kind, kerdock):
                 listed += len(hits)
             else:
                 diags = extend_prefix(diags, j)
-                if ctx is not None:
-                    diags = diags[lf_prefix_mask(ctx, diags, j + 1)]
+                if thinned:
+                    diags = diags[np.random.default_rng([n, j]).random(len(diags)) < 0.5]
+                    # some level-j parent keeps fewer than its four children
+                    parents = np.unique(diags & np.uint64((1 << (2 * j - 1)) - 1))
+                    gathered += parents.size * 4 > len(diags)
     assert outcomes == {False, True} and listed
+    assert bool(gathered) == thinned
 
 
 class _PositionLog(SampleOracle):

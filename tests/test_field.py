@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kerdock.field as field_mod
 from kerdock.field import (
     FieldContext,
     format_poly_line,
@@ -118,6 +119,23 @@ def test_a_read_trace_mask_leaves_equality_and_hashing_alone():
     assert {used: "ok"}[fresh] == "ok"
     assert fresh.trace_mask == mask
     assert used != FieldContext(8, 0b101110001)
+
+
+def test_the_default_context_is_built_and_validated_once_per_n(monkeypatch):
+    checked = []
+    real = field_mod.is_primitive
+    monkeypatch.setattr(field_mod, "is_primitive", lambda h, n: checked.append(n) or real(h, n))
+    FieldContext.default.cache_clear()
+    got = [FieldContext.default(n) for n in (5, 8, 5, 8, 8)]
+    assert checked == [5, 8]
+    assert got[0] is got[2] and got[1] is got[3] is got[4]
+    assert (got[0].h, got[1].h) == (primitive_poly(5), primitive_poly(8))
+    # a modulus other than the shipped one is still checked on every construction
+    with pytest.raises(ValueError, match="primitive"):
+        FieldContext(8, 0b100011011)  # x^8+x^4+x^3+x+1: irreducible, xi of order 51
+    with pytest.raises(ValueError, match="monic"):
+        FieldContext(8, 0b10001110)
+    assert checked == [5, 8, 8] and FieldContext.default(8) is got[1]
 
 
 @pytest.mark.parametrize("n", [2, 5, 9])

@@ -7,6 +7,7 @@ from kerdock.codebook import (
     I_POWERS,
     CodewordLabel,
     HankelMat,
+    SymMat,
     demodulate,
     dense_codeword,
     exponents_at,
@@ -395,8 +396,46 @@ def test_estimate_dots_exact_in_exhaustive_mode():
         for samples in (1 << n, (1 << n) + 7):
             got = estimate_dots(DenseOracle(s), labels, samples)
             for lab, g in zip(labels, got):
-                phases = np.conj(I_POWERS[exponents_at(lab, ys)]) * (1.0 / np.sqrt(1 << n))
+                phases = np.conj(I_POWERS[exponents_at([lab], ys)[0]]) * (1.0 / np.sqrt(1 << n))
                 assert g == np.sum(s * phases)
+
+
+def _per_label_dots(o, labels, samples, seed):
+    """estimate_dots one label at a time: each label's phases from its own codeword_sum."""
+    ys = draw_indices(1 << o.n, samples, child_rng(seed, "dot"), np.int64)
+    vals = o.query_many(ys)
+    out = np.empty(len(labels), dtype=np.complex128)
+    for i, label in enumerate(labels):
+        unit = (1.0 / np.sqrt(1 << o.n)) * I_POWERS[exponents_at([label], ys)[0]]
+        phases = np.conj(np.zeros(len(ys), dtype=np.complex128) + unit)
+        out[i] = (1 << o.n) * np.mean(vals * phases)
+    return out
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_estimate_dots_equals_the_per_label_estimates_bit_for_bit(count):
+    # SymMat and Hankel labels, every eps; exhaustive and sampled draws, clean and noisy signals
+    rng = np.random.default_rng([9, count])
+    for n in (3, 6, 9):
+        labels = [
+            CodewordLabel(
+                SymMat(n, tuple(1 << i for i in range(n)))
+                if i % 2
+                else HankelMat(n, int(rng.integers(1 << (2 * n - 1)))),
+                int(rng.integers(1 << n)),
+                (i + count) % 4,
+            )
+            for i in range(count)
+        ]
+        for noise in (0.0, 0.3):
+            o = SyntheticOracle(n, [(labels[0], 0.5 - 1j)], noise_energy=noise, seed=n)
+            for samples in (1 << n, (1 << n) + 3, 1 << (n - 1), 5):
+                got = estimate_dots(o, labels, samples, seed=count)
+                want = _per_label_dots(o, labels, samples, count)
+                assert [(g.real.hex(), g.imag.hex()) for g in got] == [
+                    (w.real.hex(), w.imag.hex()) for w in want
+                ]
+    assert estimate_dots(o, [], 5).shape == (0,)
 
 
 def test_estimate_dot_sampled_concentrates():
