@@ -22,6 +22,7 @@ from kerdock.codebook import (
     gray_codeword,
     gray_exp,
     hankel_exponents_batch,
+    is_kerdock_label,
     kerdock_set,
     lf_kerdock,
     pack_hex,
@@ -290,6 +291,35 @@ def test_lf_kerdock_regenerates_from_top_row():
     ctx = FieldContext.default(6)
     for m in kerdock_set(ctx):
         assert lf_kerdock(ctx, m.diag & ((1 << ctx.n) - 1)).diag == m.diag
+
+
+def _lf_fill_mask(ctx, diags):
+    """Which diags (uint64) have every bit m >= n equal to the h_low parity of bits m-n..m-1."""
+    n = ctx.n
+    h_low = np.uint64(ctx.h & ((1 << n) - 1))
+    keep = np.ones(diags.shape, dtype=bool)
+    for m in range(n, 2 * n - 1):
+        fill = np.bitwise_count((diags >> np.uint64(m - n)) & h_low) & 1
+        keep &= ((diags >> np.uint64(m)) & np.uint64(1)) == fill
+    return keep
+
+
+@pytest.mark.parametrize("n", range(9, 17))
+def test_lf_prefix_mask_on_random_and_near_miss_diags(n):
+    # is_kerdock_label masks a diag to its top-row prefix and refills it; that must agree
+    # with the bitwise fill rule, accept the trace construction's members and reject
+    # their one-bit flips (random diags are almost never members, so those ride along)
+    ctx = FieldContext.default(n)
+    rng = np.random.default_rng(n)
+    members = np.array(
+        [trace_kerdock(ctx, int(a)).diag for a in rng.integers(1 << n, size=500)], dtype=np.uint64
+    )
+    flips = members ^ (np.uint64(1) << rng.integers(2 * n - 1, size=500).astype(np.uint64))
+    noise = rng.integers(0, 1 << (2 * n - 1), size=5000, dtype=np.uint64)
+    diags = np.concatenate([members, flips, noise])
+    got = [is_kerdock_label(ctx, int(d)) for d in diags]
+    assert got == _lf_fill_mask(ctx, diags).tolist()
+    assert all(got[:500]) and not any(got[500:1000])
 
 
 def test_check_commute_accepts_exactly_the_members():
