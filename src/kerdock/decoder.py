@@ -75,15 +75,19 @@ class CandidateOverflow(RuntimeError):
     """Raised when a level keeps more prefixes than the configured cap.
 
     The cap guards the poly(k) list-size promise; aborting with the
-    numbers beats silently degrading. Raise candidate_cap (--cap) or
-    lower k to finish such an input.
+    numbers beats silently degrading. advice says what to change: a
+    search's default is to raise candidate_cap (--cap) or lower k, and the
+    Kerdock shift decode's is that the signal is far from a few Kerdock words.
     """
 
-    def __init__(self, level: int, count: int, cap: int):
-        super().__init__(
-            f"level {level} kept {count} candidates, cap {cap}; "
-            "raise candidate_cap (--cap) or lower k"
-        )
+    def __init__(
+        self,
+        level: int,
+        count: int,
+        cap: int,
+        advice: str = "raise candidate_cap (--cap) or lower k",
+    ):
+        super().__init__(f"level {level} kept {count} candidates, cap {cap}; {advice}")
         self.level = level
         self.count = count
         self.cap = cap
@@ -112,11 +116,12 @@ class DecoderParams:
     aborts the run via CandidateOverflow instead of trimming; its default
     is the larger of 64 k^3 and 4096, whose floor lets small k through the
     wide middle levels of a noisy search (1,400-3,600 prefixes on two noisy
-    words at k = 2, 3). The exact level test batches a level's candidates
-    by parent (diag_chunks at four times the row size: at most 12 MB of
-    demodulated parent rows, with room for their children's spectra), and
-    threads runs those batches on that many threads; only a level with
-    more than one batch gains (the README has measurements).
+    words at k = 2, 3). The exact level test batches a level's sibling
+    groups, each a parent's whole set of children (diag_chunks at four times
+    the row size: at most 12 MB of demodulated parent rows, with room for
+    their children's spectra), and threads runs those batches on that many
+    threads; only a level with more than one batch gains (the README has
+    measurements).
 
     profile "lean" switches to the query-sublinear pooled probe regime
     with POOL_BASES anchor positions, about 8n positions in all at every
@@ -230,12 +235,16 @@ def _exact_level(
     is B with its quarters swapped when b_o is set (u -> u xor
     2^(j-2)), times -i when b_d is set. The spectra are the same bits
     as transforming each child's slice in full.
+
+    diags must be whole sibling groups in extend_prefix order, as _search
+    builds them: each row of diags.reshape(-1, 4), or (-1, 2) at j = 1, is
+    one parent's children in kind (b_o + 2 b_d) order 0, 2, 1, 3.
     """
     n, k = oracle.n, params.k
     hint_sq = oracle.norm_hint**2
+    samples = params.resolved_suffix_samples(n)
     # the trailing 0 is part of the stream key: dropping it changes every draw
-    rng = child_rng(seed, "suffix", j, 0)
-    suffixes = draw_indices(1 << (n - j), params.resolved_suffix_samples(n), rng, np.uint32)
+    suffixes = draw_indices(1 << (n - j), samples, np.uint32, seed, "suffix", j, 0)
     width = 1 << j
     half = width >> 1
     ys = np.arange(width, dtype=np.uint32)
@@ -246,60 +255,44 @@ def _exact_level(
     gated = np.einsum("sy,sy->s", np.abs(vals), np.abs(vals)) > (k / (C1 / 40.0)) * scale
     need = math.ceil((1.0 + C1) / (8.0 * k) * len(suffixes) - 1e-12)
 
-    # children of one parent are contiguous in extend_prefix order, so one run-length
-    # pass over the parent keys groups them (any other order only repeats a parent)
-    keys = diags & np.uint64((1 << max(2 * j - 3, 0)) - 1)
-    kinds = ((diags << np.uint64(1)) >> np.uint64(2 * j - 2)) & np.uint64(3)
-    first = np.ones(len(diags), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    starts = np.append(np.flatnonzero(first), len(diags))
-    parents = keys[first]
-    parent_of = np.cumsum(first) - 1
-
-    def run(lo: int, hi: int) -> Tuple[np.ndarray, list]:
-        spec = fwht(demodulate(vals, parents[lo:hi], j, ys).reshape(hi - lo, -1, 2, half), axis=-1)
-        low, high = spec[:, :, 0], spec[:, :, 1]
-        c0, c1 = starts[lo], starts[hi]
-        keep = np.empty(c1 - c0, dtype=bool)
+    def run(groups: np.ndarray) -> Tuple[np.ndarray, list]:
+        spec = fwht(
+            demodulate(vals, groups[:, 0], j, ys).reshape(len(groups), -1, 2, half), axis=-1
+        )
+        keep = np.empty(groups.shape, dtype=bool)
         hits = []
-        for kind in range(4):
-            at = np.flatnonzero(kinds[c0:c1] == kind)
-            if not at.size:
-                continue
-            whole = at.size == hi - lo  # every parent has this child: no gather
-            idx = parent_of[c0 + at] - lo
-            a = low if whole else low[idx]
-            b = high if whole else high[idx]
+        for col, kind in enumerate((0, 2, 1, 3)[: groups.shape[1]]):
+            a, b = spec[:, :, 0], spec[:, :, 1]
             if kind & 2:
                 b = b * I_POWERS[3]
             if kind & 1:
                 # u -> u xor 2^(j-2): the quarters of the high half swap
                 a = a.reshape(a.shape[:-1] + (2, half >> 1))
                 b = b.reshape(a.shape)[..., ::-1, :]
-            top = (a + b).reshape(at.size, -1, half)
+            top = (a + b).reshape(len(groups), -1, half)
             bot = (a - b).reshape(top.shape)
             power = np.maximum(
                 (top.real**2 + top.imag**2).max(axis=-1), (bot.real**2 + bot.imag**2).max(axis=-1)
             )
-            keep[at] = ((power >= bar) | gated).sum(axis=1) >= need
+            keep[:, col] = ((power >= bar) | gated).sum(axis=1) >= need
             if j == n:
                 full = np.concatenate([top[:, 0], bot[:, 0]], axis=-1)
                 full /= math.sqrt(width)
-                child = diags[c0 + at]
+                child = groups[:, col]
                 hits += [
                     (CodewordLabel(HankelMat(n, int(child[r])), int(ell), 0), complex(full[r, ell]))
                     for r, ell in zip(*np.nonzero(np.abs(full) ** 2 >= hint_sq / (2.0 * k)))
                 ]
-        return keep, hits
+        return keep.ravel(), hits
 
     # a batch's children need about three times its demodulated rows again
-    # (gathered halves, sums, powers), so parents are batched at 4x the row size
-    edges = np.cumsum([0] + [len(c) for c in diag_chunks(parents, 4 * vals.size)])
-    if params.threads > 1 and len(edges) > 2:
+    # (sums, differences, powers), so parents are batched at 4x the row size
+    chunks = diag_chunks(diags.reshape(-1, 2 if j == 1 else 4), 4 * vals.size)
+    if params.threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=params.threads) as pool:
-            parts = list(pool.map(run, edges[:-1], edges[1:]))
+            parts = list(pool.map(run, chunks))
     else:
-        parts = [run(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        parts = list(map(run, chunks))
     found.extend(hit for _, hits in parts for hit in hits)
     return np.concatenate([keep for keep, _ in parts])
 
@@ -469,7 +462,9 @@ def list_decode_hankel(
         tops = np.flatnonzero(peaks >= cached.norm_hint**2 / (4.0 * params.k))
         stats.g, stats.f = [1 << n], [len(tops)]
         if len(tops) > cap:
-            raise CandidateOverflow(1, len(tops), cap)
+            # sparse-approx takes no --cap, and no k helps where every even top row
+            # peaks (two adjacent spikes): name the input as the cause
+            raise CandidateOverflow(1, len(tops), cap, "the signal is far from a few Kerdock words")
         diags = np.array([lf_kerdock(kerdock, int(u)).diag for u in tops], dtype=np.uint64)
         # the finish, from the values already read: the robust level n's dots, bit for bit
         bar = cached.norm_hint**2 / (2.0 * params.k)

@@ -242,20 +242,21 @@ def read_signal(path: str) -> np.ndarray:
     return values
 
 
-def draw_indices(count: int, size: int, rng: np.random.Generator, dtype) -> np.ndarray:
+def draw_indices(count: int, size: int, dtype, seed: int, *tags) -> np.ndarray:
     """Indices into range(count): every one once when size >= count, else size draws.
 
-    The draws are rng.integers(0, count, size, dtype); numpy's stream depends
-    on the dtype, so a caller keeps its dtype to keep its draws.
+    The draws are child_rng(seed, *tags).integers(0, count, size, dtype), the
+    generator built only then; numpy's stream depends on the dtype, so a
+    caller keeps its dtype to keep its draws.
     """
     if size >= count:
         return np.arange(count, dtype=dtype)
-    return rng.integers(0, count, size=size, dtype=dtype)
+    return child_rng(seed, *tags).integers(0, count, size=size, dtype=dtype)
 
 
 def estimate_sq_norm(o: SampleOracle, samples: int, seed: int = 0) -> float:
     """Unbiased estimate of ||s||^2; exact when samples >= 2^n (each position once)."""
-    ys = draw_indices(1 << o.n, samples, child_rng(seed, "sqnorm"), np.int64)
+    ys = draw_indices(1 << o.n, samples, np.int64, seed, "sqnorm")
     vals = o.query_many(ys)
     return float((1 << o.n) * np.mean(np.abs(vals) ** 2))
 
@@ -267,7 +268,7 @@ def estimate_dots(
 
     Exact in exhaustive mode (samples >= 2^n: each position once).
     """
-    ys = draw_indices(1 << o.n, samples, child_rng(seed, "dot"), np.int64)
+    ys = draw_indices(1 << o.n, samples, np.int64, seed, "dot")
     vals = o.query_many(ys)
     # conj of the values codeword_sum gives one unit term, 0 + i^e / sqrt(N), per exponent e
     phases = np.conj(np.zeros(4, dtype=np.complex128) + (1.0 / np.sqrt(1 << o.n)) * I_POWERS)

@@ -1,9 +1,9 @@
+import numpy as np
 import pytest
 
 import kerdock.cli as cli_mod
 from kerdock.cli import build_parser, main
 from kerdock.codebook import format_label, CodewordLabel, HankelMat, lf_kerdock, pack_hex, pair_dot
-from kerdock.decoder import CandidateOverflow
 from kerdock.field import FieldContext
 from kerdock.oracle import count_hankel_by_rank, verify_homomorphism
 from kerdock.pursuit import read_representation
@@ -68,7 +68,6 @@ def test_encode_corrupt_decode_pipeline(tmp_path, capsys):
     capsys.readouterr()
 
     assert main(["corrupt", "--in", str(clean), "--noise-energy", "0.2", "--seed", "3", "--out", str(noisy)]) == 0
-    import numpy as np
 
     delta = read_signal(str(noisy)) - vals
     assert abs(np.linalg.norm(delta) ** 2 - 0.2) < 1e-9
@@ -399,15 +398,18 @@ def test_decode_overflow_exits_one(capsys):
     assert "decode aborted" in err
 
 
-def test_sparse_approx_overflow_exits_one(monkeypatch, capsys):
-    def overflow(*args, **kwargs):
-        raise CandidateOverflow(level=6, count=5000, cap=4096)
-
-    monkeypatch.setattr(cli_mod, "sparse_approx", overflow)
-    spec = _plant_spec(6, [0x2B], ["1.0"])
-    argv = ["sparse-approx", "--plant", spec, "--n", "6", "--k", "1", "--eps", "0.1"]
-    assert main(argv) == 1
-    assert "sparse-approx aborted: level 6 kept 5000" in capsys.readouterr().err
+def test_sparse_approx_overflow_exits_one(tmp_path, capsys):
+    # two adjacent spikes peak on every even top row, so the shift decode keeps
+    # 2^(n-1) > 4096 candidates at any k; sparse-approx has no --cap to offer
+    values = np.zeros(1 << 14, dtype=np.complex128)
+    values[:2] = 1.0
+    sig = tmp_path / "spikes.txt"
+    write_signal(str(sig), values)
+    for k in ("1", "3"):
+        assert main(["sparse-approx", "--in", str(sig), "--k", k, "--eps", "0.1"]) == 1
+        err = capsys.readouterr().err
+        assert "sparse-approx aborted: level 1 kept 8192 candidates, cap 4096" in err
+        assert "far from a few Kerdock words" in err and "--cap" not in err
 
 
 @pytest.mark.parametrize("flag", ["--cap", "--threads"])

@@ -26,7 +26,6 @@ from kerdock.decoder import (
 )
 from kerdock.field import FieldContext
 from kerdock.oracle import dense_heavy_set
-from kerdock.rng import child_rng
 from kerdock.signal import (
     CachingOracle,
     DenseOracle,
@@ -250,7 +249,7 @@ def test_the_kerdock_decode_aborts_over_the_cap():
     n = 6
     vals = np.zeros(1 << n, dtype=np.complex128)
     vals[:2] = 1.0
-    with pytest.raises(CandidateOverflow, match="level 1 kept 32 candidates, cap 31"):
+    with pytest.raises(CandidateOverflow, match="kept 32 candidates, cap 31; the signal is far from"):
         list_decode_hankel(
             DenseOracle(vals), DecoderParams(k=1, candidate_cap=31), kerdock=FieldContext.default(n)
         )
@@ -424,8 +423,8 @@ def _per_child_level(oracle, params, seed, j, diags):
     """The level test with every child's slice demodulated and transformed in full."""
     n, k = oracle.n, params.k
     hint_sq = oracle.norm_hint**2
-    rng = child_rng(seed, "suffix", j, 0)
-    suffixes = draw_indices(1 << (n - j), params.resolved_suffix_samples(n), rng, np.uint32)
+    samples = params.resolved_suffix_samples(n)
+    suffixes = draw_indices(1 << (n - j), samples, np.uint32, seed, "suffix", j, 0)
     width = 1 << j
     ys = np.arange(width, dtype=np.uint32)
     pos = (suffixes[:, None] << np.uint32(j)) | ys[None, :]
@@ -461,13 +460,11 @@ def _slice_signal(kind, n):
 
 
 @pytest.mark.parametrize("kind", ["clean", "integer", "gaussian"])
-@pytest.mark.parametrize("thinned", [False, True])
-def test_shared_spectra_match_the_per_child_transforms(kind, thinned):
-    # every diag of every level j = 1..8 (or a seeded half of each level's
-    # children, scattered so that parents lack some children and the level
-    # test gathers): the keep masks, and at j = n the listed tones with their
-    # coefficient bits, are those of transforming each child's slice in full
-    outcomes, listed, gathered = set(), 0, 0
+def test_shared_spectra_match_the_per_child_transforms(kind):
+    # every diag of every level j = 1..8: the keep masks, and at j = n the
+    # listed tones with their coefficient bits, are those of transforming
+    # each child's slice in full
+    outcomes, listed = set(), 0
     for n in (1, 2, 3, 5, 8):
         oracle = _slice_signal(kind, n)
         # k = 4 lists many tones at n <= 5; k = 1 prunes the middle levels at n = 8
@@ -485,13 +482,34 @@ def test_shared_spectra_match_the_per_child_transforms(kind, thinned):
                 listed += len(hits)
             else:
                 diags = extend_prefix(diags, j)
-                if thinned:
-                    diags = diags[np.random.default_rng([n, j]).random(len(diags)) < 0.5]
-                    # some level-j parent keeps fewer than its four children
-                    parents = np.unique(diags & np.uint64((1 << (2 * j - 1)) - 1))
-                    gathered += parents.size * 4 > len(diags)
     assert outcomes == {False, True} and listed
-    assert bool(gathered) == thinned
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("k", [1, 4])
+def test_the_level_test_gets_whole_sibling_groups(monkeypatch, noisy, k):
+    # the robust level test reads each row of its test set, reshaped by 4 (by 2
+    # at level 1), as one parent's children in kind order 0, 2, 1, 3
+    levels, level = [], decoder_mod._exact_level
+
+    def spy(oracle, params, seed, found, j, diags):
+        levels.append((j, diags.copy()))
+        return level(oracle, params, seed, found, j, diags)
+
+    monkeypatch.setattr(decoder_mod, "_exact_level", spy)
+    for n in range(1, 9):
+        lab = CodewordLabel(HankelMat(n, (0x5A3C >> n) % (1 << (2 * n - 1))), n % 2, 0)
+        vals = make_noisy(n, [(lab, 1.0)], noise_energy=0.1 if noisy else 0.0, seed=n)
+        levels.clear()
+        results, stats = list_decode_hankel(DenseOracle(vals), DecoderParams(k=k), seed=n)
+        assert [len(d) for _, d in levels] == stats.g
+        assert (lab.q.diag, lab.ell) in _keys(results)
+        for j, diags in levels:
+            kinds = [0, 2] if j == 1 else [0, 2, 1, 3]
+            groups = diags.reshape(-1, len(kinds))
+            keys = groups & np.uint64((1 << max(2 * j - 3, 0)) - 1)
+            assert (keys == keys[:, :1]).all() and len(np.unique(keys[:, 0])) == len(groups)
+            assert (((groups << np.uint64(1)) >> np.uint64(2 * j - 2)) & np.uint64(3) == kinds).all()
 
 
 class _PositionLog(SampleOracle):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kerdock.signal as signal_mod
 from kerdock.codebook import (
     I_POWERS,
     CodewordLabel,
@@ -364,12 +365,31 @@ def test_sq_norm_exact_in_exhaustive_mode():
 @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
 def test_draw_indices_is_every_index_or_the_rng_draws(dtype):
     for count, size in [(1, 1), (8, 8), (8, 100)]:
-        got = draw_indices(count, size, np.random.default_rng(3), dtype)
+        got = draw_indices(count, size, dtype, 3, "t", 1)
         assert got.dtype == dtype and got.tolist() == list(range(count))
     for count, size in [(2, 1), (9, 8), (1 << 20, 50)]:
-        got = draw_indices(count, size, np.random.default_rng(3), dtype)
-        want = np.random.default_rng(3).integers(0, count, size=size, dtype=dtype)
+        got = draw_indices(count, size, dtype, 3, "t", 1)
+        want = child_rng(3, "t", 1).integers(0, count, size=size, dtype=dtype)
         assert got.dtype == dtype and got.tolist() == want.tolist()
+
+
+def test_an_exhaustive_estimate_builds_no_generator(monkeypatch):
+    # every position is read once, so nothing is drawn and no generator is keyed
+    built = []
+
+    def counting_child_rng(*key):
+        built.append(key)
+        return child_rng(*key)
+
+    monkeypatch.setattr(signal_mod, "child_rng", counting_child_rng)
+    n = 6
+    o = SyntheticOracle(n, [(_labels(n, 1)[0], 1.0)], noise_energy=0.3, seed=2)
+    for samples in (1 << n, (1 << n) + 5):
+        estimate_dots(o, _labels(n, 3), samples, seed=4)
+        estimate_sq_norm(o, samples, seed=4)
+    assert built == []
+    estimate_dots(o, _labels(n, 3), (1 << n) - 1, seed=4)
+    assert built == [(4, "dot")]
 
 
 def test_sq_norm_sampled_is_close():
@@ -402,7 +422,7 @@ def test_estimate_dots_exact_in_exhaustive_mode():
 
 def _per_label_dots(o, labels, samples, seed):
     """estimate_dots one label at a time: each label's phases from its own codeword_sum."""
-    ys = draw_indices(1 << o.n, samples, child_rng(seed, "dot"), np.int64)
+    ys = draw_indices(1 << o.n, samples, np.int64, seed, "dot")
     vals = o.query_many(ys)
     out = np.empty(len(labels), dtype=np.complex128)
     for i, label in enumerate(labels):
