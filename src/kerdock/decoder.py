@@ -32,7 +32,10 @@ max(64 k^3, 4096) > 2^(2n-1) never binds.
 The four children of a kept prefix differ only in two diag bits, so
 the robust level test shares their work: each parent's slices are
 demodulated once and transformed as two halves, and every child's
-spectrum is the last butterfly stage over those halves.
+spectrum is the last butterfly stage over those halves. Once the search
+reads every suffix, a level's kept spectra are the next level's halves,
+so later levels take them by one gather instead of demodulating and
+transforming (_exact_levels).
 
 The lean profile is the query-sublinear one: it drives every decision
 from one small global position pool, nesting pair probes across levels
@@ -51,7 +54,6 @@ import time
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -102,6 +104,10 @@ C1 = 0.5
 C2 = 2.0
 DELTA = 0.01
 
+# largest carry, the kept spectra one robust level hands the next: one
+# batch's demodulated rows (diag_chunks' 48 MB / 4)
+CARRY_BYTES = 12 << 20
+
 
 @dataclass(frozen=True)
 class DecoderParams:
@@ -121,7 +127,9 @@ class DecoderParams:
     the row size: at most 12 MB of demodulated parent rows, with room for
     their children's spectra), and threads runs those batches on that many
     threads; only a level with more than one batch gains (the README has
-    measurements).
+    measurements). A level after one that read every suffix and kept at
+    most CARRY_BYTES of spectra is carried: its batches read their parents'
+    rows of that carry instead of demodulating and transforming.
 
     profile "lean" switches to the query-sublinear pooled probe regime
     with POOL_BASES anchor positions, about 8n positions in all at every
@@ -153,13 +161,16 @@ class DecoderParams:
 
 @dataclass
 class DecodeStats:
-    """Per-level candidate counts and seconds, and the query bill of one decode.
+    """Per-level candidate counts, seconds and reads, and the query bill of one decode.
 
     level_seconds[j - 1] is the wall time of level j's test; in both
     profiles level n is the finish, and a Kerdock decode's one level tests
-    N top rows and keeps its candidates. It is an array of doubles, 8 bytes
-    a level where a list of floats holds about 32, so that callers keeping
-    many stats keep little. format_decode_report leaves it out.
+    N top rows and keeps its candidates. level_reads[j - 1] counts the
+    distinct positions first read during level j, so the counts sum to
+    queries (less any positions a caller-supplied cache held before the
+    decode). Both are arrays, 8 bytes a level where a list holds about 32,
+    so that callers keeping many stats keep little. format_decode_report
+    leaves them out.
     """
 
     n: int
@@ -168,6 +179,7 @@ class DecodeStats:
     g: List[int] = field(default_factory=list)
     f: List[int] = field(default_factory=list)
     level_seconds: array = field(default_factory=lambda: array("d"))
+    level_reads: array = field(default_factory=lambda: array("q"))
     queries: int = 0
     queries_raw: int = 0
     seconds: float = 0.0
@@ -179,7 +191,7 @@ def extend_prefix(diags: np.ndarray, j: int) -> np.ndarray:
 
 
 def _search(
-    n: int,
+    oracle: CachingOracle,
     cap: int,
     stats: DecodeStats,
     level_keep: Callable[[int, np.ndarray], np.ndarray],
@@ -190,11 +202,14 @@ def _search(
     A profile is its level function: its level n is the finish and appends
     the results, so the search returns nothing; it stops once a level keeps nothing.
     """
+    n, read = oracle.n, oracle.distinct_count
     test_set = np.array([0, 1], dtype=np.uint64)
     for j in range(1, n + 1):
         t0 = time.perf_counter()
         kept = test_set[level_keep(j, test_set)]
         stats.level_seconds.append(time.perf_counter() - t0)
+        stats.level_reads.append(oracle.distinct_count - read)
+        read = oracle.distinct_count
         stats.g.append(len(test_set))
         stats.f.append(len(kept))
         if len(kept) > cap:
@@ -205,15 +220,29 @@ def _search(
             test_set = extend_prefix(kept, j)
 
 
-def _exact_level(
+def _child_spectrum(a: np.ndarray, b: np.ndarray, swap: int, out: np.ndarray) -> None:
+    """A child's spectrum from its parent's half transforms: fwht's last stage.
+
+    a and b are the parent's low- and high-half transforms, each (parents,
+    slices, half), b already times -i for a child with b_d set; out
+    (parents, slices, 2 half) gets [A + B', A - B'], where B' is b with its
+    quarters swapped (u -> u xor 2^(j-2)) when swap (b_o) is set.
+    """
+    if swap:
+        a = a.reshape(a.shape[:-1] + (2, -1))
+        b = b.reshape(a.shape)[..., ::-1, :]
+    sides = out.reshape(out.shape[:2] + (2,) + a.shape[2:])
+    np.add(a, b, out=sides[:, :, 0])
+    np.subtract(a, b, out=sides[:, :, 1])
+
+
+def _exact_levels(
     oracle: SampleOracle,
     params: DecoderParams,
     seed: int,
     found: List[Tuple[CodewordLabel, complex]],
-    j: int,
-    diags: np.ndarray,
-) -> np.ndarray:
-    """Keep mask from full restricted-slice reads, vectorized over candidates.
+) -> Callable[[int, np.ndarray], np.ndarray]:
+    """The robust profile's level function: keep masks from full restricted-slice reads.
 
     Every drawn slice, demodulated by each candidate's quadratic phase
     and transformed, makes the per-suffix decision exact. A candidate
@@ -229,72 +258,130 @@ def _exact_level(
     only in its two new bits, b_o (bit 2j-3) and b_d (bit 2j-2), and
     these touch only the slice's high half (top coordinate t = 1): they
     add t (b_d + 2 b_o y_{j-2}) to the exponent. So each parent, the
-    child with both bits clear, demodulates a slice once, and the two
-    half-length transforms A (low half) and B (high half) give every
-    child's spectrum [A + B', A - B'], fwht's own last stage, where B'
-    is B with its quarters swapped when b_o is set (u -> u xor
-    2^(j-2)), times -i when b_d is set. The spectra are the same bits
-    as transforming each child's slice in full.
+    child with both bits clear, gives two half-length transforms A (low
+    half) and B (high half), and every child's spectrum is [A + B',
+    A - B'] (_child_spectrum).
 
-    diags must be whole sibling groups in extend_prefix order, as _search
-    builds them: each row of diags.reshape(-1, 4), or (-1, 2) at j = 1, is
-    one parent's children in kind (b_o + 2 b_d) order 0, 2, 1, 3.
+    Levels that read every suffix carry their spectra. Slice s of level j
+    is level j-1's slices 2s and 2s+1 side by side, and a parent is a
+    kept level-(j-1) diag D: with r = D >> (j-1), its exponent at y + t
+    2^(j-1) is e_D(y) + 2t (r.y). So its A is D's level-(j-1) spectrum at
+    slice 2s, and its B is D's spectrum at slice 2s+1 read at tone u xor
+    r, (-1)^(r.y) being a Walsh shift. Such a level needs one gather in
+    place of a demodulate and a transform: after its keep mask, it writes
+    its kept children's spectra (the carry) for the next level. The first
+    level that reads every suffix, sampled levels, and a level after one
+    whose carry would exceed CARRY_BYTES demodulate and transform. Every
+    path gives the same bits as transforming each child's slice in full.
+
+    level_keep(j, diags) must get whole sibling groups in extend_prefix
+    order, as _search builds them: each row of diags.reshape(-1, 4), or
+    (-1, 2) at j = 1, is one parent's children in kind (b_o + 2 b_d)
+    order 0, 2, 1, 3, and the parents are level j-1's kept diags in order.
     """
     n, k = oracle.n, params.k
     hint_sq = oracle.norm_hint**2
     samples = params.resolved_suffix_samples(n)
-    # the trailing 0 is part of the stream key: dropping it changes every draw
-    suffixes = draw_indices(1 << (n - j), samples, np.uint32, seed, "suffix", j, 0)
-    width = 1 << j
-    half = width >> 1
-    ys = np.arange(width, dtype=np.uint32)
-    pos = (suffixes[:, None] << np.uint32(j)) | ys[None, :]
-    vals = oracle.query_many(pos.ravel()).reshape(len(suffixes), width)
-    scale = 2.0 ** (j - n) * hint_sq
-    bar = scale / (4.0 * k * C2) * width
-    gated = np.einsum("sy,sy->s", np.abs(vals), np.abs(vals)) > (k / (C1 / 40.0)) * scale
-    need = math.ceil((1.0 + C1) / (8.0 * k) * len(suffixes) - 1e-12)
+    carry: Optional[np.ndarray] = None  # level j-1's kept spectra, (kept, slices, 2^(j-1))
 
-    def run(groups: np.ndarray) -> Tuple[np.ndarray, list]:
-        spec = fwht(
-            demodulate(vals, groups[:, 0], j, ys).reshape(len(groups), -1, 2, half), axis=-1
-        )
-        keep = np.empty(groups.shape, dtype=bool)
-        hits = []
-        for col, kind in enumerate((0, 2, 1, 3)[: groups.shape[1]]):
-            a, b = spec[:, :, 0], spec[:, :, 1]
-            if kind & 2:
-                b = b * I_POWERS[3]
-            if kind & 1:
-                # u -> u xor 2^(j-2): the quarters of the high half swap
-                a = a.reshape(a.shape[:-1] + (2, half >> 1))
-                b = b.reshape(a.shape)[..., ::-1, :]
-            top = (a + b).reshape(len(groups), -1, half)
-            bot = (a - b).reshape(top.shape)
-            power = np.maximum(
-                (top.real**2 + top.imag**2).max(axis=-1), (bot.real**2 + bot.imag**2).max(axis=-1)
-            )
-            keep[:, col] = ((power >= bar) | gated).sum(axis=1) >= need
-            if j == n:
-                full = np.concatenate([top[:, 0], bot[:, 0]], axis=-1)
-                full /= math.sqrt(width)
-                child = groups[:, col]
-                hits += [
-                    (CodewordLabel(HankelMat(n, int(child[r])), int(ell), 0), complex(full[r, ell]))
-                    for r, ell in zip(*np.nonzero(np.abs(full) ** 2 >= hint_sq / (2.0 * k)))
-                ]
-        return keep.ravel(), hits
+    def level_keep(j: int, diags: np.ndarray) -> np.ndarray:
+        nonlocal carry
+        prev, carry = carry, None
+        # the trailing 0 is part of the stream key: dropping it changes every draw
+        suffixes = draw_indices(1 << (n - j), samples, np.uint32, seed, "suffix", j, 0)
+        width = 1 << j
+        half = width >> 1
+        ys = np.arange(width, dtype=np.uint32)
+        pos = (suffixes[:, None] << np.uint32(j)) | ys[None, :]
+        vals = oracle.query_many(pos.ravel()).reshape(len(suffixes), width)
+        scale = 2.0 ** (j - n) * hint_sq
+        bar = scale / (4.0 * k * C2) * width
+        gated = np.einsum("sy,sy->s", np.abs(vals), np.abs(vals)) > (k / (C1 / 40.0)) * scale
+        need = math.ceil((1.0 + C1) / (8.0 * k) * len(suffixes) - 1e-12)
+        groups = diags.reshape(-1, 2 if j == 1 else 4)
+        kinds = (0, 2, 1, 3)[: groups.shape[1]]
 
-    # a batch's children need about three times its demodulated rows again
-    # (sums, differences, powers), so parents are batched at 4x the row size
-    chunks = diag_chunks(diags.reshape(-1, 2 if j == 1 else 4), 4 * vals.size)
-    if params.threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=params.threads) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = list(map(run, chunks))
-    found.extend(hit for _, hits in parts for hit in hits)
-    return np.concatenate([keep for keep, _ in parts])
+        def fresh(parents: np.ndarray) -> np.ndarray:
+            """The parents' half transforms, (parents, 2 * slices, half): A at 2s, B at 2s + 1."""
+            rows = demodulate(vals, parents, j, ys).reshape(len(parents), -1, half)
+            return fwht(rows, overwrite_input=True)
+
+        def shift(parents: np.ndarray) -> np.ndarray:
+            """Each carried parent's B tone shift, D >> (j-1)."""
+            return (parents >> np.uint64(j - 1)).astype(np.intp)[:, None]
+
+        def high(src: np.ndarray, rows: np.ndarray, tones: np.ndarray) -> np.ndarray:
+            """src[rows[r], 2s + 1, tones[r, u]]: the rows' B, each read at its own tones."""
+            odd = np.arange(1, src.shape[1], 2)[:, None]
+            return src[rows[:, None, None], odd, tones[:, None, :]]
+
+        def listed(full: np.ndarray, children: np.ndarray) -> list:
+            """(label, dot) of each tone in full, the children's whole-domain
+            spectra, whose squared dot clears hint^2 / 2k."""
+            full /= math.sqrt(width)
+            mag = np.abs(full)
+            mag *= mag
+            return [
+                (CodewordLabel(HankelMat(n, int(children[r])), int(ell), 0), complex(full[r, ell]))
+                for r, ell in zip(*np.nonzero(mag >= hint_sq / (2.0 * k)))
+            ]
+
+        def run(lo: int, hi: int) -> Tuple[np.ndarray, list, Optional[np.ndarray]]:
+            parents = groups[lo:hi, 0]
+            src = fresh(parents) if prev is None else prev[lo:hi]
+            a, b = src[:, 0::2], src[:, 1::2]
+            if prev is not None:
+                b = high(src, np.arange(hi - lo), np.arange(half) ^ shift(parents))
+            keep = np.empty((hi - lo, len(kinds)), dtype=bool)
+            hits = []
+            # B and -i B, then one child's spectrum and tone powers at a time
+            bs = (b, b * I_POWERS[3])
+            spec = np.empty(a.shape[:-1] + (width,), dtype=np.complex128)
+            power, square = np.empty(spec.shape), np.empty(spec.shape)
+            for col, kind in enumerate(kinds):
+                _child_spectrum(a, bs[kind >> 1], kind & 1, spec)
+                np.square(spec.real, out=power)
+                power += np.square(spec.imag, out=square)
+                keep[:, col] = ((power.max(axis=-1) >= bar) | gated).sum(axis=1) >= need
+                if j == n:
+                    hits += listed(spec[:, 0], groups[lo:hi, col])
+            # a lone batch's transforms are the level's: kept for the carry below
+            return keep, hits, src if len(ends) == 1 else None
+
+        # a batch's children need about three times its parents' rows again
+        # (-i B, one child's spectrum and its powers), so parents are batched
+        # at 4x the row size
+        ends = np.cumsum([len(c) for c in diag_chunks(groups, 4 * vals.size)]).tolist()
+        starts = [0] + ends[:-1]
+        if params.threads > 1 and len(ends) > 1:
+            with ThreadPoolExecutor(max_workers=params.threads) as pool:
+                parts = list(pool.map(run, starts, ends))
+        else:
+            parts = list(map(run, starts, ends))
+        found.extend(hit for _, hits, _ in parts for hit in hits)
+        keep = np.concatenate([keep for keep, _, _ in parts])
+        kept = int(keep.sum())
+        if j < n and len(suffixes) == 1 << (n - j) and 16 * kept * vals.size <= CARRY_BYTES:
+            # the kept children's spectra, in keep order, each [A + B', A - B'] with
+            # B' gathered at u xor (D >> (j-1)) xor (a quarter swap when b_o is set)
+            parent, col = np.divmod(np.flatnonzero(keep), len(kinds))
+            kind = np.array(kinds)[col]
+            tones = np.arange(half) ^ ((kind & 1) * (half >> 1))[:, None]
+            if prev is not None:
+                src = prev
+                tones ^= shift(groups[parent, 0])
+            elif len(parts) == 1:
+                src = parts[0][2]
+            else:
+                live, parent = np.unique(parent, return_inverse=True)
+                src = fresh(groups[live, 0])
+            b = high(src, parent, tones)
+            b[kind >= 2] *= I_POWERS[3]
+            carry = np.empty((kept, len(suffixes), width), dtype=np.complex128)
+            _child_spectrum(src[parent, 0::2], b, 0, carry)
+        return keep.ravel()
+
+    return level_keep
 
 
 def _lean_levels(
@@ -329,13 +416,15 @@ def _lean_levels(
     bases = np.unique(rng.integers(0, 1 << n, size=4 * POOL_BASES, dtype=np.uint64))
     rng.shuffle(bases)
     bases = bases[:POOL_BASES].astype(np.uint32)
-    v_base = oracle.query_many(bases)
     pool: List[np.ndarray] = [bases]
     bar = 0.2
+    v_base: Optional[np.ndarray] = None  # values at bases, read at level 1
     v_prev: Optional[np.ndarray] = None  # values at bases ^ e_{j-2}
 
     def level_keep(j: int, test_set: np.ndarray) -> np.ndarray:
-        nonlocal v_prev
+        nonlocal v_base, v_prev
+        if j == 1:
+            v_base = oracle.query_many(bases)
         d1 = np.uint32(1 << (j - 1))
         p1 = bases ^ d1
         pool.append(p1)
@@ -456,9 +545,10 @@ def list_decode_hankel(
     results: List[Tuple[CodewordLabel, complex]] = []
     cap = params.resolved_cap()
     if kerdock is not None:
+        read = cached.distinct_count
         ys = np.arange(1 << n, dtype=np.uint32)
         vals = cached.query_many(ys)
-        peaks = np.abs(fwht(vals * np.conj(vals[ys ^ np.uint32(1)])))
+        peaks = np.abs(fwht(vals * np.conj(vals[ys ^ np.uint32(1)]), overwrite_input=True))
         tops = np.flatnonzero(peaks >= cached.norm_hint**2 / (4.0 * params.k))
         stats.g, stats.f = [1 << n], [len(tops)]
         if len(tops) > cap:
@@ -469,17 +559,18 @@ def list_decode_hankel(
         # the finish, from the values already read: the robust level n's dots, bit for bit
         bar = cached.norm_hint**2 / (2.0 * params.k)
         for batch in diag_chunks(diags, 4 * vals.size):
-            dots = fwht(demodulate(vals, batch, n, ys))
+            dots = fwht(demodulate(vals, batch, n, ys), overwrite_input=True)
             dots /= math.sqrt(1 << n)
             results += [
                 (CodewordLabel(HankelMat(n, int(batch[r])), int(ell), 0), complex(dots[r, ell]))
                 for r, ell in zip(*np.nonzero(np.abs(dots) ** 2 >= bar))
             ]
         stats.level_seconds.append(time.perf_counter() - t0)
+        stats.level_reads.append(cached.distinct_count - read)
     elif params.profile == "lean":
-        _search(n, cap, stats, _lean_levels(cached, params, seed, results))
+        _search(cached, cap, stats, _lean_levels(cached, params, seed, results))
     else:
-        _search(n, cap, stats, partial(_exact_level, cached, params, seed, results))
+        _search(cached, cap, stats, _exact_levels(cached, params, seed, results))
 
     results.sort(key=lambda t: (-abs(t[1]) ** 2, t[0].q.diag, t[0].ell))
     stats.queries = cached.distinct_count

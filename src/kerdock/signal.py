@@ -276,10 +276,23 @@ def estimate_dots(
     return np.array([(1 << o.n) * np.mean(vals * phases[e]) for e in exps], dtype=np.complex128)
 
 
-def fwht(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform: out[l] = sum_y (-1)^(l.y) a[y]."""
-    # one C-contiguous copy, transform axis last; each stage writes back in place
-    out = np.array(np.moveaxis(np.asarray(a), axis, -1), dtype=np.complex128, order="C")
+def fwht(a: np.ndarray, axis: int = -1, overwrite_input: bool = False) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform: out[l] = sum_y (-1)^(l.y) a[y].
+
+    With overwrite_input, as scipy's overwrite_x, a's own buffer may hold
+    the result: it does when a is complex128 and, with the transform axis
+    moved last, C-contiguous and writeable. Any other a is copied first, as
+    without the flag; the bits are the same either way.
+    """
+    # transform axis last, C-contiguous; each stage writes back in place
+    out = np.moveaxis(np.asarray(a), axis, -1)
+    if not (
+        overwrite_input
+        and out.dtype == np.complex128
+        and out.flags.c_contiguous
+        and out.flags.writeable
+    ):
+        out = np.array(out, dtype=np.complex128, order="C")
     m = out.shape[-1]
     if m & (m - 1):
         raise ValueError("length must be a power of two")

@@ -388,11 +388,13 @@ def test_decode_is_deterministic_and_thread_invariant():
 
 def test_threaded_level_test_matches_serial(monkeypatch):
     # at n = 6 every level fits one default diag batch; tiny batches make the
-    # level test hand several of them to the thread pool
+    # level test hand several of them to the thread pool. Every level reads
+    # every suffix, so levels 2..6 are carried: only level 1 transforms (its
+    # halves are one tone long), and the split levels read their rows of the carry
     n = 6
     terms = _kerdock_terms(n, [3, 17], [1.0, -0.7j], seed=3)
     vals = make_noisy(n, terms, noise_energy=0.5, seed=4)
-    batches, pools = [], []
+    batches, pools, lengths = [], [], set()
 
     def small_chunks(diags, row_elems):
         out = diag_chunks(diags, row_elems)
@@ -405,8 +407,13 @@ def test_threaded_level_test_matches_serial(monkeypatch):
             super().__init__(*args, **kwargs)
             pools.append(self)
 
+    def counting_fwht(a, axis=-1, **kwargs):
+        lengths.add(np.shape(a)[axis])
+        return fwht(a, axis=axis, **kwargs)
+
     monkeypatch.setattr(decoder_mod, "diag_chunks", small_chunks)
     monkeypatch.setattr(decoder_mod, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(decoder_mod, "fwht", counting_fwht)
 
     def run(threads):
         params = DecoderParams(k=5, threads=threads)
@@ -414,7 +421,7 @@ def test_threaded_level_test_matches_serial(monkeypatch):
         return format_decode_report(results, stats)
 
     serial = run(1)
-    assert not pools and max(batches) > 1
+    assert not pools and max(batches) > 1 and lengths == {1}
     assert run(2) == serial
     assert pools
 
@@ -460,19 +467,29 @@ def _slice_signal(kind, n):
 
 
 @pytest.mark.parametrize("kind", ["clean", "integer", "gaussian"])
-def test_shared_spectra_match_the_per_child_transforms(kind):
-    # every diag of every level j = 1..8: the keep masks, and at j = n the
-    # listed tones with their coefficient bits, are those of transforming
-    # each child's slice in full
+def test_shared_spectra_match_the_per_child_transforms(monkeypatch, kind):
+    # the carried chain, levels j = 1..n, each fed the previous level's kept
+    # diags and so its carry: the keep masks, and at j = n the listed tones
+    # with their coefficient bits, are those of transforming each child's
+    # slice in full. Every level reads every suffix, so only level 1 transforms
+    transformed = []
+
+    def counting_fwht(a, **kwargs):
+        transformed.append(j)
+        return fwht(a, **kwargs)
+
+    monkeypatch.setattr(decoder_mod, "fwht", counting_fwht)
     outcomes, listed = set(), 0
     for n in (1, 2, 3, 5, 8):
         oracle = _slice_signal(kind, n)
         # k = 4 lists many tones at n <= 5; k = 1 prunes the middle levels at n = 8
         params = DecoderParams(k=1 if n == 8 else 4)
+        assert params.resolved_suffix_samples(n) >= 1 << (n - 1)
+        found = []
+        level_keep = decoder_mod._exact_levels(oracle, params, 5, found)
         diags = np.array([0, 1], dtype=np.uint64)
         for j in range(1, n + 1):
-            found = []
-            got = decoder_mod._exact_level(oracle, params, 5, found, j, diags)
+            got = level_keep(j, diags)
             want, want_hits = _per_child_level(oracle, params, 5, j, diags)
             assert got.tolist() == want.tolist(), (n, j)
             outcomes.update(want.tolist())
@@ -480,36 +497,107 @@ def test_shared_spectra_match_the_per_child_transforms(kind):
                 hits = [(lab.q.diag, lab.ell, c.real.hex(), c.imag.hex()) for lab, c in found]
                 assert sorted(hits) == sorted(want_hits)
                 listed += len(hits)
+            elif not got.any():
+                break
             else:
-                diags = extend_prefix(diags, j)
+                diags = extend_prefix(diags[got], j)
     assert outcomes == {False, True} and listed
+    assert set(transformed) == {1}
 
 
 @pytest.mark.parametrize("noisy", [False, True])
 @pytest.mark.parametrize("k", [1, 4])
 def test_the_level_test_gets_whole_sibling_groups(monkeypatch, noisy, k):
     # the robust level test reads each row of its test set, reshaped by 4 (by 2
-    # at level 1), as one parent's children in kind order 0, 2, 1, 3
-    levels, level = [], decoder_mod._exact_level
+    # at level 1), as one parent's children in kind order 0, 2, 1, 3, the
+    # parents being the previous level's kept diags in order (its carry's rows)
+    levels, factory = [], decoder_mod._exact_levels
 
-    def spy(oracle, params, seed, found, j, diags):
-        levels.append((j, diags.copy()))
-        return level(oracle, params, seed, found, j, diags)
+    def spy(*args):
+        level_keep = factory(*args)
 
-    monkeypatch.setattr(decoder_mod, "_exact_level", spy)
+        def spied(j, diags):
+            keep = level_keep(j, diags)
+            levels.append((j, diags.copy(), keep))
+            return keep
+
+        return spied
+
+    monkeypatch.setattr(decoder_mod, "_exact_levels", spy)
     for n in range(1, 9):
         lab = CodewordLabel(HankelMat(n, (0x5A3C >> n) % (1 << (2 * n - 1))), n % 2, 0)
         vals = make_noisy(n, [(lab, 1.0)], noise_energy=0.1 if noisy else 0.0, seed=n)
         levels.clear()
         results, stats = list_decode_hankel(DenseOracle(vals), DecoderParams(k=k), seed=n)
-        assert [len(d) for _, d in levels] == stats.g
+        assert [len(d) for _, d, _ in levels] == stats.g
         assert (lab.q.diag, lab.ell) in _keys(results)
-        for j, diags in levels:
+        for (_, before, kept), (_, diags, _) in zip(levels, levels[1:]):
+            assert diags[::4].tolist() == before[kept].tolist()
+        for j, diags, _ in levels:
             kinds = [0, 2] if j == 1 else [0, 2, 1, 3]
             groups = diags.reshape(-1, len(kinds))
             keys = groups & np.uint64((1 << max(2 * j - 3, 0)) - 1)
             assert (keys == keys[:, :1]).all() and len(np.unique(keys[:, 0])) == len(groups)
             assert (((groups << np.uint64(1)) >> np.uint64(2 * j - 2)) & np.uint64(3) == kinds).all()
+
+
+def _carry_input(kind, n):
+    rng = np.random.default_rng([n, 7])
+    lab = CodewordLabel(HankelMat(n, int(rng.integers(1 << (2 * n - 1)))), int(rng.integers(1 << n)), 0)
+    if kind == "clean":
+        return SyntheticOracle(n, [(lab, 1.0)])
+    if kind == "noisy":
+        return DenseOracle(make_noisy(n, [(lab, 1.0)], noise_energy=0.1, seed=n))
+    # integers: twice the word's values, i^e, with a unit knocked off one position in eight
+    vals = np.rint(2.0 * np.sqrt(1 << n) * dense_codeword(lab))
+    vals[rng.integers(1 << n, size=1 + (1 << n) // 8)] -= rng.choice([1, 1j, -1, -1j])
+    return DenseOracle(vals)
+
+
+def _decode_bits(oracle, k):
+    results, stats = list_decode_hankel(oracle, DecoderParams(k=k), seed=3)
+    listed = [(lab.q.diag, lab.ell, c.real.hex(), c.imag.hex()) for lab, c in results]
+    return listed, stats.g, stats.f, stats.queries, stats.queries_raw
+
+
+def test_a_carry_gives_the_bits_of_transforming_afresh(monkeypatch):
+    # a budget of 0 turns every carry down, so every level demodulates and
+    # transforms; 16 KB carries some levels and not others at n <= 7, and with
+    # 3-parent batches a level after one with no carry transforms several
+    # batches and still carries. Both decode as the default budget does, bit for bit
+    cases = [(kind, n, k) for kind in ("clean", "noisy", "integer") for n in range(1, 11) for k in (1, 4)]
+    carried = [_decode_bits(_carry_input(*case[:2]), case[2]) for case in cases]
+    zeros = sum(part in ("0x0.0p+0", "-0x0.0p+0") for got in carried for hit in got[0] for part in hit[2:])
+    assert zeros
+    monkeypatch.setattr(decoder_mod, "CARRY_BYTES", 0)
+    for case, want in zip(cases, carried):
+        assert _decode_bits(_carry_input(*case[:2]), case[2]) == want, case
+    monkeypatch.setattr(decoder_mod, "CARRY_BYTES", 1 << 14)
+    monkeypatch.setattr(decoder_mod, "diag_chunks", lambda d, size: [d[i : i + 3] for i in range(0, len(d), 3)])
+    for case, want in zip(cases, carried):
+        if case[1] <= 7:
+            assert _decode_bits(_carry_input(*case[:2]), case[2]) == want, case
+
+
+def test_level_reads_sum_to_the_query_bill():
+    # each level's count of positions it read first, for every profile
+    n = 9
+    vals = make_noisy(n, _kerdock_terms(n, [4], [1.0], seed=2), noise_energy=0.1, seed=3)
+    decodes = [
+        list_decode_hankel(DenseOracle(vals), DecoderParams(k=1), seed=1),
+        list_decode_hankel(DenseOracle(vals), DecoderParams(k=2, profile="lean"), seed=1),
+        list_decode_hankel(DenseOracle(vals), DecoderParams(k=2), kerdock=FieldContext.default(n)),
+    ]
+    for _, stats in decodes:
+        assert len(stats.level_reads) == len(stats.g) and stats.level_reads.typecode == "q"
+        assert sum(stats.level_reads) == stats.queries and stats.level_reads[0] > 0
+    # the robust level 1 reads its drawn slices; every position is read by
+    # the first level that reads every suffix, so the last reads none first
+    robust = decodes[0][1].level_reads
+    assert robust[0] <= 2 * DecoderParams(k=1).resolved_suffix_samples(n) < 1 << n
+    assert robust[-1] == 0
+    # the lean level 1 reads the pool's anchors and their e_0 partners
+    assert decodes[1][1].level_reads[0] == 2 * decoder_mod.POOL_BASES
 
 
 class _PositionLog(SampleOracle):
@@ -539,27 +627,49 @@ def test_robust_bill_is_bounded():
     assert stats.queries_raw == sum(s << j for j, s in enumerate(drawn, start=1))
 
 
+def _check_fwht_row_bill(monkeypatch, oracle, lab, n, k):
+    # a transforming level transforms two half-length rows per (parent, drawn
+    # suffix), the parents being level j-1's kept diags (one, key 0, at level
+    # 1); a level after one that read every suffix and whose kept spectra fit
+    # CARRY_BYTES transforms nothing; no full-size candidate is demodulated
+    # and transformed a second time
+    rows = []
+
+    def counting_fwht(a, axis=-1, **kwargs):
+        rows.append(int(np.prod(np.shape(a)[:-1])))
+        return fwht(a, axis=axis, **kwargs)
+
+    monkeypatch.setattr(decoder_mod, "fwht", counting_fwht)
+    params = DecoderParams(k=k)
+    results, stats = list_decode_hankel(oracle, params, seed=0)
+    assert (lab.q.diag, lab.ell) in _keys(results)
+    drawn = [min(1 << (n - j), params.resolved_suffix_samples(n)) for j in range(1, n + 1)]
+    parents = [1] + stats.f[:-1]
+    carried = [False] + [
+        s == 1 << (n - j) and 16 * f << n <= decoder_mod.CARRY_BYTES
+        for j, (s, f) in enumerate(zip(drawn, stats.f[:-1]), start=1)
+    ]
+    assert sum(rows) == sum(2 * p * s for p, s, c in zip(parents, drawn, carried) if not c)
+    return carried
+
+
 def test_last_level_is_the_finish(monkeypatch):
-    # level j transforms two half-length rows per (parent, drawn suffix), the
-    # parents being level j-1's kept diags (one, key 0, at level 1); no
-    # full-size candidate is demodulated and transformed a second time
+    # every level reads every suffix, so only level 1 transforms
     n, k = 7, 10
     rng = np.random.default_rng(12)
     lab = CodewordLabel(HankelMat(n, int(rng.integers(1 << (2 * n - 1)))), 5, 0)
     vals = make_noisy(n, [(lab, 1.0)], noise_energy=0.5, seed=13)
-    rows = []
+    carried = _check_fwht_row_bill(monkeypatch, DenseOracle(vals), lab, n, k)
+    assert carried == [False] + [True] * (n - 1)
 
-    def counting_fwht(a, axis=-1):
-        rows.append(int(np.prod(np.shape(a)[:-1])))
-        return fwht(a, axis=axis)
 
-    monkeypatch.setattr(decoder_mod, "fwht", counting_fwht)
-    params = DecoderParams(k=k)
-    results, stats = list_decode_hankel(DenseOracle(vals), params, seed=0)
-    assert (lab.q.diag, lab.ell) in _keys(results)
-    drawn = [min(1 << (n - j), params.resolved_suffix_samples(n)) for j in range(1, n + 1)]
-    parents = [1] + stats.f[:-1]
-    assert sum(rows) == sum(2 * p * s for p, s in zip(parents, drawn))
+def test_sampled_levels_transform_until_one_reads_every_suffix(monkeypatch):
+    # at n = 13, k = 1, levels 1..6 transform (level 6 is the first to read
+    # every suffix) and levels 7..13 are carried
+    n, k = 13, 1
+    lab = CodewordLabel(lf_kerdock(FieldContext.default(n), 0x2B), 5, 0)
+    carried = _check_fwht_row_bill(monkeypatch, SyntheticOracle(n, [(lab, 1.0)]), lab, n, k)
+    assert carried == [False] * 6 + [True] * (n - 6)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

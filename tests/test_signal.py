@@ -536,6 +536,28 @@ def test_fwht_equals_stack_butterfly_bit_for_bit(m):
         assert (_bits(a) == _bits(snapshot)).all()
 
 
+@pytest.mark.parametrize("m", [1, 2, 64])
+def test_fwht_overwrite_input_transforms_in_place_with_the_same_bits(m):
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((3, 2 * m)) + 1j * rng.standard_normal((3, 2 * m))
+    own = a.copy()
+    got = fwht(own, overwrite_input=True)
+    assert np.shares_memory(got, own)
+    assert (_bits(got) == _bits(fwht(a))).all() and (_bits(own) == _bits(got)).all()
+    # the transform axis moved last is a C-contiguous view: its buffer is the input's
+    own = a.copy()
+    assert np.shares_memory(fwht(own.T, axis=0, overwrite_input=True), own)
+    # anything else is copied first and left as it was
+    frozen = a.copy()
+    frozen.flags.writeable = False
+    for other in (a[:, ::2], a.real, frozen, a.astype(np.complex64)):
+        snapshot = np.array(other, copy=True)
+        got = fwht(other, overwrite_input=True)
+        assert not np.shares_memory(got, other)
+        assert (_bits(got) == _bits(fwht(other))).all()
+        assert (np.asarray(other) == snapshot).all()
+
+
 def test_fwht_does_not_mutate_and_respects_axis():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((3, 4)).astype(np.complex128)
