@@ -32,6 +32,7 @@ __all__ = [
     "hankel_exponents_batch",
     "demodulate",
     "diag_chunks",
+    "BATCH_BYTES",
     "I_POWERS",
     "DENSE_MAX_N",
     "dense_codeword",
@@ -221,12 +222,16 @@ def demodulate(values: np.ndarray, diags: np.ndarray, j: int, ys: np.ndarray) ->
     return values[None, ...] * np.expand_dims(phases, tuple(range(1, values.ndim)))
 
 
+# largest batch of demodulated rows diag_chunks hands out
+BATCH_BYTES = 48 << 20
+
+
 def diag_chunks(diags: np.ndarray, row_elems: int) -> List[np.ndarray]:
-    """Split diags into batches whose demodulated rows take at most 48 MB.
+    """Split diags into batches whose demodulated rows take at most BATCH_BYTES.
 
     row_elems is the number of complex values demodulate produces per diag.
     """
-    size = max(1, (48 << 20) // (16 * row_elems))
+    size = max(1, BATCH_BYTES // (16 * row_elems))
     return [diags[i : i + size] for i in range(0, len(diags), size)]
 
 

@@ -59,6 +59,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from kerdock.codebook import (
+    BATCH_BYTES,
     DENSE_MAX_N,
     I_POWERS,
     CodewordLabel,
@@ -104,9 +105,10 @@ C1 = 0.5
 C2 = 2.0
 DELTA = 0.01
 
-# largest carry, the kept spectra one robust level hands the next: one
-# batch's demodulated rows (diag_chunks' 48 MB / 4)
-CARRY_BYTES = 12 << 20
+# largest carry, the kept spectra one robust level hands the next: the
+# parent rows of one level-test batch, which batches parents at 4x the row
+# size, so a carried level is one batch
+CARRY_BYTES = BATCH_BYTES // 4
 
 
 @dataclass(frozen=True)
@@ -127,9 +129,10 @@ class DecoderParams:
     the row size: at most 12 MB of demodulated parent rows, with room for
     their children's spectra), and threads runs those batches on that many
     threads; only a level with more than one batch gains (the README has
-    measurements). A level after one that read every suffix and kept at
-    most CARRY_BYTES of spectra is carried: its batches read their parents'
-    rows of that carry instead of demodulating and transforming.
+    measurements). A level after one that read every suffix, kept at most
+    CARRY_BYTES of spectra and was itself one batch or carried is carried:
+    its batches read their parents' rows of that carry instead of
+    demodulating and transforming.
 
     profile "lean" switches to the query-sublinear pooled probe regime
     with POOL_BASES anchor positions, about 8n positions in all at every
@@ -271,8 +274,9 @@ def _exact_levels(
     place of a demodulate and a transform: after its keep mask, it writes
     its kept children's spectra (the carry) for the next level. The first
     level that reads every suffix, sampled levels, and a level after one
-    whose carry would exceed CARRY_BYTES demodulate and transform. Every
-    path gives the same bits as transforming each child's slice in full.
+    whose carry would exceed CARRY_BYTES or that transformed more than one
+    batch demodulate and transform. Every path gives the same bits as
+    transforming each child's slice in full.
 
     level_keep(j, diags) must get whole sibling groups in extend_prefix
     order, as _search builds them: each row of diags.reshape(-1, 4), or
@@ -361,20 +365,18 @@ def _exact_levels(
         found.extend(hit for _, hits, _ in parts for hit in hits)
         keep = np.concatenate([keep for keep, _, _ in parts])
         kept = int(keep.sum())
-        if j < n and len(suffixes) == 1 << (n - j) and 16 * kept * vals.size <= CARRY_BYTES:
+        # a carry is gathered from the previous one or a lone batch's transforms: after
+        # several fresh batches, the next level's parents fit one batch if they fit a carry
+        src = prev if prev is not None else parts[0][2]
+        full = len(suffixes) == 1 << (n - j)
+        if j < n and full and src is not None and 16 * kept * vals.size <= CARRY_BYTES:
             # the kept children's spectra, in keep order, each [A + B', A - B'] with
             # B' gathered at u xor (D >> (j-1)) xor (a quarter swap when b_o is set)
             parent, col = np.divmod(np.flatnonzero(keep), len(kinds))
             kind = np.array(kinds)[col]
             tones = np.arange(half) ^ ((kind & 1) * (half >> 1))[:, None]
             if prev is not None:
-                src = prev
                 tones ^= shift(groups[parent, 0])
-            elif len(parts) == 1:
-                src = parts[0][2]
-            else:
-                live, parent = np.unique(parent, return_inverse=True)
-                src = fresh(groups[live, 0])
             b = high(src, parent, tones)
             b[kind >= 2] *= I_POWERS[3]
             carry = np.empty((kept, len(suffixes), width), dtype=np.complex128)

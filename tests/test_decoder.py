@@ -389,8 +389,10 @@ def test_decode_is_deterministic_and_thread_invariant():
 def test_threaded_level_test_matches_serial(monkeypatch):
     # at n = 6 every level fits one default diag batch; tiny batches make the
     # level test hand several of them to the thread pool. Every level reads
-    # every suffix, so levels 2..6 are carried: only level 1 transforms (its
-    # halves are one tone long), and the split levels read their rows of the carry
+    # every suffix, so by default levels 2..6 are carried: only level 1
+    # transforms (its halves are one tone long), and the split levels read
+    # their rows of the carry. With no carry budget every level transforms
+    # its split batches afresh
     n = 6
     terms = _kerdock_terms(n, [3, 17], [1.0, -0.7j], seed=3)
     vals = make_noisy(n, terms, noise_energy=0.5, seed=4)
@@ -420,10 +422,15 @@ def test_threaded_level_test_matches_serial(monkeypatch):
         results, stats = list_decode_hankel(DenseOracle(vals), params, seed=3)
         return format_decode_report(results, stats)
 
-    serial = run(1)
-    assert not pools and max(batches) > 1 and lengths == {1}
-    assert run(2) == serial
-    assert pools
+    # transformed half lengths are 2^h for h in halves: level 1's alone when carried
+    for carry_bytes, halves in ((decoder_mod.CARRY_BYTES, [0]), (0, range(n))):
+        monkeypatch.setattr(decoder_mod, "CARRY_BYTES", carry_bytes)
+        pools.clear()
+        lengths.clear()
+        serial = run(1)
+        assert not pools and max(batches) > 1 and lengths == {1 << h for h in halves}
+        assert run(2) == serial
+        assert pools
 
 
 def _per_child_level(oracle, params, seed, j, diags):
@@ -564,7 +571,8 @@ def test_a_carry_gives_the_bits_of_transforming_afresh(monkeypatch):
     # a budget of 0 turns every carry down, so every level demodulates and
     # transforms; 16 KB carries some levels and not others at n <= 7, and with
     # 3-parent batches a level after one with no carry transforms several
-    # batches and still carries. Both decode as the default budget does, bit for bit
+    # batches and hands on no carry. Both decode as the default budget does,
+    # bit for bit
     cases = [(kind, n, k) for kind in ("clean", "noisy", "integer") for n in range(1, 11) for k in (1, 4)]
     carried = [_decode_bits(_carry_input(*case[:2]), case[2]) for case in cases]
     zeros = sum(part in ("0x0.0p+0", "-0x0.0p+0") for got in carried for hit in got[0] for part in hit[2:])
@@ -630,9 +638,9 @@ def test_robust_bill_is_bounded():
 def _check_fwht_row_bill(monkeypatch, oracle, lab, n, k):
     # a transforming level transforms two half-length rows per (parent, drawn
     # suffix), the parents being level j-1's kept diags (one, key 0, at level
-    # 1); a level after one that read every suffix and whose kept spectra fit
-    # CARRY_BYTES transforms nothing; no full-size candidate is demodulated
-    # and transformed a second time
+    # 1); a level after one that read every suffix, whose kept spectra fit
+    # CARRY_BYTES and that was one batch or carried transforms nothing; no
+    # full-size candidate is demodulated and transformed a second time
     rows = []
 
     def counting_fwht(a, axis=-1, **kwargs):
@@ -645,10 +653,11 @@ def _check_fwht_row_bill(monkeypatch, oracle, lab, n, k):
     assert (lab.q.diag, lab.ell) in _keys(results)
     drawn = [min(1 << (n - j), params.resolved_suffix_samples(n)) for j in range(1, n + 1)]
     parents = [1] + stats.f[:-1]
-    carried = [False] + [
-        s == 1 << (n - j) and 16 * f << n <= decoder_mod.CARRY_BYTES
-        for j, (s, f) in enumerate(zip(drawn, stats.f[:-1]), start=1)
-    ]
+    carried = [False]
+    for j in range(1, n):
+        fits = drawn[j - 1] == 1 << (n - j) and 16 * stats.f[j - 1] << n <= decoder_mod.CARRY_BYTES
+        lone = len(diag_chunks(np.arange(parents[j - 1]), 4 << n)) == 1
+        carried.append(fits and (carried[-1] or lone))
     assert sum(rows) == sum(2 * p * s for p, s, c in zip(parents, drawn, carried) if not c)
     return carried
 
