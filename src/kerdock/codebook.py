@@ -187,12 +187,18 @@ def codeword_sum(
     The one evaluator of codeword values, i^exponent / sqrt(N): exponents from
     one stacked pass, terms added in order, each as coeff * (1 / sqrt(N)) times
     a unit phase, so every caller that sums the same terms gets the same bits.
+    The pass takes 2^16 positions at a time, as its temporaries (a uint64 word
+    per label and position, a bit per row and position) grow with both.
     """
     terms = list(terms)
+    labels = [label for label, _ in terms]
     out = np.zeros(np.shape(ys), dtype=np.complex128)
-    for (label, coeff), e in zip(terms, exponents_at([label for label, _ in terms], ys)):
-        # the term's four values, looked up per position: the same bits as multiplying each
-        out += (coeff * (1.0 / np.sqrt(1 << label.n)) * I_POWERS)[e]
+    flat, at = out.reshape(-1), np.ravel(ys)
+    for lo in range(0, at.size, 1 << 16):
+        part = flat[lo : lo + (1 << 16)]
+        for (label, coeff), e in zip(terms, exponents_at(labels, at[lo : lo + (1 << 16)])):
+            # the term's four values, looked up per position: the same bits as multiplying each
+            part += (coeff * (1.0 / np.sqrt(1 << label.n)) * I_POWERS)[e]
     return out
 
 

@@ -16,18 +16,20 @@ slice is the whole domain, so the transform that decides a candidate
 also yields the exact dot of each of its tones, and the heavy ones are
 the list. That level and every level with few suffixes cover the
 domain, so a robust decode reads all 2^n positions; it is limited to
-n <= DENSE_MAX_N. Its first levels are close to brute force: a slice's
-largest tone power is at least its energy, and the tone bar is 2^j /
-(4 k C2) times hint^2 2^(j-n), the mean slice energy when the hint is
-the signal norm. So while 2^j <= 4 k C2, a level keeps every prefix,
-2 * 4^(j-1) at level j, when the hint does not exceed the signal norm
-and most slices carry near-mean energy; a zero signal passes no slice
-and ends at level one. At k >= 2^n, n = 1 included, every level reads
-every suffix (16k ceil(ln 200n) > 2^(n-j)), so one passing slice keeps
-a prefix; a tone whose squared dot clears hint^2 / 2k gives its prefix a
-slice tone of power N |dot|^2 / 4^(n-j) or more, 4x the level bar, so
-level n lists every such tone of the whole Hankel code, and the cap
-max(64 k^3, 4096) > 2^(2n-1) never binds.
+n <= DENSE_MAX_N. Its first levels need no transform: a slice's largest
+tone power is at least its energy, so a level below n where enough
+slices are gated or have an energy over the tone bar keeps every prefix,
+2 * 4^(j-1) at level j, from the energies alone. The bar is 2^j / (4 k
+C2) times hint^2 2^(j-n), the mean slice energy when the hint is the
+signal norm, so that holds while 2^j <= 4 k C2 when the hint does not
+exceed the signal norm and most slices carry near-mean energy; a zero
+signal passes no slice and ends at level one. At k >= 2^n, n = 1
+included, every level reads every suffix (16k ceil(ln 200n) >
+2^(n-j)), so one passing slice keeps a prefix; a tone whose squared dot
+clears hint^2 / 2k gives its prefix a slice tone of power N |dot|^2 /
+4^(n-j) or more, 4x the level bar, so level n lists every such tone of
+the whole Hankel code, and the cap max(64 k^3, 4096) > 2^(2n-1) never
+binds.
 
 The four children of a kept prefix differ only in two diag bits, so
 the robust level test shares their work: each parent's slices are
@@ -119,8 +121,9 @@ class DecoderParams:
     slack) and C2 (threshold relaxation) shape the two-sided suffix test;
     the per-suffix energy gate is (40 k/C1) 2^(j-n) hint^2. Each level
     tests ceil(8k/C1) * ceil(log(2n / DELTA)) suffixes, or every suffix
-    when 2^(n-j) is smaller, each read in full and decided by transform;
-    the last level is the finish (see the module docstring). candidate_cap
+    when 2^(n-j) is smaller, each read in full and decided by transform,
+    unless their energies alone keep every prefix; the last level is the
+    finish (see the module docstring). candidate_cap
     aborts the run via CandidateOverflow instead of trimming; its default
     is the larger of 64 k^3 and 4096, whose floor lets small k through the
     wide middle levels of a noisy search (1,400-3,600 prefixes on two noisy
@@ -129,10 +132,10 @@ class DecoderParams:
     the row size: at most 12 MB of demodulated parent rows, with room for
     their children's spectra), and threads runs those batches on that many
     threads; only a level with more than one batch gains (the README has
-    measurements). A level after one that read every suffix, kept at most
-    CARRY_BYTES of spectra and was itself one batch or carried is carried:
-    its batches read their parents' rows of that carry instead of
-    demodulating and transforming.
+    measurements); a level its energies decide runs no batch. A level after
+    one that read every suffix, kept at most CARRY_BYTES of spectra and was
+    itself one batch or carried is carried: its batches read their parents'
+    rows of that carry instead of demodulating and transforming.
 
     profile "lean" switches to the query-sublinear pooled probe regime
     with POOL_BASES anchor positions, about 8n positions in all at every
@@ -170,8 +173,8 @@ class DecodeStats:
     profiles level n is the finish, and a Kerdock decode's one level tests
     N top rows and keeps its candidates. level_reads[j - 1] counts the
     distinct positions first read during level j, so the counts sum to
-    queries (less any positions a caller-supplied cache held before the
-    decode). Both are arrays, 8 bytes a level where a list holds about 32,
+    queries, this decode's reads alone, as queries_raw counts this decode's
+    requests. Both are arrays, 8 bytes a level where a list holds about 32,
     so that callers keeping many stats keep little. format_decode_report
     leaves them out.
     """
@@ -243,7 +246,7 @@ def _exact_levels(
     oracle: SampleOracle,
     params: DecoderParams,
     seed: int,
-    found: List[Tuple[CodewordLabel, complex]],
+    found: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> Callable[[int, np.ndarray], np.ndarray]:
     """The robust profile's level function: keep masks from full restricted-slice reads.
 
@@ -251,10 +254,13 @@ def _exact_levels(
     and transformed, makes the per-suffix decision exact. A candidate
     passes a slice when its largest tone power reaches the bar, 2^j /
     (4 k C2) times the slice's share of hint^2, or when the slice's energy
-    is over the gate; it is kept when it passes a (1 + C1) / 8k fraction.
-    At j = n the one slice is the whole domain and the transform holds
-    every tone's exact dot: each whose squared dot clears hint^2 / 2k is
-    appended to found. That is 4x the level's bar, so every listed diag
+    is over the gate; it is kept when it passes a (1 + C1) / 8k fraction,
+    as every candidate is, untransformed, below level n when the gated
+    slices and those with energy over the bar reach it (a settled level):
+    a slice's largest tone power is at least its energy. At j = n the one
+    slice is the whole domain and the transform holds every tone's exact
+    dot: each whose squared dot clears hint^2 / 2k goes into found (diags,
+    ells and dots arrays). That is 4x the level's bar, so every listed diag
     is also kept.
 
     Siblings share their transforms. A level-j diag's children differ
@@ -275,8 +281,9 @@ def _exact_levels(
     its kept children's spectra (the carry) for the next level. The first
     level that reads every suffix, sampled levels, and a level after one
     whose carry would exceed CARRY_BYTES or that transformed more than one
-    batch demodulate and transform. Every path gives the same bits as
-    transforming each child's slice in full.
+    batch demodulate and transform, a settled one only to start a carry.
+    Every path gives the same bits as transforming each child's slice in
+    full.
 
     level_keep(j, diags) must get whole sibling groups in extend_prefix
     order, as _search builds them: each row of diags.reshape(-1, 4), or
@@ -300,10 +307,17 @@ def _exact_levels(
         vals = oracle.query_many(pos.ravel()).reshape(len(suffixes), width)
         scale = 2.0 ** (j - n) * hint_sq
         bar = scale / (4.0 * k * C2) * width
-        gated = np.einsum("sy,sy->s", np.abs(vals), np.abs(vals)) > (k / (C1 / 40.0)) * scale
+        cut = hint_sq / (2.0 * k)
+        mag = np.abs(vals)
+        energy = np.einsum("sy,sy->s", mag, mag)
+        gated = energy > (k / (C1 / 40.0)) * scale
         need = math.ceil((1.0 + C1) / (8.0 * k) * len(suffixes) - 1e-12)
         groups = diags.reshape(-1, 2 if j == 1 else 4)
         kinds = (0, 2, 1, 3)[: groups.shape[1]]
+        # a slice's largest tone power is at least its energy (Parseval): enough slices
+        # passing on energy keep every child. The margin covers the powers' rounding,
+        # about j eps 2^(j/2) of the energy from the fwht, the einsum's less: under 1e-11 at j <= 20
+        settled = j < n and (gated | (energy >= bar * (1 + 1e-6))).sum() >= need
 
         def fresh(parents: np.ndarray) -> np.ndarray:
             """The parents' half transforms, (parents, 2 * slices, half): A at 2s, B at 2s + 1."""
@@ -318,17 +332,6 @@ def _exact_levels(
             """src[rows[r], 2s + 1, tones[r, u]]: the rows' B, each read at its own tones."""
             odd = np.arange(1, src.shape[1], 2)[:, None]
             return src[rows[:, None, None], odd, tones[:, None, :]]
-
-        def listed(full: np.ndarray, children: np.ndarray) -> list:
-            """(label, dot) of each tone in full, the children's whole-domain
-            spectra, whose squared dot clears hint^2 / 2k."""
-            full /= math.sqrt(width)
-            mag = np.abs(full)
-            mag *= mag
-            return [
-                (CodewordLabel(HankelMat(n, int(children[r])), int(ell), 0), complex(full[r, ell]))
-                for r, ell in zip(*np.nonzero(mag >= hint_sq / (2.0 * k)))
-            ]
 
         def run(lo: int, hi: int) -> Tuple[np.ndarray, list, Optional[np.ndarray]]:
             parents = groups[lo:hi, 0]
@@ -348,7 +351,11 @@ def _exact_levels(
                 power += np.square(spec.imag, out=square)
                 keep[:, col] = ((power.max(axis=-1) >= bar) | gated).sum(axis=1) >= need
                 if j == n:
-                    hits += listed(spec[:, 0], groups[lo:hi, col])
+                    # the one slice's tones whose power may clear the cut, then their dots exactly
+                    rows, tones = np.nonzero(power[:, 0] >= width * cut * (1 - 1e-6))
+                    dots = spec[rows, 0, tones] / math.sqrt(width)
+                    hit = np.abs(dots) ** 2 >= cut
+                    hits.append((groups[lo:hi, col][rows[hit]], tones[hit], dots[hit]))
             # a lone batch's transforms are the level's: kept for the carry below
             return keep, hits, src if len(ends) == 1 else None
 
@@ -357,19 +364,26 @@ def _exact_levels(
         # at 4x the row size
         ends = np.cumsum([len(c) for c in diag_chunks(groups, 4 * vals.size)]).tolist()
         starts = [0] + ends[:-1]
-        if params.threads > 1 and len(ends) > 1:
-            with ThreadPoolExecutor(max_workers=params.threads) as pool:
-                parts = list(pool.map(run, starts, ends))
+        if settled:
+            keep, src = np.ones(groups.shape, dtype=bool), prev
         else:
-            parts = list(map(run, starts, ends))
-        found.extend(hit for _, hits, _ in parts for hit in hits)
-        keep = np.concatenate([keep for keep, _, _ in parts])
+            if params.threads > 1 and len(ends) > 1:
+                with ThreadPoolExecutor(max_workers=params.threads) as pool:
+                    parts = list(pool.map(run, starts, ends))
+            else:
+                parts = list(map(run, starts, ends))
+            found.extend(hit for _, hits, _ in parts for hit in hits)
+            keep = np.concatenate([keep for keep, _, _ in parts])
+            src = prev if prev is not None else parts[0][2]
         kept = int(keep.sum())
-        # a carry is gathered from the previous one or a lone batch's transforms: after
-        # several fresh batches, the next level's parents fit one batch if they fit a carry
-        src = prev if prev is not None else parts[0][2]
+        # a carry is gathered from the previous one or a lone batch's transforms, which
+        # a settled level makes only here: after several fresh batches, the next
+        # level's parents fit one batch if they fit a carry
         full = len(suffixes) == 1 << (n - j)
-        if j < n and full and src is not None and 16 * kept * vals.size <= CARRY_BYTES:
+        fits = 16 * kept * vals.size <= CARRY_BYTES
+        if j < n and full and fits and (src is not None or len(ends) == 1):
+            if src is None:
+                src = fresh(groups[:, 0])
             # the kept children's spectra, in keep order, each [A + B', A - B'] with
             # B' gathered at u xor (D >> (j-1)) xor (a quarter swap when b_o is set)
             parent, col = np.divmod(np.flatnonzero(keep), len(kinds))
@@ -390,7 +404,7 @@ def _lean_levels(
     oracle: SampleOracle,
     params: DecoderParams,
     seed: int,
-    found: List[Tuple[CodewordLabel, complex]],
+    found: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> Callable[[int, np.ndarray], np.ndarray]:
     """The lean profile's level function: every statistic reads the same few positions.
 
@@ -465,8 +479,7 @@ def _lean_levels(
         eell = 2 * (np.bitwise_count(positions & ells[:, None]) & 1)
         chats = np.mean(walls * I_POWERS[(-eell) & 3], axis=1) * math.sqrt(1 << n)
         heavy = np.flatnonzero(np.abs(chats) ** 2 >= oracle.norm_hint**2 / (2.0 * params.k))
-        labels = [CodewordLabel(HankelMat(n, int(kept[a])), int(ells[a]), 0) for a in heavy]
-        found.extend(zip(labels, chats[heavy].tolist()))
+        found.append((kept[heavy], ells[heavy], chats[heavy]))
         return keep
 
     return level_keep
@@ -500,8 +513,8 @@ def list_decode_hankel(
     Returns (results, stats) where results holds (label, coefficient)
     pairs sorted by descending estimated energy. The oracle is wrapped in
     a cache, so repeated positions are charged once; stats.queries is the
-    count of distinct positions read and stats.queries_raw the total
-    request volume. Each profile is its level function in the one search,
+    count of distinct positions this decode read and stats.queries_raw
+    its request volume. Each profile is its level function in the one search,
     at every n and k (see the module docstring for k >= 2^n). Raises
     CandidateOverflow when a level exceeds the cap, and ValueError before
     any read when n < 1, when a robust or Kerdock decode would exceed n =
@@ -544,10 +557,10 @@ def list_decode_hankel(
     n = cached.n
     stats = DecodeStats(n=n, k=params.k, profile=params.profile)
 
-    results: List[Tuple[CodewordLabel, complex]] = []
+    found: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    read, raw = cached.distinct_count, cached.query_count
     cap = params.resolved_cap()
     if kerdock is not None:
-        read = cached.distinct_count
         ys = np.arange(1 << n, dtype=np.uint32)
         vals = cached.query_many(ys)
         peaks = np.abs(fwht(vals * np.conj(vals[ys ^ np.uint32(1)]), overwrite_input=True))
@@ -563,20 +576,22 @@ def list_decode_hankel(
         for batch in diag_chunks(diags, 4 * vals.size):
             dots = fwht(demodulate(vals, batch, n, ys), overwrite_input=True)
             dots /= math.sqrt(1 << n)
-            results += [
-                (CodewordLabel(HankelMat(n, int(batch[r])), int(ell), 0), complex(dots[r, ell]))
-                for r, ell in zip(*np.nonzero(np.abs(dots) ** 2 >= bar))
-            ]
+            rows, ells = np.nonzero(np.abs(dots) ** 2 >= bar)
+            found.append((batch[rows], ells, dots[rows, ells]))
         stats.level_seconds.append(time.perf_counter() - t0)
         stats.level_reads.append(cached.distinct_count - read)
     elif params.profile == "lean":
-        _search(cached, cap, stats, _lean_levels(cached, params, seed, results))
+        _search(cached, cap, stats, _lean_levels(cached, params, seed, found))
     else:
-        _search(cached, cap, stats, _exact_levels(cached, params, seed, results))
+        _search(cached, cap, stats, _exact_levels(cached, params, seed, found))
 
-    results.sort(key=lambda t: (-abs(t[1]) ** 2, t[0].q.diag, t[0].ell))
-    stats.queries = cached.distinct_count
-    stats.queries_raw = cached.query_count
+    # by descending |dot|^2, as Python computes it, then diag, then ell; one HankelMat per diag
+    diags, ells, dots = (np.concatenate(a).tolist() for a in zip(*found or [(np.empty(0),) * 3]))
+    mats = {d: HankelMat(n, d) for d in set(diags)}
+    order = np.lexsort((ells, diags, [-abs(c) ** 2 for c in dots])).tolist()
+    results = [(CodewordLabel(mats[diags[i]], ells[i], 0), dots[i]) for i in order]
+    stats.queries = cached.distinct_count - read
+    stats.queries_raw = cached.query_count - raw
     stats.seconds = time.perf_counter() - t0
     return results, stats
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,28 @@ def test_codeword_sum_equals_the_per_term_sum_bit_for_bit(count):
         assert _hex(codeword_sum(terms, ys)) == _hex(_per_term_sum(terms, ys))
         assert _hex(codeword_sum(iter(terms), ys)) == _hex(_per_term_sum(terms, ys))
     assert codeword_sum([], ys).tolist() == [0j] * len(ys)
+
+
+def test_a_stacked_codeword_sum_holds_no_full_size_words():
+    # three terms at all 2^18 positions: one stacked pass would hold a uint64 word
+    # per term and position (6 MB) beside the 4 MB output, and a bit per row and
+    # position (4.5 MB); slices of positions keep the peak under the first two
+    n = 18
+    rng = np.random.default_rng(n)
+    terms = [
+        (_random_label(rng, n, hankel=bool(i % 2)), complex(*rng.standard_normal(2))) for i in range(3)
+    ]
+    ys = np.arange(1 << n, dtype=np.uint32)
+    tracemalloc.start()
+    try:
+        got = codeword_sum(terms, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (16 + 8 * len(terms)) * ys.size
+    # the slices' values are each position's own, in every slice
+    at = np.concatenate([rng.integers(0, 1 << n, size=60), [0, (1 << 16) - 1, 1 << 16, (1 << n) - 1]])
+    assert _hex(got[at]) == _hex(_per_term_sum(terms, at))
 
 
 def test_dense_codeword_unit_norm_and_value_convention():

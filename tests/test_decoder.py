@@ -5,6 +5,7 @@ import pytest
 
 import kerdock.decoder as decoder_mod
 from kerdock.codebook import (
+    I_POWERS,
     CodewordLabel,
     HankelMat,
     SymMat,
@@ -388,14 +389,17 @@ def test_decode_is_deterministic_and_thread_invariant():
 
 def test_threaded_level_test_matches_serial(monkeypatch):
     # at n = 6 every level fits one default diag batch; tiny batches make the
-    # level test hand several of them to the thread pool. Every level reads
-    # every suffix, so by default levels 2..6 are carried: only level 1
-    # transforms (its halves are one tone long), and the split levels read
-    # their rows of the carry. With no carry budget every level transforms
-    # its split batches afresh
+    # level test hand several of them to the thread pool. At k = 1 levels 1..3
+    # settle on slice energies and levels 4..6 test by transform, each in
+    # several batches. Every level reads every suffix, so by default levels
+    # 2..6 are carried: only level 1 transforms, for its carry (its halves are
+    # one tone long), and the split levels read their rows of the carry. With
+    # no carry budget levels 4..6 transform their split batches afresh
     n = 6
     terms = _kerdock_terms(n, [3, 17], [1.0, -0.7j], seed=3)
     vals = make_noisy(n, terms, noise_energy=0.5, seed=4)
+    settles = [_settles(DenseOracle(vals), DecoderParams(k=1), 3, j) for j in range(1, n + 1)]
+    assert settles == [True] * 3 + [False] * 3
     batches, pools, lengths = [], [], set()
 
     def small_chunks(diags, row_elems):
@@ -418,35 +422,49 @@ def test_threaded_level_test_matches_serial(monkeypatch):
     monkeypatch.setattr(decoder_mod, "fwht", counting_fwht)
 
     def run(threads):
-        params = DecoderParams(k=5, threads=threads)
+        params = DecoderParams(k=1, threads=threads)
         results, stats = list_decode_hankel(DenseOracle(vals), params, seed=3)
         return format_decode_report(results, stats)
 
     # transformed half lengths are 2^h for h in halves: level 1's alone when carried
-    for carry_bytes, halves in ((decoder_mod.CARRY_BYTES, [0]), (0, range(n))):
+    for carry_bytes, halves in ((decoder_mod.CARRY_BYTES, [0]), (0, [3, 4, 5])):
         monkeypatch.setattr(decoder_mod, "CARRY_BYTES", carry_bytes)
         pools.clear()
         lengths.clear()
         serial = run(1)
         assert not pools and max(batches) > 1 and lengths == {1 << h for h in halves}
         assert run(2) == serial
-        assert pools
+        assert len(pools) == 3
+
+
+def _level_slices(oracle, params, seed, j):
+    """Level j's drawn slices, one row each, with its tone bar, gate mask, pass count and energies."""
+    n, k = oracle.n, params.k
+    samples = params.resolved_suffix_samples(n)
+    suffixes = draw_indices(1 << (n - j), samples, np.uint32, seed, "suffix", j, 0)
+    pos = (suffixes[:, None] << np.uint32(j)) | np.arange(1 << j, dtype=np.uint32)[None, :]
+    vals = oracle.query_many(pos.ravel()).reshape(len(suffixes), 1 << j)
+    scale = 2.0 ** (j - n) * oracle.norm_hint**2
+    bar = scale / (4.0 * k * decoder_mod.C2) * (1 << j)
+    energy = np.einsum("sy,sy->s", np.abs(vals), np.abs(vals))
+    gated = energy > (k / (decoder_mod.C1 / 40.0)) * scale
+    need = np.ceil((1.0 + decoder_mod.C1) / (8.0 * k) * len(suffixes) - 1e-12)
+    return vals, bar, gated, need, energy
+
+
+def _settles(oracle, params, seed, j):
+    """Whether level j keeps every child on its slice energies alone: below level n,
+    enough slices are gated or have an energy 1e-6 over the bar, which their largest
+    tone power then reaches too (Parseval)."""
+    _, bar, gated, need, energy = _level_slices(oracle, params, seed, j)
+    return bool(j < oracle.n and (gated | (energy >= bar * (1 + 1e-6))).sum() >= need)
 
 
 def _per_child_level(oracle, params, seed, j, diags):
     """The level test with every child's slice demodulated and transformed in full."""
-    n, k = oracle.n, params.k
-    hint_sq = oracle.norm_hint**2
-    samples = params.resolved_suffix_samples(n)
-    suffixes = draw_indices(1 << (n - j), samples, np.uint32, seed, "suffix", j, 0)
-    width = 1 << j
+    vals, bar, gated, need, _ = _level_slices(oracle, params, seed, j)
+    n, hint_sq, width = oracle.n, oracle.norm_hint**2, 1 << j
     ys = np.arange(width, dtype=np.uint32)
-    pos = (suffixes[:, None] << np.uint32(j)) | ys[None, :]
-    vals = oracle.query_many(pos.ravel()).reshape(len(suffixes), width)
-    scale = 2.0 ** (j - n) * hint_sq
-    bar = scale / (4.0 * k * decoder_mod.C2) * width
-    gated = np.einsum("sy,sy->s", np.abs(vals), np.abs(vals)) > (k / (decoder_mod.C1 / 40.0)) * scale
-    need = np.ceil((1.0 + decoder_mod.C1) / (8.0 * k) * len(suffixes) - 1e-12)
     keep, hits = [], []
     for chunk in diag_chunks(diags, vals.size):
         spec = fwht(demodulate(vals, chunk, j, ys), axis=-1)
@@ -454,7 +472,7 @@ def _per_child_level(oracle, params, seed, j, diags):
         keep.append(((power >= bar) | gated).sum(axis=1) >= need)
         if j == n:
             spec /= np.sqrt(width)
-            for a, ell in zip(*np.nonzero(np.abs(spec[:, 0]) ** 2 >= hint_sq / (2.0 * k))):
+            for a, ell in zip(*np.nonzero(np.abs(spec[:, 0]) ** 2 >= hint_sq / (2.0 * params.k))):
                 c = spec[a, 0, ell]
                 hits.append((int(chunk[a]), int(ell), c.real.hex(), c.imag.hex()))
     return np.concatenate(keep), hits
@@ -501,7 +519,11 @@ def test_shared_spectra_match_the_per_child_transforms(monkeypatch, kind):
             assert got.tolist() == want.tolist(), (n, j)
             outcomes.update(want.tolist())
             if j == n:
-                hits = [(lab.q.diag, lab.ell, c.real.hex(), c.imag.hex()) for lab, c in found]
+                hits = [
+                    (d, ell, c.real.hex(), c.imag.hex())
+                    for part in found
+                    for d, ell, c in zip(*(a.tolist() for a in part))
+                ]
                 assert sorted(hits) == sorted(want_hits)
                 listed += len(hits)
             elif not got.any():
@@ -510,6 +532,102 @@ def test_shared_spectra_match_the_per_child_transforms(monkeypatch, kind):
                 diags = extend_prefix(diags[got], j)
     assert outcomes == {False, True} and listed
     assert set(transformed) == {1}
+
+
+def _carry(level_keep):
+    """The kept spectra a robust level function holds for its next level, or None."""
+    return level_keep.__closure__[level_keep.__code__.co_freevars.index("carry")].cell_contents
+
+
+@pytest.mark.parametrize("kind", ["clean", "integer", "gaussian"])
+def test_a_settled_level_keeps_and_carries_as_the_transforms_do(kind):
+    # along the carried chain, a level that settles on its slice energies keeps
+    # every child, as transforming each child's slice in full does, and the
+    # carry it writes, from a fresh transform of its lone batch at level 1 or
+    # from the previous carry later, holds those transforms bit for bit
+    seen = set()
+    for n in (3, 5, 7):
+        oracle = _slice_signal(kind, n)
+        params = DecoderParams(k=1 if n == 7 else 4)
+        level_keep = decoder_mod._exact_levels(oracle, params, 5, [])
+        diags = np.array([0, 1], dtype=np.uint64)
+        for j in range(1, n + 1):
+            got = level_keep(j, diags)
+            want, _ = _per_child_level(oracle, params, 5, j, diags)
+            assert got.tolist() == want.tolist(), (n, j)
+            carry = _carry(level_keep)
+            if carry is not None:
+                vals = _level_slices(oracle, params, 5, j)[0]
+                ys = np.arange(1 << j, dtype=np.uint32)
+                assert carry.tobytes() == fwht(demodulate(vals, diags[got], j, ys)).tobytes()
+            seen.add((_settles(oracle, params, 5, j), j == 1, carry is not None))
+            if j == n or not got.any():
+                break
+            diags = extend_prefix(diags[got], j)
+    assert {(True, True, True), (True, False, True), (False, False, True)} <= seen
+
+
+@pytest.mark.parametrize("over, settles", [(0.0, False), (1e-7, False), (1e-5, True)])
+def test_a_slice_energy_within_the_margin_of_the_bar_goes_to_the_transforms(monkeypatch, over, settles):
+    # every level-1 slice of a flat signal at n = 10 has energy 2^-9, and a norm
+    # hint of 2 / sqrt(1 + over) puts the bar (k = 1) at that energy over 1 +
+    # over. An energy 1e-6 or more over the bar settles the level, which, being
+    # sampled, then transforms nothing; one closer to the bar is tested by
+    # transform. The keep mask is the per-child transforms' either way
+    n = 10
+    oracle = DenseOracle(I_POWERS[np.random.default_rng(n).integers(4, size=1 << n)] / 32.0)
+    oracle.norm_hint = 2.0 / np.sqrt(1.0 + over)
+    params = DecoderParams(k=1)
+    _, bar, gated, need, energy = _level_slices(oracle, params, 0, 1)
+    assert (energy == 2.0**-9).all() and not gated.any() and len(energy) >= need
+    assert np.allclose(energy / bar, 1.0 + over, rtol=0, atol=1e-12)
+    assert _settles(oracle, params, 0, 1) is settles
+    calls = []
+    monkeypatch.setattr(decoder_mod, "fwht", lambda a, **kwargs: calls.append(a.shape) or fwht(a, **kwargs))
+    diags = np.array([0, 1], dtype=np.uint64)
+    got = decoder_mod._exact_levels(oracle, params, 0, [])(1, diags)
+    assert got.tolist() == _per_child_level(oracle, params, 0, 1, diags)[0].tolist()
+    assert bool(calls) is not settles
+
+
+@pytest.mark.parametrize("kind", ["clean", "integer", "gaussian"])
+def test_the_finish_lists_from_its_tone_powers_what_the_full_spectra_list(monkeypatch, kind):
+    # level n takes as candidates the tones whose power is within 1e-6 of the
+    # cut hint^2 / 2k, then squares their dots exactly: the list is the full
+    # spectra's, bit for bit, in descending |dot|^2 then diag then ell. A clean
+    # word's rank-1 neighbours have |dot|^2 = 1/2, the cut at k = 1
+    levels, factory = [], decoder_mod._exact_levels
+
+    def spy(*args):
+        level_keep = factory(*args)
+
+        def spied(j, diags):
+            levels.append(diags)
+            return level_keep(j, diags)
+
+        return spied
+
+    monkeypatch.setattr(decoder_mod, "_exact_levels", spy)
+    at_cut = 0
+    for n in (2, 4, 6, 7):
+        oracle = _slice_signal(kind, n)
+        ys = np.arange(1 << n, dtype=np.uint32)
+        for k in (1, 2, 4):
+            params = DecoderParams(k=k, candidate_cap=1 << 15)
+            levels.clear()
+            results, stats = list_decode_hankel(oracle, params, seed=5)
+            got = [(lab.q.diag, lab.ell, c.real.hex(), c.imag.hex()) for lab, c in results]
+            keys = [(-abs(c) ** 2, lab.q.diag, lab.ell) for lab, c in results]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+            if len(levels) < n:
+                assert not got
+                continue
+            _, want = _per_child_level(oracle, params, 5, n, levels[-1])
+            assert sorted(got) == sorted(want), (n, k)
+            dots = fwht(demodulate(oracle.query_many(ys), levels[-1], n, ys)) / np.sqrt(1 << n)
+            cut = oracle.norm_hint**2 / (2.0 * k)
+            at_cut += int((np.abs(np.abs(dots) ** 2 / cut - 1.0) < 1e-6).sum())
+    assert at_cut or kind != "clean"
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -621,6 +739,25 @@ class _PositionLog(SampleOracle):
         return self.base.query_many(ys)
 
 
+def test_each_decode_bills_its_own_reads():
+    # decodes through one base oracle, or one cache, each report the positions
+    # they read themselves, whatever an earlier decode read
+    n = 9
+    vals = make_noisy(n, _kerdock_terms(n, [4], [1.0], seed=2), noise_energy=0.1, seed=3)
+    oracle = DenseOracle(vals)
+    _, robust = list_decode_hankel(oracle, DecoderParams(k=1), seed=1)
+    _, lean = list_decode_hankel(oracle, DecoderParams(k=2, profile="lean"), seed=1)
+    assert lean.queries == sum(lean.level_reads) == 8 * n - 4
+    assert oracle.query_count == robust.queries + lean.queries
+    _, again = list_decode_hankel(oracle, DecoderParams(k=1), seed=1)
+    assert (again.queries, again.queries_raw) == (robust.queries, robust.queries_raw)
+    assert robust.queries == 1 << n
+    cached = CachingOracle(DenseOracle(vals))
+    bills = [list_decode_hankel(cached, DecoderParams(k=1), seed=1)[1] for _ in range(2)]
+    assert bills[0].queries == 1 << n and bills[1].queries == sum(bills[1].level_reads) == 0
+    assert bills[1].queries_raw == bills[0].queries_raw
+
+
 def test_robust_bill_is_bounded():
     # each level reads its drawn slices once; the last level is the finish
     n = 13
@@ -636,11 +773,12 @@ def test_robust_bill_is_bounded():
 
 
 def _check_fwht_row_bill(monkeypatch, oracle, lab, n, k):
-    # a transforming level transforms two half-length rows per (parent, drawn
-    # suffix), the parents being level j-1's kept diags (one, key 0, at level
-    # 1); a level after one that read every suffix, whose kept spectra fit
-    # CARRY_BYTES and that was one batch or carried transforms nothing; no
-    # full-size candidate is demodulated and transformed a second time
+    # a level transforms two half-length rows per (parent, drawn suffix), the
+    # parents being level j-1's kept diags (one, key 0, at level 1), unless it
+    # is carried (the level before it read every suffix, kept at most
+    # CARRY_BYTES of spectra and was one batch or carried) or it settles on
+    # slice energies and starts no carry; no full-size candidate is
+    # demodulated and transformed a second time
     rows = []
 
     def counting_fwht(a, axis=-1, **kwargs):
@@ -658,27 +796,34 @@ def _check_fwht_row_bill(monkeypatch, oracle, lab, n, k):
         fits = drawn[j - 1] == 1 << (n - j) and 16 * stats.f[j - 1] << n <= decoder_mod.CARRY_BYTES
         lone = len(diag_chunks(np.arange(parents[j - 1]), 4 << n)) == 1
         carried.append(fits and (carried[-1] or lone))
-    assert sum(rows) == sum(2 * p * s for p, s, c in zip(parents, drawn, carried) if not c)
-    return carried
+    settles = [_settles(oracle, params, 0, j) for j in range(1, n + 1)]
+    starts = [not c and after for c, after in zip(carried, carried[1:] + [False])]
+    tested = [not c and (not s or a) for c, s, a in zip(carried, settles, starts)]
+    assert sum(rows) == sum(2 * p * s for p, s, t in zip(parents, drawn, tested) if t)
+    return carried, settles
 
 
 def test_last_level_is_the_finish(monkeypatch):
-    # every level reads every suffix, so only level 1 transforms
+    # levels 1..6 settle on slice energies and every level reads every suffix,
+    # so only level 1 transforms, for the carry that levels 2..7 take
     n, k = 7, 10
     rng = np.random.default_rng(12)
     lab = CodewordLabel(HankelMat(n, int(rng.integers(1 << (2 * n - 1)))), 5, 0)
     vals = make_noisy(n, [(lab, 1.0)], noise_energy=0.5, seed=13)
-    carried = _check_fwht_row_bill(monkeypatch, DenseOracle(vals), lab, n, k)
+    carried, settles = _check_fwht_row_bill(monkeypatch, DenseOracle(vals), lab, n, k)
     assert carried == [False] + [True] * (n - 1)
+    assert settles == [True] * (n - 1) + [False]
 
 
 def test_sampled_levels_transform_until_one_reads_every_suffix(monkeypatch):
-    # at n = 13, k = 1, levels 1..6 transform (level 6 is the first to read
-    # every suffix) and levels 7..13 are carried
+    # at n = 13, k = 1, levels 1 and 2 settle on slice energies and, being
+    # sampled, transform nothing; levels 3..6 transform (level 6 is the first
+    # to read every suffix) and levels 7..13 are carried
     n, k = 13, 1
     lab = CodewordLabel(lf_kerdock(FieldContext.default(n), 0x2B), 5, 0)
-    carried = _check_fwht_row_bill(monkeypatch, SyntheticOracle(n, [(lab, 1.0)]), lab, n, k)
+    carried, settles = _check_fwht_row_bill(monkeypatch, SyntheticOracle(n, [(lab, 1.0)]), lab, n, k)
     assert carried == [False] * 6 + [True] * (n - 6)
+    assert settles == [True] * 2 + [False] * (n - 2)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
