@@ -34,10 +34,10 @@ binds.
 The four children of a kept prefix differ only in two diag bits, so
 the robust level test shares their work: each parent's slices are
 demodulated once and transformed as two halves, and every child's
-spectrum is the last butterfly stage over those halves. Once the search
-reads every suffix, a level's kept spectra are the next level's halves,
-so later levels take them by one gather instead of demodulating and
-transforming (_exact_levels).
+spectrum is the last butterfly stage over those halves, written once per
+cache-sized block of parents. Once the search reads every suffix, a
+level's kept spectra are the next level's halves, so later levels read
+them instead of demodulating and transforming (_exact_levels).
 
 The lean profile is the query-sublinear one: it drives every decision
 from one small global position pool, nesting pair probes across levels
@@ -112,6 +112,11 @@ DELTA = 0.01
 # size, so a carried level is one batch
 CARRY_BYTES = BATCH_BYTES // 4
 
+# the level test writes its children's spectra a block of parents at a time, one
+# kind's spectra of a block taking at most this: the block's four kinds and their
+# powers take 1 MB, so they stay in a core's L2 cache
+BLOCK_BYTES = 1 << 17
+
 
 @dataclass(frozen=True)
 class DecoderParams:
@@ -130,12 +135,13 @@ class DecoderParams:
     words at k = 2, 3). The exact level test batches a level's sibling
     groups, each a parent's whole set of children (diag_chunks at four times
     the row size: at most 12 MB of demodulated parent rows, with room for
-    their children's spectra), and threads runs those batches on that many
-    threads; only a level with more than one batch gains (the README has
-    measurements); a level its energies decide runs no batch. A level after
-    one that read every suffix, kept at most CARRY_BYTES of spectra and was
-    itself one batch or carried is carried: its batches read their parents'
-    rows of that carry instead of demodulating and transforming.
+    the carry their kept children make), and threads runs those batches on
+    that many threads; only a level with more than one batch gains (the
+    README has measurements); a level its energies decide runs no batch
+    unless it starts a carry. A level after one that read every suffix,
+    kept at most CARRY_BYTES of spectra and was itself one batch or
+    carried is carried: its batches read their parents' rows of that
+    carry instead of demodulating and transforming.
 
     profile "lean" switches to the query-sublinear pooled probe regime
     with POOL_BASES anchor positions, about 8n positions in all at every
@@ -276,14 +282,22 @@ def _exact_levels(
     kept level-(j-1) diag D: with r = D >> (j-1), its exponent at y + t
     2^(j-1) is e_D(y) + 2t (r.y). So its A is D's level-(j-1) spectrum at
     slice 2s, and its B is D's spectrum at slice 2s+1 read at tone u xor
-    r, (-1)^(r.y) being a Walsh shift. Such a level needs one gather in
-    place of a demodulate and a transform: after its keep mask, it writes
-    its kept children's spectra (the carry) for the next level. The first
-    level that reads every suffix, sampled levels, and a level after one
-    whose carry would exceed CARRY_BYTES or that transformed more than one
-    batch demodulate and transform, a settled one only to start a carry.
-    Every path gives the same bits as transforming each child's slice in
-    full.
+    r, (-1)^(r.y) being a Walsh shift. Such a level gathers its B from
+    the carry in place of a demodulate and a transform. The first level
+    that reads every suffix, sampled levels, and a level after one whose
+    carry would exceed CARRY_BYTES or that transformed more than one batch
+    demodulate and transform, a settled one only to start a carry.
+
+    Each child's spectrum is computed once. A batch goes a block of
+    parents at a time (one kind's spectra of a block take at most
+    BLOCK_BYTES): the block's four kinds go into one (parents, kind,
+    slices, width) array, whose powers give their keep mask, and its kept
+    children's spectra, parent-major in kind order, are the carry's next
+    rows. A level keeps those parts only when it may carry (below n, it
+    reads every suffix and is carried or one batch) and drops them once
+    they pass CARRY_BYTES; a settled level runs the blocks without the
+    tone test. Every path gives the same bits as transforming each child's
+    slice in full.
 
     level_keep(j, diags) must get whole sibling groups in extend_prefix
     order, as _search builds them: each row of diags.reshape(-1, 4), or
@@ -324,77 +338,63 @@ def _exact_levels(
             rows = demodulate(vals, parents, j, ys).reshape(len(parents), -1, half)
             return fwht(rows, overwrite_input=True)
 
-        def shift(parents: np.ndarray) -> np.ndarray:
-            """Each carried parent's B tone shift, D >> (j-1)."""
-            return (parents >> np.uint64(j - 1)).astype(np.intp)[:, None]
-
-        def high(src: np.ndarray, rows: np.ndarray, tones: np.ndarray) -> np.ndarray:
-            """src[rows[r], 2s + 1, tones[r, u]]: the rows' B, each read at its own tones."""
-            odd = np.arange(1, src.shape[1], 2)[:, None]
-            return src[rows[:, None, None], odd, tones[:, None, :]]
-
-        def run(lo: int, hi: int) -> Tuple[np.ndarray, list, Optional[np.ndarray]]:
+        def run(lo: int, hi: int) -> Tuple[np.ndarray, list, Optional[list]]:
             parents = groups[lo:hi, 0]
             src = fresh(parents) if prev is None else prev[lo:hi]
-            a, b = src[:, 0::2], src[:, 1::2]
-            if prev is not None:
-                b = high(src, np.arange(hi - lo), np.arange(half) ^ shift(parents))
-            keep = np.empty((hi - lo, len(kinds)), dtype=bool)
-            hits = []
-            # B and -i B, then one child's spectrum and tone powers at a time
-            bs = (b, b * I_POWERS[3])
-            spec = np.empty(a.shape[:-1] + (width,), dtype=np.complex128)
+            keep = np.ones((hi - lo, len(kinds)), dtype=bool)
+            hits, parts, size = [], [] if carries else None, 0
+            # a block's four kinds of spectra, (parents, kind, slices, width), and their powers
+            step = max(1, BLOCK_BYTES // (16 * vals.size))
+            spec = np.empty((min(step, hi - lo), len(kinds)) + vals.shape, dtype=np.complex128)
             power, square = np.empty(spec.shape), np.empty(spec.shape)
-            for col, kind in enumerate(kinds):
-                _child_spectrum(a, bs[kind >> 1], kind & 1, spec)
-                np.square(spec.real, out=power)
-                power += np.square(spec.imag, out=square)
-                keep[:, col] = ((power.max(axis=-1) >= bar) | gated).sum(axis=1) >= need
-                if j == n:
-                    # the one slice's tones whose power may clear the cut, then their dots exactly
-                    rows, tones = np.nonzero(power[:, 0] >= width * cut * (1 - 1e-6))
-                    dots = spec[rows, 0, tones] / math.sqrt(width)
-                    hit = np.abs(dots) ** 2 >= cut
-                    hits.append((groups[lo:hi, col][rows[hit]], tones[hit], dots[hit]))
-            # a lone batch's transforms are the level's: kept for the carry below
-            return keep, hits, src if len(ends) == 1 else None
+            for at in range(0, hi - lo, step):
+                block = src[at : at + step]
+                a, b, out = block[:, 0::2], block[:, 1::2], spec[: len(block)]
+                if prev is not None:
+                    # each carried parent D's B, read at tone u xor (D >> (j-1))
+                    r = (parents[at : at + step] >> np.uint64(j - 1)).astype(np.intp)
+                    u = np.arange(half) ^ r[:, None, None]
+                    b = b[np.arange(len(b))[:, None, None], np.arange(b.shape[1])[:, None], u]
+                bs = (b, b * I_POWERS[3])  # B and -i B
+                for col, kind in enumerate(kinds):
+                    _child_spectrum(a, bs[kind >> 1], kind & 1, out[:, col])
+                if not settled:
+                    pw = np.square(out.real, out=power[: len(block)])
+                    pw += np.square(out.imag, out=square[: len(block)])
+                    keep[at : at + step] = ((pw.max(axis=-1) >= bar) | gated).sum(axis=-1) >= need
+                    if j == n:
+                        # the one slice's tones whose power may clear the cut, then their dots
+                        rows, cols, tones = np.nonzero(pw[:, :, 0] >= width * cut * (1 - 1e-6))
+                        dots = out[rows, cols, 0, tones] / math.sqrt(width)
+                        hit = np.abs(dots) ** 2 >= cut
+                        hits.append((groups[lo + at + rows[hit], cols[hit]], tones[hit], dots[hit]))
+                if parts is not None:
+                    # the kept children's spectra, parent-major in kind order: the carry's rows
+                    parts.append(out[keep[at : at + step]])
+                    size += parts[-1].nbytes
+                    parts = parts if size <= CARRY_BYTES else None
+            return keep, hits, parts
 
-        # a batch's children need about three times its parents' rows again
-        # (-i B, one child's spectrum and its powers), so parents are batched
-        # at 4x the row size
+        # parents are batched at 4x the row size, so a batch's rows take at most
+        # CARRY_BYTES; beyond them it holds a few blocks of spectra and powers,
+        # and its kept spectra at most twice (their parts and the carry joined from them)
         ends = np.cumsum([len(c) for c in diag_chunks(groups, 4 * vals.size)]).tolist()
         starts = [0] + ends[:-1]
-        if settled:
-            keep, src = np.ones(groups.shape, dtype=bool), prev
+        # a carry comes from the previous one or a lone batch: after several fresh
+        # batches, the next level's parents fit one batch if they fit a carry
+        carries = j < n and len(suffixes) == 1 << (n - j) and (prev is not None or len(ends) == 1)
+        if settled and not (carries and 16 * groups.size * vals.size <= CARRY_BYTES):
+            keep = np.ones(groups.shape, dtype=bool)
         else:
             if params.threads > 1 and len(ends) > 1:
                 with ThreadPoolExecutor(max_workers=params.threads) as pool:
-                    parts = list(pool.map(run, starts, ends))
+                    runs = list(pool.map(run, starts, ends))
             else:
-                parts = list(map(run, starts, ends))
-            found.extend(hit for _, hits, _ in parts for hit in hits)
-            keep = np.concatenate([keep for keep, _, _ in parts])
-            src = prev if prev is not None else parts[0][2]
-        kept = int(keep.sum())
-        # a carry is gathered from the previous one or a lone batch's transforms, which
-        # a settled level makes only here: after several fresh batches, the next
-        # level's parents fit one batch if they fit a carry
-        full = len(suffixes) == 1 << (n - j)
-        fits = 16 * kept * vals.size <= CARRY_BYTES
-        if j < n and full and fits and (src is not None or len(ends) == 1):
-            if src is None:
-                src = fresh(groups[:, 0])
-            # the kept children's spectra, in keep order, each [A + B', A - B'] with
-            # B' gathered at u xor (D >> (j-1)) xor (a quarter swap when b_o is set)
-            parent, col = np.divmod(np.flatnonzero(keep), len(kinds))
-            kind = np.array(kinds)[col]
-            tones = np.arange(half) ^ ((kind & 1) * (half >> 1))[:, None]
-            if prev is not None:
-                tones ^= shift(groups[parent, 0])
-            b = high(src, parent, tones)
-            b[kind >= 2] *= I_POWERS[3]
-            carry = np.empty((kept, len(suffixes), width), dtype=np.complex128)
-            _child_spectrum(src[parent, 0::2], b, 0, carry)
+                runs = list(map(run, starts, ends))
+            found.extend(hit for _, hits, _ in runs for hit in hits)
+            keep = np.concatenate([keep for keep, _, _ in runs])
+            if carries and 16 * int(keep.sum()) * vals.size <= CARRY_BYTES:
+                carry = np.concatenate([part for _, _, parts in runs for part in parts])
         return keep.ravel()
 
     return level_keep

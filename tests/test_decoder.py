@@ -1,3 +1,4 @@
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -393,8 +394,9 @@ def test_threaded_level_test_matches_serial(monkeypatch):
     # settle on slice energies and levels 4..6 test by transform, each in
     # several batches. Every level reads every suffix, so by default levels
     # 2..6 are carried: only level 1 transforms, for its carry (its halves are
-    # one tone long), and the split levels read their rows of the carry. With
-    # no carry budget levels 4..6 transform their split batches afresh
+    # one tone long), and the split levels read their rows of the carry; level
+    # 3, settled, writes its carry in three batches too. With no carry budget
+    # levels 4..6 transform their split batches afresh and levels 1..3 run none
     n = 6
     terms = _kerdock_terms(n, [3, 17], [1.0, -0.7j], seed=3)
     vals = make_noisy(n, terms, noise_energy=0.5, seed=4)
@@ -427,14 +429,14 @@ def test_threaded_level_test_matches_serial(monkeypatch):
         return format_decode_report(results, stats)
 
     # transformed half lengths are 2^h for h in halves: level 1's alone when carried
-    for carry_bytes, halves in ((decoder_mod.CARRY_BYTES, [0]), (0, [3, 4, 5])):
+    for carry_bytes, halves, split in ((decoder_mod.CARRY_BYTES, [0], 4), (0, [3, 4, 5], 3)):
         monkeypatch.setattr(decoder_mod, "CARRY_BYTES", carry_bytes)
         pools.clear()
         lengths.clear()
         serial = run(1)
         assert not pools and max(batches) > 1 and lengths == {1 << h for h in halves}
         assert run(2) == serial
-        assert len(pools) == 3
+        assert len(pools) == split
 
 
 def _level_slices(oracle, params, seed, j):
@@ -703,6 +705,135 @@ def test_a_carry_gives_the_bits_of_transforming_afresh(monkeypatch):
     for case, want in zip(cases, carried):
         if case[1] <= 7:
             assert _decode_bits(_carry_input(*case[:2]), case[2]) == want, case
+
+
+def _slice_bits(kind, n, k):
+    """_decode_bits of _slice_signal(kind, n), or the overflow's message."""
+    try:
+        return _decode_bits(_slice_signal(kind, n), k)
+    except CandidateOverflow as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("parents", [1, 3])
+def test_blocks_of_parents_decode_as_the_default(monkeypatch, parents):
+    # the level test writes its children's spectra in blocks of 1 or 3 parents
+    # (every level here reads every suffix but level 1 of n = 9, k = 1, which has
+    # one parent), so with 3 a level's last block is partial unless its parents
+    # are a multiple of 3; with a budget of 64 children's spectra a lone batch's
+    # kept spectra pass it part-way. Each decodes as the default does, bit for bit
+    cases = [(kind, n, k) for kind in ("clean", "integer", "gaussian") for n in range(1, 10) for k in (1, 4)]
+    want = [_slice_bits(*case) for case in cases]
+    assert any(isinstance(bits, str) for bits in want) and not all(isinstance(bits, str) for bits in want)
+    for budget in (None, 64):
+        for case, bits in zip(cases, want):
+            n = case[1]
+            monkeypatch.setattr(decoder_mod, "BLOCK_BYTES", parents * 16 << n)
+            if budget:
+                monkeypatch.setattr(decoder_mod, "CARRY_BYTES", budget * 16 << n)
+            assert _slice_bits(*case) == bits, (case, budget)
+
+
+def test_a_carry_budget_passed_part_way_hands_on_no_carry(monkeypatch):
+    # with a budget of 64 children's spectra and 3-parent blocks, a level that
+    # tests a lone batch and keeps more than 64 children passes the budget after
+    # some of its blocks: it hands on no carry, the next level transforms afresh
+    # (the fwht row bill holds), and the list is the default's
+    levels, factory = [], decoder_mod._exact_levels
+
+    def spy(*args):
+        level_keep = factory(*args)
+
+        def spied(j, diags):
+            keep = level_keep(j, diags)
+            levels.append((int(keep.sum()), _carry(level_keep)))
+            return keep
+
+        return spied
+
+    passed = 0
+    for n in range(5, 10):
+        rng = np.random.default_rng([n, 7])
+        lab = CodewordLabel(HankelMat(n, int(rng.integers(1 << (2 * n - 1)))), int(rng.integers(1 << n)), 0)
+        oracle = DenseOracle(make_noisy(n, [(lab, 1.0)], noise_energy=0.3, seed=n))
+        want = _decode_bits(oracle, 1)
+        monkeypatch.setattr(decoder_mod, "CARRY_BYTES", 64 * 16 << n)
+        monkeypatch.setattr(decoder_mod, "BLOCK_BYTES", 3 * 16 << n)
+        assert _decode_bits(oracle, 1) == want
+        monkeypatch.setattr(decoder_mod, "_exact_levels", spy)
+        levels.clear()
+        carried, settles = _check_fwht_row_bill(monkeypatch, oracle, lab, n, 1)
+        full = [DecoderParams(k=1).resolved_suffix_samples(n) >= 1 << (n - j) for j in range(1, n + 1)]
+        for j in range(1, n):
+            if full[j - 1] and not settles[j - 1] and levels[j - 1][0] > 64:
+                assert levels[j - 1][1] is None and not carried[j], (n, j)
+                passed += 1
+        monkeypatch.undo()
+    assert passed
+
+
+def _level_temporaries(monkeypatch, oracle, params):
+    """Each robust level's (j, kept, traced peak, carry): the peak counts what the
+    level allocates after its last fwht returns, so beyond its transformed rows."""
+    levels, factory, base = [], decoder_mod._exact_levels, [0]
+
+    def mark():
+        tracemalloc.reset_peak()
+        base[0] = tracemalloc.get_traced_memory()[0]
+
+    def marking_fwht(a, **kwargs):
+        out = fwht(a, **kwargs)
+        mark()
+        return out
+
+    def spy(*args):
+        level_keep = factory(*args)
+
+        def spied(j, diags):
+            mark()
+            keep = level_keep(j, diags)
+            peak = tracemalloc.get_traced_memory()[1] - base[0]
+            levels.append((j, int(keep.sum()), peak, _carry(level_keep)))
+            return keep
+
+        return spied
+
+    monkeypatch.setattr(decoder_mod, "fwht", marking_fwht)
+    monkeypatch.setattr(decoder_mod, "_exact_levels", spy)
+    tracemalloc.start()
+    try:
+        list_decode_hankel(oracle, params, seed=0)
+    finally:
+        tracemalloc.stop()
+    return levels
+
+
+def test_a_level_holds_its_carry_twice_and_a_few_blocks(monkeypatch):
+    # beyond its transformed parent rows, a robust level holds its kept spectra
+    # at most twice (the blocks' parts and the carry joined from them) and a few
+    # blocks of spectra, powers and halves: on the carried n = 13, k = 1 decode
+    # (16 parents of 8,192 values from level 6 on), and at n = 8, k = 4 with a
+    # 1 MB carry budget that the kept spectra of levels 5..7 (2 to 8 MB)
+    # overrun: level 5 settles and writes none, and levels 6 and 7, each one
+    # batch, hold theirs only up to the budget and drop them
+    slack = 16 * decoder_mod.BLOCK_BYTES
+    lab = CodewordLabel(lf_kerdock(FieldContext.default(13), 0x2B), 5, 0)
+    levels = _level_temporaries(monkeypatch, SyntheticOracle(13, [(lab, 1.0)]), DecoderParams(k=1))
+    assert [carry is not None for *_, carry in levels] == [False] * 5 + [True] * 7 + [False]
+    for j, _, peak, carry in levels:
+        assert peak <= 2 * (0 if carry is None else carry.nbytes) + slack, j
+    n = 8
+    rng = np.random.default_rng([n, 7])
+    lab = CodewordLabel(HankelMat(n, int(rng.integers(1 << (2 * n - 1)))), int(rng.integers(1 << n)), 0)
+    oracle = DenseOracle(make_noisy(n, [(lab, 1.0)], noise_energy=0.1, seed=n))
+    assert DecoderParams(k=4).resolved_suffix_samples(n) >= 1 << (n - 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(decoder_mod, "CARRY_BYTES", 1 << 20)
+    levels = _level_temporaries(monkeypatch, oracle, DecoderParams(k=4))
+    assert [j for j, kept, _, _ in levels if j < n and 16 * kept << n > 1 << 20] == [5, 6, 7]
+    for j, _, peak, carry in levels:
+        held = decoder_mod.CARRY_BYTES if j < n and carry is None else 2 * (0 if carry is None else carry.nbytes)
+        assert peak <= held + slack, j
 
 
 def test_level_reads_sum_to_the_query_bill():
