@@ -18,14 +18,18 @@ changes its digest. The slices:
 - bestk: best_k_kerdock at n = 6..9 and k = 1..3 on k lf-Kerdock words
   at noise 0.1;
 - km: km_list at theta = 0.2 and seed 0 on two RM(1) tones at
-  m = 1..12, clean and at noise 0.2.
+  m = 1..12, clean and at noise 0.2;
+- cli: the acceptance criterion-10 CLI invocations, run in-process
+  (tests/cli_digests.txt).
 
 A decode digest covers the labels, the coefficient hex, the per-level
 tested and kept counts and both query counts, or the level, count and
 cap of a CandidateOverflow; a reference digest covers its labels and
 hex; a km digest covers the tones, the coefficient hex and the query
-count. The robust, lean, heavy, bestk and km slices go to
-tests/output_digests.txt. tests/test_pursuit.py and
+count. A cli digest is the sha256 of an invocation's stdout, as
+`kerdock ... | sha256sum` prints it, or of the encode and corrupt
+output files' bytes. The robust, lean, heavy, bestk and km slices go
+to tests/output_digests.txt. tests/test_pursuit.py and
 tests/test_output_digests.py recompute every digest and name each case
 that differs from its file.
 
@@ -33,15 +37,19 @@ Usage: python3 scripts/output_digests.py
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import math
+import tempfile
 from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from kerdock.codebook import CodewordLabel, HankelMat, lf_kerdock
+from kerdock.cli import main as cli_main
+from kerdock.codebook import CodewordLabel, HankelMat, format_label, lf_kerdock
 from kerdock.decoder import CandidateOverflow, DecoderParams, list_decode_hankel
 from kerdock.field import FieldContext
 from kerdock.oracle import best_k_kerdock, dense_heavy_set
@@ -52,6 +60,7 @@ from kerdock.signal import DenseOracle, SyntheticOracle, make_noisy
 TESTS = Path(__file__).resolve().parent.parent / "tests"
 PURSUIT_OUT = TESTS / "pursuit_digests.txt"
 OUT = TESTS / "output_digests.txt"
+CLI_OUT = TESTS / "cli_digests.txt"
 MAGNITUDES = (1.0, 0.7, 0.5)
 NOISE = 0.1
 ROBUST_NOISE = 0.2
@@ -163,6 +172,50 @@ def km_digest(m: int, noisy: bool) -> str:
     )
 
 
+def _cli(argv: List[str]) -> str:
+    """Run one CLI invocation in-process; its stdout (stderr is dropped)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli_main(argv) == 0, argv
+    return out.getvalue()
+
+
+def cli_stdout_digest(argv: List[str]) -> str:
+    return hashlib.sha256(_cli(argv).encode()).hexdigest()
+
+
+def cli_files_digest() -> str:
+    """sha256 of criterion 10's encoded signal file followed by its corrupted copy."""
+    lab = CodewordLabel(lf_kerdock(FieldContext.default(6), 0x2B), 9, 0)
+    with tempfile.TemporaryDirectory() as tmp:
+        labels, coeffs, clean, noisy = (Path(tmp) / name for name in ("labels", "coeffs", "clean", "noisy"))
+        labels.write_text(format_label(lab) + "\n")
+        coeffs.write_text("1.0 0.0\n")
+        _cli(["encode", "--labels", str(labels), "--coeffs", str(coeffs), "--out", str(clean)])
+        _cli(["corrupt", "--in", str(clean), "--noise-energy", "0.3", "--seed", "4", "--out", str(noisy)])
+        return hashlib.sha256(clean.read_bytes() + noisy.read_bytes()).hexdigest()
+
+
+def cli_cases() -> List[Case]:
+    """The criterion-10 invocations (tests/test_acceptance.py), one case each, then the files."""
+    plant = format_label(CodewordLabel(lf_kerdock(FieldContext.default(6), 0x2B), 9, 0)) + ":1.0"
+    lean = format_label(CodewordLabel(lf_kerdock(FieldContext.default(10), 0x5D), 3, 0)) + ":1.0"
+    wide = format_label(CodewordLabel(lf_kerdock(FieldContext.default(9), 0x10F), 4, 0)) + ":1.0"
+    robust = ["decode", "--plant", plant, "--n", "6", "--k", "3", "--noise-energy", "0.2", "--seed", "11"]
+    invocations = {
+        "gen-field": ["gen-field", "--n", "8"],
+        "kerdock-gen": ["kerdock", "gen", "--all", "--n", "4"],
+        "decode-robust": robust,
+        "decode-robust-threads2": robust + ["--threads", "2"],
+        "decode-lean": ["decode", "--plant", lean, "--n", "10", "--k", "4", "--profile", "lean", "--seed", "5"],
+        "sparse-approx": ["sparse-approx", "--plant", wide, "--n", "9", "--k", "2", "--eps", "0.1", "--seed", "2"],
+        "verify-field": ["verify", "--suite", "field", "--n", "4"],
+        "bench": ["bench", "--k", "2", "--n-list", "8", "--trials", "1", "--seed", "3"],
+    }
+    cases = [(f"cli-{name}", partial(cli_stdout_digest, argv)) for name, argv in invocations.items()]
+    return cases + [("cli-encode-corrupt-files", cli_files_digest)]
+
+
 def pursuit_cases() -> List[Case]:
     return [
         (f"n{n}-k{k}-{'noisy' if noisy else 'clean'}", partial(pursuit_digest, n, k, noisy))
@@ -200,7 +253,11 @@ def output_cases() -> List[Case]:
 
 
 # each pinned file and the cases it holds
-CORPUS: Dict[Path, Callable[[], List[Case]]] = {PURSUIT_OUT: pursuit_cases, OUT: output_cases}
+CORPUS: Dict[Path, Callable[[], List[Case]]] = {
+    PURSUIT_OUT: pursuit_cases,
+    OUT: output_cases,
+    CLI_OUT: cli_cases,
+}
 
 
 def main() -> None:

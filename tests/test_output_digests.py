@@ -1,4 +1,4 @@
-"""The committed output corpus: robust and lean decodes, the exact references and km_list."""
+"""The committed output corpus: robust and lean decodes, the exact references, km_list and CLI stdout."""
 
 import importlib.util
 from pathlib import Path
@@ -22,6 +22,16 @@ def test_outputs_match_their_pinned_digests():
     script = _digest_script()
     pinned = dict(line.split() for line in script.OUT.read_text().splitlines())
     cases = script.output_cases()
+    assert sorted(pinned) == sorted(name for name, _ in cases)
+    differ = [name for name, digest in cases if digest() != pinned[name]]
+    assert differ == []
+
+
+def test_cli_outputs_match_their_pinned_digests():
+    # the criterion-10 invocations' stdout and files, byte for byte
+    script = _digest_script()
+    pinned = dict(line.split() for line in script.CLI_OUT.read_text().splitlines())
+    cases = script.cli_cases()
     assert sorted(pinned) == sorted(name for name, _ in cases)
     differ = [name for name, digest in cases if digest() != pinned[name]]
     assert differ == []
