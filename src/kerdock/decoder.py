@@ -56,7 +56,7 @@ import time
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -361,10 +361,13 @@ def _exact_levels(
                 if not settled:
                     pw = np.square(out.real, out=power[: len(block)])
                     pw += np.square(out.imag, out=square[: len(block)])
-                    keep[at : at + step] = ((pw.max(axis=-1) >= bar) | gated).sum(axis=-1) >= need
+                    top = pw.max(axis=-1)
+                    keep[at : at + step] = ((top >= bar) | gated).sum(axis=-1) >= need
                     if j == n:
-                        # the one slice's tones whose power may clear the cut, then their dots
-                        rows, cols, tones = np.nonzero(pw[:, :, 0] >= width * cut * (1 - 1e-6))
+                        # the tones that may clear the cut, of children whose top may; their dots
+                        rows, cols = np.nonzero(top[:, :, 0] >= width * cut * (1 - 1e-6))
+                        sub, tones = np.nonzero(pw[rows, cols, 0] >= width * cut * (1 - 1e-6))
+                        rows, cols = rows[sub], cols[sub]
                         dots = out[rows, cols, 0, tones] / math.sqrt(width)
                         hit = np.abs(dots) ** 2 >= cut
                         hits.append((groups[lo + at + rows[hit], cols[hit]], tones[hit], dots[hit]))
@@ -485,12 +488,41 @@ def _lean_levels(
     return level_keep
 
 
+class DecodedList(Sequence):
+    """A decode's list of (label, coefficient) pairs, held as three read-only arrays.
+
+    diags (uint64), ells (int64) and dots (complex128) are the listed tones
+    in list order; reading a pair builds its CodewordLabel, HankelMat and
+    complex afresh, so the list keeps 32 bytes a tone.
+    """
+
+    __slots__ = ("n", "diags", "ells", "dots")
+
+    def __init__(self, n: int, diags: np.ndarray, ells: np.ndarray, dots: np.ndarray):
+        for a in (diags, ells, dots):
+            a.flags.writeable = False
+        self.n, self.diags, self.ells, self.dots = n, diags, ells, dots
+
+    def __len__(self) -> int:
+        return len(self.dots)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return DecodedList(self.n, self.diags[i], self.ells[i], self.dots[i])
+        label = CodewordLabel(HankelMat(self.n, int(self.diags[i])), int(self.ells[i]), 0)
+        return label, complex(self.dots[i])
+
+    def __iter__(self) -> Iterator[Tuple[CodewordLabel, complex]]:
+        for d, ell, c in zip(self.diags.tolist(), self.ells.tolist(), self.dots.tolist()):
+            yield CodewordLabel(HankelMat(self.n, d), ell, 0), c
+
+
 def list_decode_hankel(
     oracle: SampleOracle,
     params: DecoderParams,
     seed: int = 0,
     kerdock: Optional[FieldContext] = None,
-) -> Tuple[List[Tuple[CodewordLabel, complex]], DecodeStats]:
+) -> Tuple[DecodedList, DecodeStats]:
     """All Hankel codewords carrying a 1/k energy fraction, with estimates.
 
     Given a kerdock field, the lf-Kerdock subcode is listed by one shift
@@ -510,17 +542,17 @@ def list_decode_hankel(
     hint^2 at n = 6 fell under the bar); three words (1.0, 0.6, 0.4; noise
     0.2; k = 3) were listed at n = 13..20.
 
-    Returns (results, stats) where results holds (label, coefficient)
-    pairs sorted by descending estimated energy. The oracle is wrapped in
-    a cache, so repeated positions are charged once; stats.queries is the
-    count of distinct positions this decode read and stats.queries_raw
-    its request volume. Each profile is its level function in the one search,
-    at every n and k (see the module docstring for k >= 2^n). Raises
-    CandidateOverflow when a level exceeds the cap, and ValueError before
-    any read when n < 1, when a robust or Kerdock decode would exceed n =
-    DENSE_MAX_N, when the norm hint squares to 0 (every bar would be 0
-    and list every codeword), when a robust decode has k >= 2^n at n > 7,
-    or when a kerdock field is not of the oracle's n or comes with lean.
+    Returns (results, stats): a DecodedList of (label, coefficient) pairs by
+    descending estimated energy, labelled only as they are read. The oracle is
+    wrapped in a cache, so repeated positions are charged once; stats.queries
+    counts the distinct positions this decode read and stats.queries_raw its
+    requests. Each profile is its level function in the one search, at every n
+    and k (see the module docstring for k >= 2^n). Raises CandidateOverflow when
+    a level exceeds the cap, and ValueError before any read when n < 1, when a
+    robust or Kerdock decode would exceed n = DENSE_MAX_N, when the norm hint
+    squares to 0 (every bar would be 0 and list every codeword), when a robust
+    decode has k >= 2^n at n > 7, or when a kerdock field is not of the oracle's
+    n or comes with lean.
     """
     if oracle.n < 1:
         raise ValueError(f"decoding needs n >= 1, got n={oracle.n}")
@@ -557,7 +589,7 @@ def list_decode_hankel(
     n = cached.n
     stats = DecodeStats(n=n, k=params.k, profile=params.profile)
 
-    found: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    found = [(np.empty(0, np.uint64), np.empty(0, np.int64), np.empty(0, np.complex128))]
     read, raw = cached.distinct_count, cached.query_count
     cap = params.resolved_cap()
     if kerdock is not None:
@@ -585,11 +617,10 @@ def list_decode_hankel(
     else:
         _search(cached, cap, stats, _exact_levels(cached, params, seed, found))
 
-    # by descending |dot|^2, as Python computes it, then diag, then ell; one HankelMat per diag
-    diags, ells, dots = (np.concatenate(a).tolist() for a in zip(*found or [(np.empty(0),) * 3]))
-    mats = {d: HankelMat(n, d) for d in set(diags)}
-    order = np.lexsort((ells, diags, [-abs(c) ** 2 for c in dots])).tolist()
-    results = [(CodewordLabel(mats[diags[i]], ells[i], 0), dots[i]) for i in order]
+    # by descending |dot|^2 as Python computes it (numpy's rounds near-ties otherwise), diag, ell
+    diags, ells, dots = (np.concatenate(a) for a in zip(*found))
+    order = np.lexsort((ells, diags, [-abs(c) ** 2 for c in dots.tolist()]))
+    results = DecodedList(n, diags[order], ells[order], dots[order])
     stats.queries = cached.distinct_count - read
     stats.queries_raw = cached.query_count - raw
     stats.seconds = time.perf_counter() - t0
@@ -609,9 +640,7 @@ def format_decode_report(
     lines = []
     for label, c in results:
         qhex = pack_hex(label.q.diag, 2 * n - 1)
-        lines.append(
-            f"{qhex} {label.ell:x} {c.real:.12g} {c.imag:.12g} {abs(c)**2:.12g}"
-        )
+        lines.append(f"{qhex} {label.ell:x} {c.real:.12g} {c.imag:.12g} {abs(c)**2:.12g}")
     lines.append(f"# levels {len(stats.g)}")
     for j, (g, f) in enumerate(zip(stats.g, stats.f), start=1):
         lines.append(f"# level {j} tested {g} kept {f}")

@@ -1,5 +1,9 @@
+import gc
+import hashlib
+import importlib.util
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,7 +265,7 @@ def test_the_kerdock_decode_aborts_over_the_cap():
 def test_a_zero_signal_ends_the_search_at_level_one(profile):
     o = DenseOracle(np.zeros(1 << 5, dtype=np.complex128), norm_hint=1.0)
     results, stats = list_decode_hankel(o, DecoderParams(k=2, profile=profile), seed=0)
-    assert results == []
+    assert len(results) == 0
     assert stats.g == [2] and stats.f == [0]
 
 
@@ -282,6 +286,127 @@ def test_degenerate_large_k_decodes_densely():
     results, stats = list_decode_hankel(o, DecoderParams(k=8), seed=0)
     assert _keys([terms[0]]) <= _keys(results)
     assert len(stats.g) == n
+
+
+def _acceptance_07_input(trial, n=7):
+    """Criterion 07's dense input of its trial: 1-3 Hankel words and noise up to their energy."""
+    rng = np.random.default_rng([700, trial])
+    count, terms, seen = int(rng.integers(1, 4)), [], set()
+    while len(terms) < count:
+        diag, ell = int(rng.integers(1 << (2 * n - 1))), int(rng.integers(1 << n))
+        if (diag, ell) not in seen:
+            seen.add((diag, ell))
+            coeff = (0.5 + rng.uniform(0, 1.0)) * np.exp(2j * np.pi * rng.uniform())
+            terms.append((CodewordLabel(HankelMat(n, diag), ell, 0), coeff))
+    noise = float(rng.uniform(0, 1.0)) * sum(abs(c) ** 2 for _, c in terms)
+    return DenseOracle(make_noisy(n, terms, noise_energy=noise, seed=trial))
+
+
+def _contract_decode(case):
+    """A robust, a lean and a Kerdock decode, each of a list of several or one tone."""
+    if case == "robust":
+        return list_decode_hankel(_acceptance_07_input(1, n=6), DecoderParams(k=4), seed=1)
+    if case == "lean":
+        lab = CodewordLabel(lf_kerdock(FieldContext.default(10), 0x5D), 3, 0)
+        oracle = SyntheticOracle(10, [(lab, 1.0)], 0.1, seed=3)
+        return list_decode_hankel(oracle, DecoderParams(k=4, profile="lean"), seed=5)
+    ctx = FieldContext.default(8)
+    terms = [(CodewordLabel(lf_kerdock(ctx, t), e, 0), c) for t, e, c in ((0x5B, 3, 1.0), (0x21, 7, 0.6j))]
+    oracle = DenseOracle(make_noisy(8, terms, noise_energy=0.2, seed=8))
+    return list_decode_hankel(oracle, DecoderParams(k=3), kerdock=ctx)
+
+
+def _pairs_digest(pairs):
+    """sha256 of the pairs' labels, coefficient hex and Python types."""
+    return hashlib.sha256(
+        "".join(
+            f"{lab.q.diag:x} {lab.ell:x} {lab.eps} {c.real.hex()} {c.imag.hex()} "
+            f"{type(lab.q.diag).__name__} {type(lab.ell).__name__} {type(c).__name__};"
+            for lab, c in pairs
+        ).encode()
+    ).hexdigest()
+
+
+# the digests of these decodes' lists when list_decode_hankel built every label up front
+@pytest.mark.parametrize(
+    "case, n, want",
+    [
+        ("robust", 6, "7e3d5238282daae409b82079e301afe2048dc84a2c8b595683504c8a8e22c815"),
+        ("lean", 10, "f13184344ce016cf1c9c49623d44190fc095d3447f8d537f3d9931c10d275dc9"),
+        ("kerdock", 8, "d85029b5998c2391a3011782b02f6cb68a5170303c938c857acc8b5304c0abf1"),
+    ],
+    ids=["robust", "lean", "kerdock"],
+)
+def test_a_decoded_list_reads_back_as_the_labelled_list(case, n, want):
+    results, _ = _contract_decode(case)
+    pairs = list(results)
+    assert _pairs_digest(pairs) == want and results.n == n
+    assert len(results) == len(pairs) >= 1
+    assert [results[i] for i in range(len(pairs))] == pairs
+    assert [results[i - len(pairs)] for i in range(len(pairs))] == pairs
+    assert list(results[1:]) == pairs[1:] and list(results[::-1]) == pairs[::-1]
+    with pytest.raises(IndexError):
+        results[len(pairs)]
+    # each read builds its pair afresh
+    assert results[0] == results[-len(pairs)] and results[0][0] is not results[0][0]
+    for name, dtype in (("diags", np.uint64), ("ells", np.int64), ("dots", np.complex128)):
+        arr = getattr(results, name)
+        assert arr.dtype == dtype and len(arr) == len(pairs)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[-1]
+
+
+def _digest_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_list_is_ordered_by_pythons_squared_magnitudes():
+    # the digest corpus's robust-n3-k3-clean input: nine listed |dot|^2 read
+    # 0.30817695403291623 or 0.30817695403291634 in Python, and numpy's abs
+    # rounds some of them to the other value, so a numpy key reorders them
+    script = _digest_script()
+    rng = np.random.default_rng([1, 3, 3, 0])
+    oracle = script._dense_or_clean(3, script._hankel_terms(3, 3, rng), 0.0, rng)
+    results, _ = list_decode_hankel(oracle, DecoderParams(k=3), seed=0)
+    keys = [(-abs(c) ** 2, lab.q.diag, lab.ell) for lab, c in results]
+    assert keys == sorted(keys)
+    numpy_order = np.lexsort((results.ells, results.diags, -np.abs(results.dots) ** 2))
+    assert (numpy_order != np.arange(len(keys))).sum() == 9
+
+
+def _retained(call, reps):
+    """The bytes each of reps results of call() holds, and one result.
+
+    A first call fills any caches; averaging over reps results keeps numpy's
+    small-block cache, which holds some freed temporaries, from counting.
+    """
+    call()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        outs = [call() for _ in range(reps)]
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] / reps, outs[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_decoded_list_keeps_its_arrays_and_no_labels():
+    # about 1,700 tones at criterion 07's shape: the three arrays take 32 B a
+    # tone, where a list of labels kept about 250 B a tone; stats included
+    oracle = _acceptance_07_input(0)
+    held, (results, _) = _retained(lambda: list_decode_hankel(oracle, DecoderParams(k=10), seed=0), 1)
+    assert len(results) > 1000 and held <= 40 * len(results)
+    # a one-tone lean list with its stats keeps about what a one-label list did
+    lab = CodewordLabel(lf_kerdock(FieldContext.default(10), 0x5D), 3, 0)
+    oracle = SyntheticOracle(10, [(lab, 1.0)])
+    params = DecoderParams(k=4, profile="lean")
+    held, (results, _) = _retained(lambda: list_decode_hankel(oracle, params, seed=5), 32)
+    assert len(results) == 1 and held <= 2200
 
 
 def test_lean_profile_recovers_within_linear_query_budget():
