@@ -176,7 +176,9 @@ def _cli(argv: List[str]) -> str:
     """Run one CLI invocation in-process; its stdout (stderr is dropped)."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert cli_main(argv) == 0, argv
+        code = cli_main(argv)
+    if code != 0:
+        raise RuntimeError(f"kerdock {' '.join(argv)} exited {code}")
     return out.getvalue()
 
 
@@ -184,12 +186,11 @@ def cli_stdout_digest(argv: List[str]) -> str:
     return hashlib.sha256(_cli(argv).encode()).hexdigest()
 
 
-def cli_files_digest() -> str:
-    """sha256 of criterion 10's encoded signal file followed by its corrupted copy."""
-    lab = CodewordLabel(lf_kerdock(FieldContext.default(6), 0x2B), 9, 0)
+def cli_files_digest(label: str) -> str:
+    """sha256 of the signal file encoding label at 1.0, followed by its corrupted copy."""
     with tempfile.TemporaryDirectory() as tmp:
         labels, coeffs, clean, noisy = (Path(tmp) / name for name in ("labels", "coeffs", "clean", "noisy"))
-        labels.write_text(format_label(lab) + "\n")
+        labels.write_text(label + "\n")
         coeffs.write_text("1.0 0.0\n")
         _cli(["encode", "--labels", str(labels), "--coeffs", str(coeffs), "--out", str(clean)])
         _cli(["corrupt", "--in", str(clean), "--noise-energy", "0.3", "--seed", "4", "--out", str(noisy)])
@@ -198,10 +199,10 @@ def cli_files_digest() -> str:
 
 def cli_cases() -> List[Case]:
     """The criterion-10 invocations (tests/test_acceptance.py), one case each, then the files."""
-    plant = format_label(CodewordLabel(lf_kerdock(FieldContext.default(6), 0x2B), 9, 0)) + ":1.0"
+    label = format_label(CodewordLabel(lf_kerdock(FieldContext.default(6), 0x2B), 9, 0))
     lean = format_label(CodewordLabel(lf_kerdock(FieldContext.default(10), 0x5D), 3, 0)) + ":1.0"
     wide = format_label(CodewordLabel(lf_kerdock(FieldContext.default(9), 0x10F), 4, 0)) + ":1.0"
-    robust = ["decode", "--plant", plant, "--n", "6", "--k", "3", "--noise-energy", "0.2", "--seed", "11"]
+    robust = ["decode", "--plant", label + ":1.0", "--n", "6", "--k", "3", "--noise-energy", "0.2", "--seed", "11"]
     invocations = {
         "gen-field": ["gen-field", "--n", "8"],
         "kerdock-gen": ["kerdock", "gen", "--all", "--n", "4"],
@@ -213,7 +214,7 @@ def cli_cases() -> List[Case]:
         "bench": ["bench", "--k", "2", "--n-list", "8", "--trials", "1", "--seed", "3"],
     }
     cases = [(f"cli-{name}", partial(cli_stdout_digest, argv)) for name, argv in invocations.items()]
-    return cases + [("cli-encode-corrupt-files", cli_files_digest)]
+    return cases + [("cli-encode-corrupt-files", partial(cli_files_digest, label))]
 
 
 def pursuit_cases() -> List[Case]:

@@ -37,6 +37,20 @@ def test_cli_outputs_match_their_pinned_digests():
     assert differ == []
 
 
+def test_the_list_is_ordered_by_pythons_squared_magnitudes():
+    # on the robust-n3-k3-clean input, nine listed |dot|^2 read
+    # 0.30817695403291623 or 0.30817695403291634 in Python, and numpy's abs
+    # rounds some of them to the other value: a numpy key would reorder them
+    script = _digest_script()
+    rng = np.random.default_rng([1, 3, 3, 0])
+    oracle = script._dense_or_clean(3, script._hankel_terms(3, 3, rng), 0.0, rng)
+    results, _ = script.list_decode_hankel(oracle, script.DecoderParams(k=3), seed=0)
+    keys = [(-abs(c) ** 2, lab.q.diag, lab.ell) for lab, c in results]
+    assert keys == sorted(keys)
+    numpy_order = np.lexsort((results.ells, results.diags, -np.abs(results.dots) ** 2))
+    assert (numpy_order != np.arange(len(keys))).sum() == 9
+
+
 def test_a_one_ulp_coefficient_change_moves_the_digest(monkeypatch):
     script = _digest_script()
     decode = script.list_decode_hankel
