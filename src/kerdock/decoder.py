@@ -492,8 +492,9 @@ class DecodedList(Sequence):
     """A decode's list of (label, coefficient) pairs, held as three read-only arrays.
 
     diags (uint64), ells (int64) and dots (complex128) are the listed tones
-    in list order; reading a pair builds its CodewordLabel, HankelMat and
-    complex afresh, so the list keeps 32 bytes a tone.
+    in list order, so the list keeps 32 bytes a tone. Reading a pair builds
+    its CodewordLabel and complex afresh; a pass over the list builds one
+    HankelMat per diag and shares it among that diag's labels.
     """
 
     __slots__ = ("n", "diags", "ells", "dots")
@@ -506,15 +507,19 @@ class DecodedList(Sequence):
     def __len__(self) -> int:
         return len(self.dots)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return DecodedList(self.n, self.diags[i], self.ells[i], self.dots[i])
+    def __getitem__(self, i: int) -> Tuple[CodewordLabel, complex]:
         label = CodewordLabel(HankelMat(self.n, int(self.diags[i])), int(self.ells[i]), 0)
         return label, complex(self.dots[i])
 
     def __iter__(self) -> Iterator[Tuple[CodewordLabel, complex]]:
+        mats = {}
         for d, ell, c in zip(self.diags.tolist(), self.ells.tolist(), self.dots.tolist()):
-            yield CodewordLabel(HankelMat(self.n, d), ell, 0), c
+            if d not in mats:
+                mats[d] = HankelMat(self.n, d)
+            yield CodewordLabel(mats[d], ell, 0), c
+
+    def __add__(self, other) -> List[Tuple[CodewordLabel, complex]]:
+        return list(self) + list(other)
 
 
 def list_decode_hankel(
@@ -640,7 +645,9 @@ def format_decode_report(
     lines = []
     for label, c in results:
         qhex = pack_hex(label.q.diag, 2 * n - 1)
-        lines.append(f"{qhex} {label.ell:x} {c.real:.12g} {c.imag:.12g} {abs(c)**2:.12g}")
+        lines.append(
+            f"{qhex} {label.ell:x} {c.real:.12g} {c.imag:.12g} {abs(c)**2:.12g}"
+        )
     lines.append(f"# levels {len(stats.g)}")
     for j, (g, f) in enumerate(zip(stats.g, stats.f), start=1):
         lines.append(f"# level {j} tested {g} kept {f}")

@@ -330,7 +330,10 @@ def test_a_decoded_list_reads_back_as_the_labelled_list(case, n, want):
     assert len(results) == len(pairs) >= 1
     assert [results[i] for i in range(len(pairs))] == pairs
     assert [results[i - len(pairs)] for i in range(len(pairs))] == pairs
-    assert list(results[1:]) == pairs[1:] and list(results[::-1]) == pairs[::-1]
+    assert results + pairs[:1] == pairs + pairs[:1]
+    # a pass shares one HankelMat among a diag's labels, as the labelled list did
+    mats = {}
+    assert all(mats.setdefault(lab.q.diag, lab.q) is lab.q for lab, _ in pairs)
     with pytest.raises(IndexError):
         results[len(pairs)]
     # each read builds its pair afresh
