@@ -33,6 +33,7 @@ __all__ = [
     "demodulate",
     "diag_chunks",
     "BATCH_BYTES",
+    "SLICE_ELEMS",
     "I_POWERS",
     "DENSE_MAX_N",
     "dense_codeword",
@@ -60,6 +61,10 @@ __all__ = [
 
 # i^e for e in Z4; the only copy of this table in the package
 I_POWERS = np.array([1, 1j, -1, -1j], dtype=np.complex128)
+
+# most rows x outputs in one pass of the exponent kernel, and positions in one slice of
+# codeword_sum: both bound temporaries that grow with the input
+SLICE_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -148,17 +153,23 @@ def _quad_exponents(rows: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
     rows[i] holds row i of Q and broadcasts against ys (uint64), so one
     matrix or a stack of matrices is evaluated by the same loop. Diagonal
-    bits count once and off-diagonal pairs twice, as in quad_form.
+    bits count once and off-diagonal pairs twice, as in quad_form. A pass
+    takes as many rows as keep rows x outputs within SLICE_ELEMS: a small
+    input is one pass, and a large one a row at a time, with one uint64 word
+    per output element.
     """
-    shifts = np.arange(len(rows), dtype=np.uint64).reshape((-1,) + (1,) * ys.ndim)
+    shifts = np.arange(len(rows), dtype=np.uint64).reshape((-1,) + (1,) * (rows.ndim - 1))
     # bit i of every y, cast to uint8 as it is written: no uint64 temporary
-    bits = np.empty((len(rows),) + ys.shape, dtype=np.uint8)
+    bits = np.empty(np.broadcast(shifts, ys).shape, dtype=np.uint8)
     np.right_shift(ys, shifts, out=bits, casting="unsafe")
     bits &= 1
     # uint8 wraparound is mod 256, a multiple of 4, so the mod-4 value survives
-    total = np.zeros(np.broadcast_shapes(rows.shape[1:], ys.shape), dtype=np.uint8)
-    for row, sel in zip(rows, bits):
-        total += sel * np.bitwise_count(row & ys)
+    total = np.zeros(np.broadcast(rows, ys).shape[1:], dtype=np.uint8)
+    step = max(1, SLICE_ELEMS // max(1, total.size))
+    for lo in range(0, len(rows), step):
+        counts = np.bitwise_count(rows[lo : lo + step] & ys)
+        # each row's counts times its bit plane, summed over the rows in one uint8 pass
+        total += np.einsum("r...,r...->...", counts, bits[lo : lo + step])
     return total & 3
 
 
@@ -187,16 +198,16 @@ def codeword_sum(
     The one evaluator of codeword values, i^exponent / sqrt(N): exponents from
     one stacked pass, terms added in order, each as coeff * (1 / sqrt(N)) times
     a unit phase, so every caller that sums the same terms gets the same bits.
-    The pass takes 2^16 positions at a time, as its temporaries (a uint64 word
-    per label and position, a bit per row and position) grow with both.
+    The pass takes SLICE_ELEMS positions at a time, as its temporaries (a uint64
+    word per label and position, a bit per row and position) grow with both.
     """
     terms = list(terms)
     labels = [label for label, _ in terms]
     out = np.zeros(np.shape(ys), dtype=np.complex128)
     flat, at = out.reshape(-1), np.ravel(ys)
-    for lo in range(0, at.size, 1 << 16):
-        part = flat[lo : lo + (1 << 16)]
-        for (label, coeff), e in zip(terms, exponents_at(labels, at[lo : lo + (1 << 16)])):
+    for lo in range(0, at.size, SLICE_ELEMS):
+        part = flat[lo : lo + SLICE_ELEMS]
+        for (label, coeff), e in zip(terms, exponents_at(labels, at[lo : lo + SLICE_ELEMS])):
             # the term's four values, looked up per position: the same bits as multiplying each
             part += (coeff * (1.0 / np.sqrt(1 << label.n)) * I_POWERS)[e]
     return out
@@ -225,7 +236,8 @@ def demodulate(values: np.ndarray, diags: np.ndarray, j: int, ys: np.ndarray) ->
     """
     values = np.asarray(values)
     phases = I_POWERS[(-hankel_exponents_batch(diags, j, ys)) & 3]
-    return values[None, ...] * np.expand_dims(phases, tuple(range(1, values.ndim)))
+    lead = (1,) * (values.ndim - 1)
+    return values[None, ...] * phases.reshape(phases.shape[:1] + lead + phases.shape[1:])
 
 
 # largest batch of demodulated rows diag_chunks hands out

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kerdock.codebook import (
     I_POWERS,
+    SLICE_ELEMS,
     CodewordLabel,
     HankelMat,
     SymMat,
@@ -145,7 +146,8 @@ def test_stacked_exponents_equal_the_per_label_ones(count):
             for lab, row in zip(labels, stacked):
                 assert row.tolist() == _per_label_exponents(lab, ys).tolist()
                 assert row.tolist() == exponents_at([lab], ys)[0].tolist()
-    assert exponents_at([], ys).shape == (0,) + ys.shape
+    for ys in (np.arange(5), ys, np.zeros(0, dtype=np.uint32)):
+        assert exponents_at([], ys).dtype == np.uint8 and exponents_at([], ys).shape == (0,) + ys.shape
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 4])
@@ -207,6 +209,87 @@ def test_hankel_exponents_batch_matches_scalar_path():
         m = HankelMat(j, int(diag))
         for b, y in enumerate(ys):
             assert batch[a, b] == quad_form(m, int(y))
+
+
+def _kernel_passes(monkeypatch):
+    """The rows of each pass of the exponent kernel, recorded from its einsum calls."""
+    passes, einsum = [], np.einsum
+
+    def counted(spec, counts, bits):
+        passes.append(len(counts))
+        return einsum(spec, counts, bits)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    return passes
+
+
+def _sizes_around_the_bound(per_position):
+    """Even position counts whose output elements times rows fall below, at and above SLICE_ELEMS.
+
+    per_position is the kernel's rows times labels (one when a single label
+    drops the label axis); at the middle size the pass fills the bound exactly
+    whenever per_position divides it, and the last is one row at a time.
+    """
+    at = SLICE_ELEMS // per_position & ~1
+    return [max(2, at - 2), at, at + 2, SLICE_ELEMS]
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 20, 24])
+@pytest.mark.parametrize("count", [1, 3])
+def test_the_exponent_kernel_matches_quad_form_around_its_pass_bound(n, count, monkeypatch):
+    # a single label broadcasts without the label axis; a stack mixes SymMat and HankelMat
+    rng = np.random.default_rng([n, count])
+    passes = _kernel_passes(monkeypatch)
+    for hankel in (False, True):
+        labels = [_random_label(rng, n, hankel=hankel ^ bool(i % 2)) for i in range(count)]
+        for size in _sizes_around_the_bound(n * count):
+            flat = rng.integers(0, 1 << n, size=size, dtype=np.uint64)
+            for ys in (flat, flat.reshape(-1, 2)):
+                passes.clear()
+                got = exponents_at(labels, ys)
+                assert got.dtype == np.uint8 and got.shape == (count,) + ys.shape
+                # every row once; as many rows a pass as fit the bound, so one pass while all do
+                rows = max(1, SLICE_ELEMS // (count * size))
+                assert sum(passes) == n and max(passes) == min(n, rows)
+                at = np.concatenate([rng.integers(0, size, size=24), [0, size - 1]])
+                for lab, row in zip(labels, got):
+                    assert row.ravel()[at].tolist() == _per_label_exponents(lab, flat[at]).tolist()
+    assert exponents_at(labels, np.zeros((0, 3), dtype=np.uint32)).shape == (count, 0, 3)
+
+
+@pytest.mark.parametrize("j", [1, 2, 9, 20])
+def test_hankel_exponents_batch_matches_quad_form_around_its_pass_bound(j, monkeypatch):
+    rng = np.random.default_rng(j)
+    diags = rng.integers(0, 1 << (2 * j - 1), size=5, dtype=np.uint64)
+    passes = _kernel_passes(monkeypatch)
+    for size in _sizes_around_the_bound(j * len(diags)):
+        ys = rng.integers(0, 1 << j, size=size, dtype=np.uint32)
+        passes.clear()
+        got = hankel_exponents_batch(diags, j, ys)
+        assert got.shape == (len(diags), size)
+        assert sum(passes) == j and max(passes) == min(j, max(1, SLICE_ELEMS // got.size))
+        at = np.concatenate([rng.integers(0, size, size=24), [0, size - 1]])
+        for diag, row in zip(diags, got):
+            m = HankelMat(j, int(diag))
+            assert row[at].tolist() == [quad_form(m, int(y)) for y in ys[at]]
+
+
+def test_the_exponent_kernel_holds_one_row_of_words_on_a_large_input():
+    # 3 labels x 2^16 positions at n = 20 run a row at a time: the peak is the uint64
+    # positions (8 B), the bit planes (20 B), one row's uint64 words and counts (3 x 9 B)
+    # and the output (3 B), 58 B a position (3.80 MB), with 6 B of headroom here.
+    # Stacking all 20 rows would hold 480 B a position of words alone
+    rng = np.random.default_rng(20)
+    labels = [_random_label(rng, 20, hankel=bool(i % 2)) for i in range(3)]
+    ys = np.arange(1 << 16, dtype=np.uint32)
+    exponents_at(labels, ys[:8])
+    tracemalloc.start()
+    try:
+        exponents_at(labels, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * ys.size
 
 
 def test_gray_image_of_phases():
