@@ -12,7 +12,7 @@ changes its digest. The slices:
   n = 2..6 (at n = 1 that is k = 3), clean and at noise 0.2; n = 7
   takes about 6 s per case and is left out;
 - lean: the lean profile at k = 1 on one planted Hankel word at
-  n = 3..24, clean and at noise 0.1;
+  n = 1..24, clean and at noise 0.1;
 - heavy: dense_heavy_set at n = 3..7 on two Hankel words at noise 0.2,
   with the bar |s|^2 / 4;
 - bestk: best_k_kerdock at n = 6..9 and k = 1..3 on k lf-Kerdock words
@@ -240,7 +240,7 @@ def output_cases() -> List[Case]:
         ]
         + [
             (f"lean-n{n}-{tag(noisy)}", partial(lean_digest, n, noisy))
-            for n in range(3, 25)
+            for n in range(1, 25)
             for noisy in (False, True)
         ]
         + [(f"heavy-n{n}", partial(heavy_digest, n)) for n in range(3, 8)]
