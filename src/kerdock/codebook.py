@@ -14,6 +14,7 @@ linear-feedback family gives a Kerdock codebook.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -106,7 +107,7 @@ class HankelMat:
     def entry(self, i: int, j: int) -> int:
         return (self.diag >> (i + j)) & 1
 
-    @property
+    @cached_property
     def rows(self) -> tuple:
         mask = (1 << self.n) - 1
         return tuple((self.diag >> i) & mask for i in range(self.n))

@@ -36,8 +36,8 @@ the robust level test shares their work: each parent's slices are
 demodulated once and transformed as two halves, and every child's
 spectrum is the last butterfly stage over those halves, written once per
 cache-sized block of parents. Once the search reads every suffix, a
-level's kept spectra are the next level's halves, so later levels read
-them instead of demodulating and transforming (_exact_levels).
+level's kept spectra are the next level's halves: _search hands them on
+as the level's carry, read instead of a demodulate and a transform.
 
 The lean profile is the query-sublinear one: it drives every decision
 from one small global position pool, nesting pair probes across levels
@@ -45,8 +45,8 @@ so the whole run touches O(pool * n) positions; it is meant for clean,
 very sparse signals where query counting is the point, and it trades
 list completeness for that budget.
 
-The lf-Kerdock subcode needs no search: one shift names its heavy words'
-top rows, and the values it read give their level-n dots (list_decode_hankel).
+The kerdock profile is no search: one shift names the heavy lf-Kerdock
+words' top rows; the values it read give their dots (list_decode_hankel).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import time
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -145,7 +145,7 @@ class DecoderParams:
 
     profile "lean" switches to the query-sublinear pooled probe regime
     with POOL_BASES anchor positions, about 8n positions in all at every
-    k; see the module docstring for what that trades away.
+    k, and "kerdock" lists the lf-Kerdock subcode; see the module docstring.
     """
 
     k: int
@@ -160,8 +160,8 @@ class DecoderParams:
             raise ValueError("candidate_cap must be at least 1")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-        if self.profile not in ("robust", "lean"):
-            raise ValueError("profile must be 'robust' or 'lean'")
+        if self.profile not in ("robust", "lean", "kerdock"):
+            raise ValueError("profile must be 'robust', 'lean' or 'kerdock'")
 
     def resolved_cap(self) -> int:
         return self.candidate_cap or max(64 * self.k**3, 4096)
@@ -206,19 +206,24 @@ def _search(
     oracle: CachingOracle,
     cap: int,
     stats: DecodeStats,
-    level_keep: Callable[[int, np.ndarray], np.ndarray],
+    level_keep: Callable[[int, np.ndarray, Any], Tuple[np.ndarray, Any]],
 ) -> None:
-    """The prefix search both profiles run, one Hankel size per level.
+    """The prefix search the robust and lean profiles run, one Hankel size per level.
 
-    level_keep(j, test_set) gives the keep mask of the level-j diags (uint64).
-    A profile is its level function: its level n is the finish and appends
-    the results, so the search returns nothing; it stops once a level keeps nothing.
+    level_keep(j, test_set, carry) gives the keep mask of the level-j diags
+    (uint64) and the carry for level j+1, what the profile hands on from
+    level j; level 1 gets None. The search holds the carry, so a level is a
+    function of its arguments. A profile is its level function: its level n
+    is the finish and appends the results, so the search returns nothing; it
+    stops once a level keeps nothing.
     """
     n, read = oracle.n, oracle.distinct_count
     test_set = np.array([0, 1], dtype=np.uint64)
+    carry = None
     for j in range(1, n + 1):
         t0 = time.perf_counter()
-        kept = test_set[level_keep(j, test_set)]
+        keep, carry = level_keep(j, test_set, carry)
+        kept = test_set[keep]
         stats.level_seconds.append(time.perf_counter() - t0)
         stats.level_reads.append(oracle.distinct_count - read)
         read = oracle.distinct_count
@@ -253,7 +258,7 @@ def _exact_levels(
     params: DecoderParams,
     seed: int,
     found: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> Callable[[int, np.ndarray], np.ndarray]:
+) -> Callable[[int, np.ndarray, Optional[np.ndarray]], Tuple[np.ndarray, Optional[np.ndarray]]]:
     """The robust profile's level function: keep masks from full restricted-slice reads.
 
     Every drawn slice, demodulated by each candidate's quadratic phase
@@ -299,19 +304,18 @@ def _exact_levels(
     tone test. Every path gives the same bits as transforming each child's
     slice in full.
 
-    level_keep(j, diags) must get whole sibling groups in extend_prefix
-    order, as _search builds them: each row of diags.reshape(-1, 4), or
-    (-1, 2) at j = 1, is one parent's children in kind (b_o + 2 b_d)
-    order 0, 2, 1, 3, and the parents are level j-1's kept diags in order.
+    level_keep(j, diags, carry) returns the keep mask and the carry for
+    level j+1 (its kept spectra, or None). It must get whole sibling groups
+    in extend_prefix order, as _search builds them: each row of
+    diags.reshape(-1, 4), or (-1, 2) at j = 1, is one parent's children in
+    kind (b_o + 2 b_d) order 0, 2, 1, 3, and the parents are level j-1's
+    kept diags in order, carry's rows.
     """
     n, k = oracle.n, params.k
     hint_sq = oracle.norm_hint**2
     samples = params.resolved_suffix_samples(n)
-    carry: Optional[np.ndarray] = None  # level j-1's kept spectra, (kept, slices, 2^(j-1))
 
-    def level_keep(j: int, diags: np.ndarray) -> np.ndarray:
-        nonlocal carry
-        prev, carry = carry, None
+    def level_keep(j: int, diags: np.ndarray, carry: Optional[np.ndarray]) -> tuple:
         # the trailing 0 is part of the stream key: dropping it changes every draw
         suffixes = draw_indices(1 << (n - j), samples, np.uint32, seed, "suffix", j, 0)
         width = 1 << j
@@ -338,11 +342,11 @@ def _exact_levels(
             rows = demodulate(vals, parents, j, ys).reshape(len(parents), -1, half)
             return fwht(rows, overwrite_input=True)
 
-        def run(lo: int, hi: int) -> Tuple[np.ndarray, list, Optional[list]]:
+        def run(lo: int, hi: int) -> Tuple[np.ndarray, Optional[list]]:
             parents = groups[lo:hi, 0]
-            src = fresh(parents) if prev is None else prev[lo:hi]
+            src = fresh(parents) if carry is None else carry[lo:hi]
             keep = np.ones((hi - lo, len(kinds)), dtype=bool)
-            hits, parts, size = [], [] if carries else None, 0
+            parts, size = [] if carries else None, 0
             # a block's four kinds of spectra, (parents, kind, slices, width), and their powers
             step = max(1, BLOCK_BYTES // (16 * vals.size))
             spec = np.empty((min(step, hi - lo), len(kinds)) + vals.shape, dtype=np.complex128)
@@ -350,7 +354,7 @@ def _exact_levels(
             for at in range(0, hi - lo, step):
                 block = src[at : at + step]
                 a, b, out = block[:, 0::2], block[:, 1::2], spec[: len(block)]
-                if prev is not None:
+                if carry is not None:
                     # each carried parent D's B, read at tone u xor (D >> (j-1))
                     r = (parents[at : at + step] >> np.uint64(j - 1)).astype(np.intp)
                     u = np.arange(half) ^ r[:, None, None]
@@ -370,13 +374,13 @@ def _exact_levels(
                         rows, cols = rows[sub], cols[sub]
                         dots = out[rows, cols, 0, tones] / math.sqrt(width)
                         hit = np.abs(dots) ** 2 >= cut
-                        hits.append((groups[lo + at + rows[hit], cols[hit]], tones[hit], dots[hit]))
+                        found.append((groups[lo + at + rows, cols][hit], tones[hit], dots[hit]))
                 if parts is not None:
                     # the kept children's spectra, parent-major in kind order: the carry's rows
                     parts.append(out[keep[at : at + step]])
                     size += parts[-1].nbytes
                     parts = parts if size <= CARRY_BYTES else None
-            return keep, hits, parts
+            return keep, parts
 
         # parents are batched at 4x the row size, so a batch's rows take at most
         # CARRY_BYTES; beyond them it holds a few blocks of spectra and powers,
@@ -385,20 +389,17 @@ def _exact_levels(
         starts = [0] + ends[:-1]
         # a carry comes from the previous one or a lone batch: after several fresh
         # batches, the next level's parents fit one batch if they fit a carry
-        carries = j < n and len(suffixes) == 1 << (n - j) and (prev is not None or len(ends) == 1)
+        carries = j < n and len(suffixes) == 1 << (n - j) and (carry is not None or len(ends) == 1)
         if settled and not (carries and 16 * groups.size * vals.size <= CARRY_BYTES):
-            keep = np.ones(groups.shape, dtype=bool)
+            return np.ones(diags.shape, dtype=bool), None
+        if params.threads > 1 and len(ends) > 1:
+            with ThreadPoolExecutor(max_workers=params.threads) as pool:
+                runs = list(pool.map(run, starts, ends))
         else:
-            if params.threads > 1 and len(ends) > 1:
-                with ThreadPoolExecutor(max_workers=params.threads) as pool:
-                    runs = list(pool.map(run, starts, ends))
-            else:
-                runs = list(map(run, starts, ends))
-            found.extend(hit for _, hits, _ in runs for hit in hits)
-            keep = np.concatenate([keep for keep, _, _ in runs])
-            if carries and 16 * int(keep.sum()) * vals.size <= CARRY_BYTES:
-                carry = np.concatenate([part for _, _, parts in runs for part in parts])
-        return keep.ravel()
+            runs = list(map(run, starts, ends))
+        keep = np.concatenate([keep for keep, _ in runs]).ravel()
+        fits = carries and 16 * int(keep.sum()) * vals.size <= CARRY_BYTES
+        return keep, np.concatenate([p for _, parts in runs for p in parts]) if fits else None
 
     return level_keep
 
@@ -408,7 +409,7 @@ def _lean_levels(
     params: DecoderParams,
     seed: int,
     found: List[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> Callable[[int, np.ndarray], np.ndarray]:
+) -> Callable[[int, np.ndarray, Optional[tuple]], Tuple[np.ndarray, tuple]]:
     """The lean profile's level function: every statistic reads the same few positions.
 
     The two bits a level-j extension introduces are the new reverse
@@ -428,30 +429,22 @@ def _lean_levels(
     Flipping a child's new diagonal bit negates s_diag exactly and its
     new off-diagonal bit negates s_off, so at most one of the four
     extensions clears both positive bars: each level keeps at most one
-    prefix, and the candidate cap never binds for this profile.
+    prefix, and the candidate cap never binds for this profile. A level's
+    carry is its values at bases and bases ^ e_{j-1}.
     """
     n = oracle.n
     rng = child_rng(seed, "pool")
     bases = np.unique(rng.integers(0, 1 << n, size=4 * POOL_BASES, dtype=np.uint64))
     rng.shuffle(bases)
     bases = bases[:POOL_BASES].astype(np.uint32)
-    pool: List[np.ndarray] = [bases]
     bar = 0.2
-    v_base: Optional[np.ndarray] = None  # values at bases, read at level 1
-    v_prev: Optional[np.ndarray] = None  # values at bases ^ e_{j-2}
 
-    def level_keep(j: int, test_set: np.ndarray) -> np.ndarray:
-        nonlocal v_base, v_prev
-        if j == 1:
-            v_base = oracle.query_many(bases)
+    def level_keep(j: int, test_set: np.ndarray, carry: Optional[tuple]) -> tuple:
+        # the values at bases, read at level 1, and at bases ^ e_{j-2}
+        v_base, v_prev = carry or (oracle.query_many(bases), None)
         d1 = np.uint32(1 << (j - 1))
         p1 = bases ^ d1
-        pool.append(p1)
         v1 = oracle.query_many(p1)
-        if j >= 2:
-            p2 = p1 ^ np.uint32(1 << (j - 2))
-            pool.append(p2)
-            v2 = oracle.query_many(p2)
         w0 = demodulate(v_base, test_set, j, bases)
         w1 = demodulate(v1, test_set, j, p1)
         t1 = w1 * np.conj(w0)
@@ -460,21 +453,23 @@ def _lean_levels(
         s_diag = np.mean(sq.real, axis=1) / np.maximum(norm, 1e-300)
         keep = s_diag >= bar
         if j >= 2:
-            w2 = demodulate(v2, test_set, j, p2)
+            p2 = p1 ^ np.uint32(1 << (j - 2))
+            w2 = demodulate(oracle.query_many(p2), test_set, j, p2)
             wp = demodulate(v_prev, test_set, j, bases ^ (d1 >> 1))
             mixed = w2 * np.conj(w1) * np.conj(wp) * w0
             norm = np.mean(np.abs(mixed), axis=1)
             s_off = np.mean(mixed.real, axis=1) / np.maximum(norm, 1e-300)
             keep &= s_off >= bar
-        v_prev = v1
         if j < n or not keep.any():
-            return keep
-        # finish: linear parts from the sign of the pair correlation along each coordinate
+            return keep, (v_base, v1)
+        # finish: linear parts from the sign of the pair correlation along each coordinate,
+        # over the pool the levels read: bases, bases ^ e_i and bases ^ e_i ^ e_{i-1}
         kept = test_set[keep]
-        positions = np.unique(np.concatenate(pool))
-        walls = demodulate(oracle.query_many(positions), kept, n, positions)
         coords = np.uint32(1) << np.arange(n, dtype=np.uint32)
-        partners = np.searchsorted(positions, bases ^ coords[:, None])
+        probes = bases ^ coords[:, None]
+        positions = np.unique(np.concatenate([bases[None], probes, probes[1:] ^ coords[:-1, None]]))
+        walls = demodulate(oracle.query_many(positions), kept, n, positions)
+        partners = np.searchsorted(positions, probes)
         anchors = np.conj(walls[:, None, np.searchsorted(positions, bases)])
         corr = np.mean(walls[:, partners] * anchors, axis=-1)
         ells = ((corr.real < 0.0) * coords).sum(axis=1, dtype=np.uint32)
@@ -483,7 +478,7 @@ def _lean_levels(
         chats = np.mean(walls * I_POWERS[(-eell) & 3], axis=1) * math.sqrt(1 << n)
         heavy = np.flatnonzero(np.abs(chats) ** 2 >= oracle.norm_hint**2 / (2.0 * params.k))
         found.append((kept[heavy], ells[heavy], chats[heavy]))
-        return keep
+        return keep, (v_base, v1)
 
     return level_keep
 
@@ -526,15 +521,14 @@ def list_decode_hankel(
     oracle: SampleOracle,
     params: DecoderParams,
     seed: int = 0,
-    kerdock: Optional[FieldContext] = None,
 ) -> Tuple[DecodedList, DecodeStats]:
     """All Hankel codewords carrying a 1/k energy fraction, with estimates.
 
-    Given a kerdock field, the lf-Kerdock subcode is listed by one shift
-    instead of a search. For a word c with matrix P, s(y) conj s(y xor 1)
-    is a Walsh tone of height |c|^2 at P e_0, its top row. Each u where the
-    fwht of that product has magnitude hint^2 / 4k or more names
-    lf_kerdock(kerdock, u); the fwht of the values already read, demodulated
+    profile="kerdock" lists the lf-Kerdock subcode by one shift instead of a
+    search. For a word c with matrix P, s(y) conj s(y xor 1) is a Walsh tone
+    of height |c|^2 at P e_0, its top row. Each u where the fwht of that
+    product has magnitude hint^2 / 4k or more names lf_kerdock(ctx, u), for
+    ctx = FieldContext.default(n); the fwht of the values it read, demodulated
     by it, gives the robust level n's dots, and each tone whose squared dot
     clears hint^2 / 2k is listed. The bar rests on the cross terms of
     distinct Kerdock words being flat, |c_a c_b| / sqrt(N) per tone, as
@@ -551,32 +545,20 @@ def list_decode_hankel(
     descending estimated energy, labelled only as they are read. The oracle is
     wrapped in a cache, so repeated positions are charged once; stats.queries
     counts the distinct positions this decode read and stats.queries_raw its
-    requests. Each profile is its level function in the one search, at every n
-    and k (see the module docstring for k >= 2^n). Raises CandidateOverflow when
-    a level exceeds the cap, and ValueError before any read when n < 1, when a
-    robust or Kerdock decode would exceed n = DENSE_MAX_N, when the norm hint
-    squares to 0 (every bar would be 0 and list every codeword), when a robust
-    decode has k >= 2^n at n > 7, or when a kerdock field is not of the oracle's
-    n or comes with lean.
+    requests. The robust and lean profiles are each a level function in the
+    one search, at every n and k (see the module docstring for k >= 2^n).
+    Raises CandidateOverflow when a level exceeds the cap, and ValueError
+    before any read when n < 1, when a robust or Kerdock decode would exceed
+    n = DENSE_MAX_N, when the norm hint squares to 0 (every bar would be 0 and
+    list every codeword), or when a robust decode has k >= 2^n at n > 7.
     """
     if oracle.n < 1:
         raise ValueError(f"decoding needs n >= 1, got n={oracle.n}")
-    if kerdock is not None and kerdock.n != oracle.n:
+    if params.profile != "lean" and oracle.n > DENSE_MAX_N:
+        fix = 'use profile="lean"' if params.profile == "robust" else "sampling is ROADMAP item 11"
         raise ValueError(
-            f"the Kerdock subcode's field has n={kerdock.n} but the oracle has "
-            f"n={oracle.n}; give the field of the oracle's size"
-        )
-    if kerdock is not None and oracle.n > DENSE_MAX_N:
-        raise ValueError(
-            f"the Kerdock decode reads all 2^n positions and is limited to n <= {DENSE_MAX_N}, "
-            f"got n={oracle.n}; a sampled Kerdock decode past that is ROADMAP item 11"
-        )
-    if kerdock is not None and params.profile == "lean":
-        raise ValueError('the Kerdock decode reads all 2^n positions: use profile="robust"')
-    if params.profile == "robust" and oracle.n > DENSE_MAX_N:
-        raise ValueError(
-            f"the robust profile reads all 2^n positions and is limited to "
-            f'n <= {DENSE_MAX_N}, got n={oracle.n}; use profile="lean"'
+            f"the {params.profile} profile reads all 2^n positions and is limited to "
+            f"n <= {DENSE_MAX_N}, got n={oracle.n}; {fix}"
         )
     if oracle.norm_hint**2 == 0:
         raise ValueError(
@@ -597,7 +579,7 @@ def list_decode_hankel(
     found = [(np.empty(0, np.uint64), np.empty(0, np.int64), np.empty(0, np.complex128))]
     read, raw = cached.distinct_count, cached.query_count
     cap = params.resolved_cap()
-    if kerdock is not None:
+    if params.profile == "kerdock":
         ys = np.arange(1 << n, dtype=np.uint32)
         vals = cached.query_many(ys)
         peaks = np.abs(fwht(vals * np.conj(vals[ys ^ np.uint32(1)]), overwrite_input=True))
@@ -607,7 +589,8 @@ def list_decode_hankel(
             # sparse-approx takes no --cap, and no k helps where every even top row
             # peaks (two adjacent spikes): name the input as the cause
             raise CandidateOverflow(1, len(tops), cap, "the signal is far from a few Kerdock words")
-        diags = np.array([lf_kerdock(kerdock, int(u)).diag for u in tops], dtype=np.uint64)
+        ctx = FieldContext.default(n)
+        diags = np.array([lf_kerdock(ctx, int(u)).diag for u in tops], dtype=np.uint64)
         # the finish, from the values already read: the robust level n's dots, bit for bit
         bar = cached.norm_hint**2 / (2.0 * params.k)
         for batch in diag_chunks(diags, 4 * vals.size):

@@ -186,6 +186,8 @@ class FieldContext:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.n > 32:
+            raise ValueError(f"n must be <= 32, got n={self.n}: trace_vec holds elements in uint32")
         if poly_degree(self.h) != self.n or not (self.h & 1):
             raise ValueError("h must be monic of degree n with h_0 = 1")
         if not is_primitive(self.h, self.n):

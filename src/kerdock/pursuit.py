@@ -26,7 +26,6 @@ from kerdock.codebook import (
     unpack_hex,
 )
 from kerdock.decoder import DecoderParams, list_decode_hankel
-from kerdock.field import FieldContext
 from kerdock.rng import child_rng
 from kerdock.signal import CachingOracle, SampleOracle, estimate_dots, estimate_sq_norm
 
@@ -127,8 +126,7 @@ def sparse_approx(
             f"k={params.k} exceeds the sqrt(N)/6 coherence regime: "
             f"the largest allowed k at n={n} is {k_max}; lower k or raise n"
         )
-    ctx = FieldContext.default(n)
-    inner = DecoderParams(k=params.k)
+    inner = DecoderParams(k=params.k, profile="kerdock")
     est_samples = min(1 << n, 1 << 14)
     rep = Representation()
     cached = oracle if isinstance(oracle, CachingOracle) else CachingOracle(oracle)
@@ -149,7 +147,7 @@ def sparse_approx(
                 break
             residual = ResidualOracle(cached, rep, math.sqrt(2.0 * est))
         # the shift decode draws nothing, so it takes no seed
-        found, _ = list_decode_hankel(residual, inner, kerdock=ctx)
+        found, _ = list_decode_hankel(residual, inner)
         have = {lab for lab, _ in rep.terms}
         fresh = [(lab, c) for lab, c in found if lab not in have]
         fresh.sort(key=lambda t: -abs(t[1]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import kerdock.cli as cli_mod
+import kerdock.field as field_mod
 from kerdock.cli import build_parser, main
 from kerdock.codebook import format_label, CodewordLabel, HankelMat, lf_kerdock, pack_hex, pair_dot
 from kerdock.field import FieldContext
@@ -28,6 +29,14 @@ def test_gen_field_prints_coefficient_line(capsys):
 def test_gen_field_rejects_reducible_h(capsys):
     assert main(["gen-field", "--n", "4", "--h", "0b10101"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_gen_field_refuses_n_past_32_before_the_primitivity_check(capsys, monkeypatch):
+    # x^61 + x^5 + x^2 + x + 1: the primitivity check would trial-divide the
+    # prime 2^61 - 1 for minutes, and trace_vec holds elements in uint32
+    monkeypatch.setattr(field_mod, "is_primitive", lambda h, n: pytest.fail("primitivity checked"))
+    assert main(["gen-field", "--n", "61", "--h", "0x2000000000000027"]) == 2
+    assert "error: n must be <= 32, got n=61" in capsys.readouterr().err
 
 
 def test_kerdock_gen_all(capsys):

@@ -76,8 +76,10 @@ def test_extend_prefix_grows_two_bits():
 def test_params_validation():
     with pytest.raises(ValueError):
         DecoderParams(k=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="profile must be 'robust', 'lean' or 'kerdock'"):
         DecoderParams(k=2, profile="fast")
+    for profile in ("robust", "lean", "kerdock"):
+        assert DecoderParams(k=2, profile=profile).profile == profile
     with pytest.raises(ValueError):
         DecoderParams(k=2, candidate_cap=0)
     with pytest.raises(ValueError):
@@ -202,13 +204,6 @@ def test_a_zero_hint_is_refused_before_any_read(profile):
     assert o.query_count == 0
 
 
-def test_a_kerdock_field_of_another_size_is_refused_before_any_read():
-    o = DenseOracle(np.ones(1 << 6, dtype=np.complex128))
-    with pytest.raises(ValueError, match="field has n=7 but the oracle has n=6"):
-        list_decode_hankel(o, DecoderParams(k=1), seed=0, kerdock=FieldContext.default(7))
-    assert o.query_count == 0
-
-
 def _hex_list(results):
     return [(lab, c.real.hex(), c.imag.hex()) for lab, c in results]
 
@@ -236,7 +231,7 @@ def test_kerdock_decode_lists_the_kerdock_subset_of_the_whole_code_list(n):
         ]
         for vals, oracle in inputs:
             whole, _ = list_decode_hankel(oracle(), whole_params, seed=3)
-            sub, stats = list_decode_hankel(oracle(), DecoderParams(k=3), seed=3, kerdock=ctx)
+            sub, stats = list_decode_hankel(oracle(), DecoderParams(k=3, profile="kerdock"), seed=3)
             kerdock_part = [t for t in _hex_list(whole) if is_kerdock_label(ctx, t[0].q.diag)]
             assert _hex_list(sub) == kerdock_part
             heavy = dense_heavy_set(vals, np.vdot(vals, vals).real / 3, diags=kerdock_diags)
@@ -254,9 +249,7 @@ def test_the_kerdock_decode_aborts_over_the_cap():
     vals = np.zeros(1 << n, dtype=np.complex128)
     vals[:2] = 1.0
     with pytest.raises(CandidateOverflow, match="kept 32 candidates, cap 31; the signal is far from"):
-        list_decode_hankel(
-            DenseOracle(vals), DecoderParams(k=1, candidate_cap=31), kerdock=FieldContext.default(n)
-        )
+        list_decode_hankel(DenseOracle(vals), DecoderParams(k=1, candidate_cap=31, profile="kerdock"))
 
 
 @pytest.mark.parametrize("profile", ["robust", "lean"])
@@ -299,7 +292,7 @@ def _contract_decode(case):
     ctx = FieldContext.default(8)
     terms = [(CodewordLabel(lf_kerdock(ctx, t), e, 0), c) for t, e, c in ((0x5B, 3, 1.0), (0x21, 7, 0.6j))]
     oracle = DenseOracle(make_noisy(8, terms, noise_energy=0.2, seed=8))
-    return list_decode_hankel(oracle, DecoderParams(k=3), kerdock=ctx)
+    return list_decode_hankel(oracle, DecoderParams(k=3, profile="kerdock"))
 
 
 def _pairs_digest(pairs):
@@ -401,10 +394,10 @@ def test_the_lean_finish_reads_inside_level_n(monkeypatch):
     search = decoder_mod._search
 
     def spy(size, cap, stats, level_keep):
-        def level(j, test_set):
-            keep = level_keep(j, test_set)
+        def level(j, test_set, carry):
+            out = level_keep(j, test_set, carry)
             after.append(cached.query_count)
-            return keep
+            return out
 
         return search(size, cap, stats, level)
 
@@ -414,22 +407,12 @@ def test_the_lean_finish_reads_inside_level_n(monkeypatch):
     assert after[-1] == stats.queries_raw
 
 
-@pytest.mark.parametrize("profile", ["robust", "lean"])
-def test_the_kerdock_decode_past_its_size_limit_reads_nothing(profile):
-    # the refusal names the Kerdock decode's own limit: the lean profile refuses it too
+def test_the_kerdock_decode_past_its_size_limit_reads_nothing():
+    # the refusal names the Kerdock decode's own limit, not the robust one's advice
     o = SyntheticOracle(21, [])
-    with pytest.raises(ValueError, match="limited to n <= 20, got n=21") as err:
-        list_decode_hankel(o, DecoderParams(k=1, profile=profile), kerdock=FieldContext.default(21))
+    with pytest.raises(ValueError, match="kerdock profile .* limited to n <= 20, got n=21") as err:
+        list_decode_hankel(o, DecoderParams(k=1, profile="kerdock"))
     assert "lean" not in str(err.value) and "item 11" in str(err.value)
-    assert o.query_count == 0
-
-
-def test_lean_profile_refuses_the_kerdock_subcode():
-    # the Kerdock decode reads every position: it runs under the robust profile only
-    o = SyntheticOracle(12, _kerdock_terms(12, [300], [1.0], seed=4))
-    lean = DecoderParams(k=4, profile="lean")
-    with pytest.raises(ValueError, match='use profile="robust"'):
-        list_decode_hankel(o, lean, seed=1, kerdock=FieldContext.default(12))
     assert o.query_count == 0
 
 
@@ -607,11 +590,11 @@ def test_shared_spectra_match_the_per_child_transforms(monkeypatch, kind):
         # k = 4 lists many tones at n <= 5; k = 1 prunes the middle levels at n = 8
         params = DecoderParams(k=1 if n == 8 else 4)
         assert params.resolved_suffix_samples(n) >= 1 << (n - 1)
-        found = []
+        found, carry = [], None
         level_keep = decoder_mod._exact_levels(oracle, params, 5, found)
         diags = np.array([0, 1], dtype=np.uint64)
         for j in range(1, n + 1):
-            got = level_keep(j, diags)
+            got, carry = level_keep(j, diags, carry)
             want, want_hits = _per_child_level(oracle, params, 5, j, diags)
             assert got.tolist() == want.tolist(), (n, j)
             outcomes.update(want.tolist())
@@ -631,11 +614,6 @@ def test_shared_spectra_match_the_per_child_transforms(monkeypatch, kind):
     assert set(transformed) == {1}
 
 
-def _carry(level_keep):
-    """The kept spectra a robust level function holds for its next level, or None."""
-    return level_keep.__closure__[level_keep.__code__.co_freevars.index("carry")].cell_contents
-
-
 @pytest.mark.parametrize("kind", ["clean", "integer", "gaussian"])
 def test_a_settled_level_keeps_and_carries_as_the_transforms_do(kind):
     # along the carried chain, a level that settles on its slice energies keeps
@@ -646,13 +624,12 @@ def test_a_settled_level_keeps_and_carries_as_the_transforms_do(kind):
     for n in (3, 5, 7):
         oracle = _slice_signal(kind, n)
         params = DecoderParams(k=1 if n == 7 else 4)
-        level_keep = decoder_mod._exact_levels(oracle, params, 5, [])
+        level_keep, carry = decoder_mod._exact_levels(oracle, params, 5, []), None
         diags = np.array([0, 1], dtype=np.uint64)
         for j in range(1, n + 1):
-            got = level_keep(j, diags)
+            got, carry = level_keep(j, diags, carry)
             want, _ = _per_child_level(oracle, params, 5, j, diags)
             assert got.tolist() == want.tolist(), (n, j)
-            carry = _carry(level_keep)
             if carry is not None:
                 vals = _level_slices(oracle, params, 5, j)[0]
                 ys = np.arange(1 << j, dtype=np.uint32)
@@ -662,6 +639,26 @@ def test_a_settled_level_keeps_and_carries_as_the_transforms_do(kind):
                 break
             diags = extend_prefix(diags[got], j)
     assert {(True, True, True), (True, False, True), (False, False, True)} <= seen
+
+
+def test_a_robust_level_is_a_function_of_its_arguments():
+    # _search holds the carry and hands it to each level, so a caller may call
+    # a level again with the same (j, diags, carry), say once per block of
+    # parents: the keep mask and the carry it hands on come out the same, at
+    # the fresh level 1, at carried levels and at level n, whose hits are too
+    n = 6
+    oracle, found = _slice_signal("gaussian", n), []
+    level_keep = decoder_mod._exact_levels(oracle, DecoderParams(k=4), 5, found)
+    diags, carry, seen = np.array([0, 1], dtype=np.uint64), None, []
+    for j in range(1, n + 1):
+        (keep, out), (again, out_again) = (level_keep(j, diags, carry) for _ in range(2))
+        assert keep.tolist() == again.tolist(), j
+        assert (out is None and out_again is None) or out.tobytes() == out_again.tobytes(), j
+        seen.append((carry is not None, out is not None))
+        diags, carry = extend_prefix(diags[keep], j), out
+    assert seen == [(False, True)] + [(True, True)] * (n - 2) + [(True, False)]
+    hits = [tuple(a.tolist() for a in part) for part in found]
+    assert hits[: len(hits) // 2] == hits[len(hits) // 2 :] and hits[0][0]
 
 
 @pytest.mark.parametrize("over, settles", [(0.0, False), (1e-7, False), (1e-5, True)])
@@ -682,7 +679,7 @@ def test_a_slice_energy_within_the_margin_of_the_bar_goes_to_the_transforms(monk
     calls = []
     monkeypatch.setattr(decoder_mod, "fwht", lambda a, **kwargs: calls.append(a.shape) or fwht(a, **kwargs))
     diags = np.array([0, 1], dtype=np.uint64)
-    got = decoder_mod._exact_levels(oracle, params, 0, [])(1, diags)
+    got, _ = decoder_mod._exact_levels(oracle, params, 0, [])(1, diags, None)
     assert got.tolist() == _per_child_level(oracle, params, 0, 1, diags)[0].tolist()
     assert bool(calls) is not settles
 
@@ -698,9 +695,9 @@ def test_the_finish_lists_from_its_tone_powers_what_the_full_spectra_list(monkey
     def spy(*args):
         level_keep = factory(*args)
 
-        def spied(j, diags):
+        def spied(j, diags, carry):
             levels.append(diags)
-            return level_keep(j, diags)
+            return level_keep(j, diags, carry)
 
         return spied
 
@@ -738,10 +735,10 @@ def test_the_level_test_gets_whole_sibling_groups(monkeypatch, noisy, k):
     def spy(*args):
         level_keep = factory(*args)
 
-        def spied(j, diags):
-            keep = level_keep(j, diags)
+        def spied(j, diags, carry):
+            keep, carry = level_keep(j, diags, carry)
             levels.append((j, diags.copy(), keep))
-            return keep
+            return keep, carry
 
         return spied
 
@@ -839,10 +836,10 @@ def test_a_carry_budget_passed_part_way_hands_on_no_carry(monkeypatch):
     def spy(*args):
         level_keep = factory(*args)
 
-        def spied(j, diags):
-            keep = level_keep(j, diags)
-            levels.append((int(keep.sum()), _carry(level_keep)))
-            return keep
+        def spied(j, diags, carry):
+            keep, carry = level_keep(j, diags, carry)
+            levels.append((int(keep.sum()), carry))
+            return keep, carry
 
         return spied
 
@@ -884,12 +881,12 @@ def _level_temporaries(monkeypatch, oracle, params):
     def spy(*args):
         level_keep = factory(*args)
 
-        def spied(j, diags):
+        def spied(j, diags, carry):
             mark()
-            keep = level_keep(j, diags)
+            keep, carry = level_keep(j, diags, carry)
             peak = tracemalloc.get_traced_memory()[1] - base[0]
-            levels.append((j, int(keep.sum()), peak, _carry(level_keep)))
-            return keep
+            levels.append((j, int(keep.sum()), peak, carry))
+            return keep, carry
 
         return spied
 
@@ -938,7 +935,7 @@ def test_level_reads_sum_to_the_query_bill():
     decodes = [
         list_decode_hankel(DenseOracle(vals), DecoderParams(k=1), seed=1),
         list_decode_hankel(DenseOracle(vals), DecoderParams(k=2, profile="lean"), seed=1),
-        list_decode_hankel(DenseOracle(vals), DecoderParams(k=2), kerdock=FieldContext.default(n)),
+        list_decode_hankel(DenseOracle(vals), DecoderParams(k=2, profile="kerdock")),
     ]
     for _, stats in decodes:
         assert len(stats.level_reads) == len(stats.g) and stats.level_reads.typecode == "q"

@@ -68,18 +68,18 @@ def test_params_validation_and_defaults(monkeypatch):
     # eps above e still runs one round
     assert PursuitParams(k=3, eps=3.0).resolved_rounds() == 1
     assert PursuitParams(k=3, eps=10.0).resolved_rounds() == 1
-    # every inner decode runs the plain decoder at heaviness k, default cap included
+    # every inner decode runs the Kerdock profile at heaviness k, default cap included
     vals, params = _two_round_case()
     inner = []
     real = pursuit_mod.list_decode_hankel
 
-    def spy(oracle, decoder_params, seed=0, kerdock=None):
+    def spy(oracle, decoder_params, seed=0):
         inner.append(decoder_params)
-        return real(oracle, decoder_params, seed, kerdock)
+        return real(oracle, decoder_params, seed)
 
     monkeypatch.setattr(pursuit_mod, "list_decode_hankel", spy)
     sparse_approx(DenseOracle(vals), params, seed=0)
-    assert inner == [DecoderParams(k=params.k)] * 2
+    assert inner == [DecoderParams(k=params.k, profile="kerdock")] * 2
 
 
 def test_coherence_regime_guard():
@@ -323,8 +323,8 @@ def _spy_decodes(monkeypatch):
     seen = []
     real = pursuit_mod.list_decode_hankel
 
-    def spy(oracle, params, seed=0, kerdock=None):
-        results, stats = real(oracle, params, seed, kerdock)
+    def spy(oracle, params, seed=0):
+        results, stats = real(oracle, params, seed)
         seen.append((oracle, stats))
         return results, stats
 
