@@ -57,6 +57,9 @@ def _random_label(rng, n, hankel=False):
 def test_hankel_rows_shift_the_antidiagonal_bits():
     m = HankelMat(3, 0b10110)
     assert m.rows == (0b110, 0b011, 0b101)
+    # the rows are built once; equality and hashing stay on (n, diag)
+    assert m.rows is m.rows
+    assert m == HankelMat(3, 0b10110) and hash(m) == hash(HankelMat(3, 0b10110))
     assert m.diag & ((1 << m.n) - 1) == 0b110
     for i in range(3):
         for j in range(3):
