@@ -35,7 +35,7 @@ class PursuitParams:
     """Term budget k and target accuracy eps.
 
     eps sets the round count, max(1, ceil(log(1/eps)) + 1); every round
-    decodes the residual's Kerdock subcode with DecoderParams(k=k). The
+    decodes the residual with DecoderParams(k=k, profile="kerdock"). The
     coherence regime check (k at most sqrt(N)/6, so that mu*k <= 1/6 and
     per-term estimates stay inside half a coefficient) happens at decode
     time, when n is known.
