@@ -407,12 +407,18 @@ def test_the_lean_finish_reads_inside_level_n(monkeypatch):
     assert after[-1] == stats.queries_raw
 
 
-def test_the_kerdock_decode_past_its_size_limit_reads_nothing():
-    # the refusal names the Kerdock decode's own limit, not the robust one's advice
+@pytest.mark.parametrize("profile", ["robust", "lean"])
+def test_the_kerdock_decode_past_its_size_limit_reads_nothing(profile):
+    # the refusal names the Kerdock decode's own limit, not a neighbour profile's:
+    # the robust one advises lean at n = 21, the lean one has no size limit and
+    # gets as far as the zero norm hint of this empty signal
     o = SyntheticOracle(21, [])
     with pytest.raises(ValueError, match="kerdock profile .* limited to n <= 20, got n=21") as err:
         list_decode_hankel(o, DecoderParams(k=1, profile="kerdock"))
     assert "lean" not in str(err.value) and "item 11" in str(err.value)
+    neighbour = 'use profile="lean"' if profile == "robust" else "zero square"
+    with pytest.raises(ValueError, match=neighbour):
+        list_decode_hankel(o, DecoderParams(k=1, profile=profile))
     assert o.query_count == 0
 
 
