@@ -98,13 +98,13 @@ def _cmd_gen_field(args: argparse.Namespace) -> int:
 
 
 def _cmd_kerdock(args: argparse.Namespace) -> int:
+    if args.all == (args.top_row is not None):
+        raise ValueError("kerdock gen needs exactly one of --top-row and --all")
     ctx = FieldContext.default(args.n)
     if args.all:
         mats = kerdock_set(ctx)
-    elif args.top_row is not None:
-        mats = [lf_kerdock(ctx, unpack_hex(args.top_row, ctx.n))]
     else:
-        raise ValueError("kerdock gen needs --top-row or --all")
+        mats = [lf_kerdock(ctx, unpack_hex(args.top_row, ctx.n))]
     for m in mats:
         print(pack_hex(m.diag, 2 * ctx.n - 1))
     return 0

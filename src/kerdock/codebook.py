@@ -43,7 +43,6 @@ __all__ = [
     "gf2_inv",
     "gf2_matmul",
     "gf2_nullspace",
-    "gray_exp",
     "gray_codeword",
     "z4_to_z2_label",
     "pair_dot",
@@ -366,23 +365,14 @@ def gf2_matmul(a_rows: Sequence[int], b_rows: Sequence[int]) -> List[int]:
 
 # Gray map ----------------------------------------------------------------
 
-_GRAY = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
-
-
-def gray_exp(v: int) -> tuple:
-    """Exponentiated Gray image of i^v as a pair of signs."""
-    b0, b1 = _GRAY[v & 3]
-    return (1 - 2 * b0, 1 - 2 * b1)
+# the Gray bits of each Z4 value: 0 -> 00, 1 -> 01, 2 -> 11, 3 -> 10
+_GRAY = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
 
 
 def gray_codeword(z4_values: np.ndarray) -> np.ndarray:
-    """Componentwise Gray map, interleaved: position 2y and 2y+1 get the pair."""
+    """Componentwise Gray map of the last axis, interleaved: 2y and 2y+1 get y's pair."""
     v = np.asarray(z4_values, dtype=np.int64) & 3
-    out = np.empty(2 * len(v), dtype=np.uint8)
-    pairs = np.array([_GRAY[x] for x in range(4)], dtype=np.uint8)[v]
-    out[0::2] = pairs[:, 0]
-    out[1::2] = pairs[:, 1]
-    return out
+    return _GRAY[v].reshape(v.shape[:-1] + (2 * v.shape[-1],))
 
 
 def z4_to_z2_label(q: MatLike) -> SymMat:
@@ -463,22 +453,13 @@ def predict_dot_magnitude(a: CodewordLabel, b: CodewordLabel) -> float:
 # Kerdock constructions ----------------------------------------------------
 
 
-def _bilin(rows: Sequence[int], u: int, v: int) -> int:
-    acc = 0
-    r = u
-    while r:
-        k = (r & -r).bit_length() - 1
-        acc ^= (rows[k] & v).bit_count() & 1
-        r &= r - 1
-    return acc
-
-
 def check_commute(ctx: FieldContext, q: MatLike) -> bool:
     """Whether the bilinear form of Q commutes with field multiplication.
 
     Checks u^T Q (xi v) = (xi u)^T Q v over the basis u = xi^i, v = xi^j,
     which extends to all field elements by linearity and to all multipliers
-    because xi generates the multiplicative group.
+    because xi generates the multiplicative group. Q is symmetric, so
+    e_i^T Q v is the parity of row i & v, and u^T Q e_j that of u & row j.
     """
     if q.n != ctx.n:
         raise ValueError("matrix size must match field degree")
@@ -486,7 +467,7 @@ def check_commute(ctx: FieldContext, q: MatLike) -> bool:
     shifted = [ctx.mul(ctx.xi, 1 << i) for i in range(ctx.n)]
     for i in range(ctx.n):
         for j in range(ctx.n):
-            if _bilin(rows, 1 << i, shifted[j]) != _bilin(rows, shifted[i], 1 << j):
+            if ((rows[i] & shifted[j]) ^ (shifted[i] & rows[j])).bit_count() & 1:
                 return False
     return True
 

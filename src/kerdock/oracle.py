@@ -301,9 +301,7 @@ def verify_gray_independence(n: int) -> bool:
     if n not in (3, 4):
         raise ValueError("exhaustive Gray check supports n in {3,4}")
     cw = _kerdock_codeword_values(FieldContext.default(n))
-    bits = np.empty((len(cw), 2 << n), dtype=np.int64)
-    for i, row in enumerate(cw):
-        bits[i] = gray_codeword(row)
+    bits = gray_codeword(cw)
     m = len(bits)
     for t in combinations(range(2 << n), 4):
         packed = ((bits[:, t[0]] * 2 + bits[:, t[1]]) * 2 + bits[:, t[2]]) * 2 + bits[:, t[3]]
@@ -331,7 +329,7 @@ def verify_commute_equivalence(ctx: FieldContext) -> Dict[str, object]:
         for v in range(size):
             pm[u, v] = poly_mul(u, v)
             sq[u, v] = ctx.sqrt(ctx.mul(u, v))
-    pm_self = np.array([poly_mul(x, x) for x in range(size)], dtype=np.uint32)
+    pm_self = pm.diagonal()
     agree = True
     members = 0
     witness = None
@@ -369,22 +367,7 @@ def verify_homomorphism(ctx: FieldContext) -> Dict[str, bool]:
         for x in range(size)
         for y in range(size)
     )
-    # batched GF(2) products of all pairs (K_x J)(K_y J)
-    kj_rows = np.array(kj, dtype=np.uint32)
-    bits = np.stack(
-        [(kj_rows >> np.uint32(c)) & np.uint32(1) for c in range(n)], axis=2
-    )  # (size, n, n): bits[x, i, c] = row i bit c
-    mul_table = np.empty((size, size), dtype=np.int64)
-    for x in range(size):
-        for y in range(size):
-            mul_table[x, y] = ctx.mul(x, y)
-    multiplicative = True
-    for x in range(size):
-        prod = np.bitwise_xor.reduce(
-            bits[x][None, :, :] * kj_rows[:, None, :], axis=2
-        )  # (size, n): prod[y, i] = row i of (K_x J)(K_y J)
-        expect = kj_rows[mul_table[x]]
-        if not (prod == expect).all():
-            multiplicative = False
-            break
+    multiplicative = all(
+        gf2_matmul(kj[x], kj[y]) == kj[ctx.mul(x, y)] for x in range(size) for y in range(size)
+    )
     return {"additive": additive, "multiplicative": multiplicative}

@@ -55,9 +55,14 @@ def test_kerdock_gen_single_top_row(capsys):
     assert out == pack_hex(lf_kerdock(ctx, 0xB).diag, 7)
 
 
-def test_kerdock_gen_needs_a_selector(capsys):
-    assert main(["kerdock", "gen", "--n", "4"]) == 2
-    assert "error:" in capsys.readouterr().err
+def test_kerdock_gen_needs_a_selector(capsys, monkeypatch):
+    # neither flag or both are refused before the field is built; both used to print all 8
+    monkeypatch.setattr(FieldContext, "default", lambda n: pytest.fail("field built"))
+    for selectors in ([], ["--all", "--top-row", "5"]):
+        assert main(["kerdock", "gen", "--n", "3", *selectors]) == 2
+        captured = capsys.readouterr()
+        assert "error: kerdock gen needs exactly one of --top-row and --all" in captured.err
+        assert captured.out == ""
 
 
 def test_encode_corrupt_decode_pipeline(tmp_path, capsys):

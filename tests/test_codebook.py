@@ -23,7 +23,6 @@ from kerdock.codebook import (
     gf2_rank,
     gf2_rank_batch,
     gray_codeword,
-    gray_exp,
     hankel_exponents_batch,
     is_kerdock_label,
     kerdock_set,
@@ -296,13 +295,10 @@ def test_the_exponent_kernel_holds_one_row_of_words_on_a_large_input():
 
 
 def test_gray_image_of_phases():
-    # i^v maps to the sign pair of the two Gray bits
-    assert gray_exp(0) == (1, 1)
-    assert gray_exp(1) == (1, -1)
-    assert gray_exp(2) == (-1, -1)
-    assert gray_exp(3) == (-1, 1)
+    # 0, 1, 2, 3 map to the Gray bits 00, 01, 11, 10, each row of a stack alike
     out = gray_codeword(np.array([0, 1, 2, 3]))
     assert out.tolist() == [0, 0, 0, 1, 1, 1, 1, 0]
+    assert gray_codeword(np.array([[0, 1], [2, 3]])).tolist() == [[0, 0, 0, 1], [1, 1, 1, 0]]
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
@@ -329,6 +325,30 @@ def test_z4_to_z2_label_structure():
             if i == j:
                 want = 0
             assert b.entry(i + 1, j + 1) == want
+
+
+def _is_affine(bits):
+    """Whether a 0/1 function on the 2^m points z is c xor a.z for some a, c."""
+    z = np.arange(len(bits))
+    a = sum(int(bits[1 << i] ^ bits[0]) << i for i in range(len(bits).bit_length() - 1))
+    return bool((bits == bits[0] ^ (np.bitwise_count(z & a) & 1)).all())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_gray_image_is_the_binary_quadratic_form_of_z4_to_z2_label(n):
+    # at z = 2y + t the Gray bit of i^(y^T Q y + 2 l.y + e) differs from the binary
+    # form sum_(i<j) B_ij z_i z_j of B = z4_to_z2_label(Q) by an affine function of z
+    rng = np.random.default_rng(40 + n)
+    z = (np.arange(2 << n)[:, None] >> np.arange(n + 1)) & 1
+    pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+    for trial in range(12):
+        lab = _random_label(rng, n, hankel=bool(trial % 2))
+        gray = gray_codeword(exponents_at([lab], np.arange(1 << n))[0])
+        b = z4_to_z2_label(lab.q)
+        flipped = SymMat(n + 1, (b.rows[0] ^ 0b10, b.rows[1] ^ 0b01) + b.rows[2:])
+        for q, affine in ((b, True), (flipped, False)):
+            form = sum(q.entry(i, j) * z[:, i] * z[:, j] for i, j in pairs) & 1
+            assert _is_affine(gray ^ form) == affine
 
 
 # GF(2) linear algebra -----------------------------------------------------
@@ -361,6 +381,19 @@ def test_gf2_inv_round_trip():
     identity = [1 << i for i in range(n)]
     assert gf2_matmul(rows, inv) == identity
     assert gf2_matmul(inv, rows) == identity
+
+
+def test_gf2_matmul_matches_the_integer_product_mod_2():
+    def packed(m):
+        # row r as an int bitset, bit c = entry (r, c)
+        return [sum(int(bit) << c for c, bit in enumerate(row)) for row in m]
+
+    rng = np.random.default_rng(7)
+    for rows, inner, cols in [(1, 1, 1), (3, 5, 2), (6, 4, 7), (8, 8, 8)]:
+        for _ in range(10):
+            a = rng.integers(0, 2, size=(rows, inner))
+            b = rng.integers(0, 2, size=(inner, cols))
+            assert gf2_matmul(packed(a), packed(b)) == packed((a @ b) % 2)
 
 
 def test_gf2_inv_raises_on_singular():

@@ -1,7 +1,5 @@
-import importlib.util
 import io
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +26,6 @@ from kerdock.pursuit import (
 )
 from kerdock.rm1 import rm1_label
 from kerdock.signal import DenseOracle, SampleOracle, SyntheticOracle, make_noisy
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def _terms(n, picks, coeffs, ell_seed=0):
@@ -239,20 +235,10 @@ def test_pursuit_lists_three_noisy_words_at_k_3():
     assert _keys(rep.terms) == _keys(terms)
 
 
-def _digest_script():
-    spec = importlib.util.spec_from_file_location(
-        "output_digests", ROOT / "scripts" / "output_digests.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_pursuit_outputs_match_their_pinned_digests():
+def test_pursuit_outputs_match_their_pinned_digests(digest_script):
     # regenerate with scripts/output_digests.py only when an output change is intended
-    script = _digest_script()
-    pinned = dict(line.split() for line in script.PURSUIT_OUT.read_text().splitlines())
-    cases = script.pursuit_cases()
+    pinned = dict(line.split() for line in digest_script.PURSUIT_OUT.read_text().splitlines())
+    cases = digest_script.pursuit_cases()
     assert sorted(pinned) == sorted(name for name, _ in cases)
     differ = [name for name, digest in cases if digest() != pinned[name]]
     assert differ == []
