@@ -542,6 +542,33 @@ def test_verify_all_suites_small_n(capsys):
     assert "ALL PASS" in out
 
 
+def test_verify_reports_a_failed_check_and_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(
+        cli_mod, "verify_homomorphism", lambda ctx: {"additive": True, "multiplicative": False}
+    )
+    assert main(["verify", "--suite", "homomorphism", "--n", "3"]) == 1
+    assert capsys.readouterr().out == (
+        "PASS homomorphism.additive\n"
+        "FAIL homomorphism.multiplicative\n"
+        "FAILURES PRESENT (2 checks)\n"
+    )
+
+
+def test_verify_keeps_the_detail_of_a_failed_check(monkeypatch, capsys):
+    report = {
+        "checked": 3000,
+        "failures": [(0, 1)],
+        "branch_mismatches": [],
+        "full_rank_equal_ell": 7,
+        "full_rank_equal_ell_zero": 0,
+    }
+    monkeypatch.setattr(cli_mod, "verify_dickson", lambda n, num_pairs, seed: report)
+    assert main(["verify", "--suite", "all", "--n", "9"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL dickson.magnitude-law checked=3000" in lines
+    assert lines[-1] == "FAILURES PRESENT (13 checks, 2 skipped)"
+
+
 @pytest.mark.parametrize("n_list", ["8,25", "8,0"])
 def test_bench_checks_every_n_before_the_first_trial(n_list, capsys):
     assert main(["bench", "--k", "2", "--n-list", n_list, "--trials", "1"]) == 2
