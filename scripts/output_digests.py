@@ -19,6 +19,9 @@ changes its digest. The slices:
   at noise 0.1;
 - km: km_list at theta = 0.2 and seed 0 on two RM(1) tones at
   m = 1..12, clean and at noise 0.2;
+- verify: the stdout of `kerdock verify --suite all --n N` at
+  N = 1..10, run in-process, which covers every suite, both branches
+  of the independence suite, the Gray check and every SKIP line;
 - cli: the acceptance criterion-10 CLI invocations, run in-process
   (tests/cli_digests.txt).
 
@@ -28,8 +31,9 @@ cap of a CandidateOverflow; a reference digest covers its labels and
 hex; a km digest covers the tones, the coefficient hex and the query
 count. A cli digest is the sha256 of an invocation's stdout, as
 `kerdock ... | sha256sum` prints it, or of the encode and corrupt
-output files' bytes. The robust, lean, heavy, bestk and km slices go
-to tests/output_digests.txt. tests/test_pursuit.py and
+output files' bytes, and a verify digest is the sha256 of its stdout
+in the same way. The robust, lean, heavy, bestk, km and verify slices
+go to tests/output_digests.txt. tests/test_pursuit.py and
 tests/test_output_digests.py recompute every digest and name each case
 that differs from its file.
 
@@ -249,6 +253,13 @@ def output_cases() -> List[Case]:
             (f"km-m{m}-{tag(noisy)}", partial(km_digest, m, noisy))
             for m in range(1, 13)
             for noisy in (False, True)
+        ]
+        + [
+            (
+                f"verify-all-n{n}",
+                partial(cli_stdout_digest, ["verify", "--suite", "all", "--n", str(n)]),
+            )
+            for n in range(1, 11)
         ]
     )
 
