@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import math
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from kerdock.codebook import (
     lf_kerdock,
     pack_hex,
     parse_label,
+    trace_kerdock,
     unpack_hex,
 )
 from kerdock.decoder import (
@@ -167,142 +169,106 @@ def _cmd_sparse_approx(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check(lines: List[str], name: str, ok: bool, detail: str = "") -> bool:
-    tail = f" {detail}" if detail else ""
-    lines.append(f"{'PASS' if ok else 'FAIL'} {name}{tail}")
-    return ok
+# one verify check: its name, whether it passed, and what it printed after the name
+Check = Tuple[str, bool, str]
 
 
-def _suite_field(n: int, lines: List[str]) -> bool:
+def _suite_field(n: int) -> List[Check]:
     ctx = FieldContext.default(n)
     xs = np.arange(1 << n, dtype=np.uint64)
     tr = ctx.trace_vec(xs)
-    ok = _check(lines, "field.trace-image", bool(np.isin(tr, (0, 1)).all()))
-    ok &= _check(
-        lines,
-        "field.trace-zero-count",
-        int((tr == 0).sum()) == 1 << (n - 1),
-        f"count={int((tr == 0).sum())}",
-    )
+    zeros = int((tr == 0).sum())
     if n <= 10:
         a, b = np.repeat(xs, 1 << n), np.tile(xs, 1 << n)
-        how = "exhaustive"
+        lin_how = "exhaustive"
     else:
         a, b = np.random.default_rng(0).integers(0, 1 << n, size=(2, 1 << 16), dtype=np.uint64)
-        how = "sampled"
+        lin_how = "sampled"
     lin = bool((ctx.trace_vec(a ^ b) == (ctx.trace_vec(a) ^ ctx.trace_vec(b))).all())
-    ok &= _check(lines, "field.trace-linear", lin, how)
     if n <= 12:
-        some, how = xs, "exhaustive"
+        some, sq_how = xs, "exhaustive"
     else:
         some = np.random.default_rng(1).integers(0, 1 << n, size=4096, dtype=np.uint64)
-        how = "sampled"
+        sq_how = "sampled"
     sq_ok = all(ctx.square(ctx.sqrt(int(x))) == int(x) for x in some)
-    ok &= _check(lines, "field.sqrt-squares-back", sq_ok, how)
-    return ok
+    return [
+        ("field.trace-image", bool(np.isin(tr, (0, 1)).all()), ""),
+        ("field.trace-zero-count", zeros == 1 << (n - 1), f"count={zeros}"),
+        ("field.trace-linear", lin, lin_how),
+        ("field.sqrt-squares-back", sq_ok, sq_how),
+    ]
 
 
-def _suite_kerdock(n: int, lines: List[str]) -> bool:
+def _suite_kerdock(n: int) -> List[Check]:
     ctx = FieldContext.default(n)
-    report = verify_kerdock_set(ctx)
-    ok = True
-    for key, val in report.items():
-        ok &= _check(lines, f"kerdock.{key}", bool(val))
+    checks = [(f"kerdock.{key}", bool(val), "") for key, val in verify_kerdock_set(ctx).items()]
     if n <= 6:
         eq = verify_commute_equivalence(ctx)
-        ok &= _check(
-            lines,
-            "kerdock.commute-equivalence",
-            bool(eq["agree"]) and eq["members"] == eq["expected"],
-            f"members={eq['members']}",
-        )
-    return ok
+        agree = bool(eq["agree"]) and eq["members"] == eq["expected"]
+        checks.append(("kerdock.commute-equivalence", agree, f"members={eq['members']}"))
+    return checks
 
 
-def _suite_dickson(n: int, lines: List[str]) -> bool:
+def _suite_dickson(n: int) -> List[Check]:
     report = verify_dickson(n, num_pairs=3000, seed=0)
-    ok = _check(
-        lines,
-        "dickson.magnitude-law",
-        len(report["failures"]) == 0,
-        f"checked={report['checked']}",
-    )
-    ok &= _check(
-        lines, "dickson.branch-rule", len(report["branch_mismatches"]) == 0
-    )
-    ok &= _check(
-        lines,
-        "dickson.full-rank-equal-ell-nonzero",
-        report["full_rank_equal_ell_zero"] == 0,
-        f"population={report['full_rank_equal_ell']}",
-    )
-    return ok
+    return [
+        ("dickson.magnitude-law", len(report["failures"]) == 0, f"checked={report['checked']}"),
+        ("dickson.branch-rule", len(report["branch_mismatches"]) == 0, ""),
+        (
+            "dickson.full-rank-equal-ell-nonzero",
+            report["full_rank_equal_ell_zero"] == 0,
+            f"population={report['full_rank_equal_ell']}",
+        ),
+    ]
 
 
-def _suite_independence(n: int, lines: List[str]) -> bool:
-    if n not in (3, 4, 5):
-        lines.append("SKIP independence (exhaustive check needs n in {3,4,5})")
-        return True
+def _suite_independence(n: int) -> List[Check]:
     report = verify_independence(n)
-    ok = _check(lines, "independence.3-wise", report.three_wise)
+    checks = [("independence.3-wise", report.three_wise, "")]
     if n % 2 == 1:
-        ok &= _check(lines, "independence.3.5-wise", report.three_half_wise)
-        ok &= _check(
-            lines,
-            "independence.4-wise-violated",
-            not report.four_wise,
-            f"witness={report.four_witness}",
-        )
+        witness = f"witness={report.four_witness}"
+        checks += [
+            ("independence.3.5-wise", report.three_half_wise, ""),
+            ("independence.4-wise-violated", not report.four_wise, witness),
+        ]
     else:
-        ok &= _check(
-            lines,
-            "independence.3.5-wise-violated",
-            not report.three_half_wise,
-            f"witness={report.three_half_witness}",
-        )
+        witness = f"witness={report.three_half_witness}"
+        checks.append(("independence.3.5-wise-violated", not report.three_half_wise, witness))
     if n == 3:
-        ok &= _check(
-            lines, "independence.gray-4-wise", verify_gray_independence(n)
-        )
-    return ok
+        checks.append(("independence.gray-4-wise", verify_gray_independence(n), ""))
+    return checks
 
 
-def _suite_rank_count(n: int, lines: List[str]) -> bool:
+def _suite_rank_count(n: int) -> List[Check]:
     counts = count_hankel_by_rank(n)
-    ok = True
-    cum = 0
-    for r in sorted(counts):
-        cum += counts[r]
-        ok &= cum <= 1 << (4 * r)
-    _check(
-        lines,
-        "rank-count.cumulative-2^4r",
-        ok,
-        " ".join(f"{r}:{counts[r]}" for r in sorted(counts)),
-    )
-    return ok
+    ranks = sorted(counts)
+    cums = itertools.accumulate(counts[r] for r in ranks)
+    scarce = all(cum <= 1 << (4 * r) for r, cum in zip(ranks, cums))
+    detail = " ".join(f"{r}:{counts[r]}" for r in ranks)
+    return [("rank-count.cumulative-2^4r", scarce, detail)]
 
 
-def _suite_homomorphism(n: int, lines: List[str]) -> bool:
+def _suite_homomorphism(n: int) -> List[Check]:
     report = verify_homomorphism(FieldContext.default(n))
-    ok = True
-    for key, val in report.items():
-        ok &= _check(lines, f"homomorphism.{key}", bool(val))
-    return ok
+    return [(f"homomorphism.{key}", bool(val), "") for key, val in report.items()]
 
 
-_SUITES = {
-    "field": _suite_field,
-    "kerdock": _suite_kerdock,
-    "dickson": _suite_dickson,
-    "independence": _suite_independence,
-    "rank-count": _suite_rank_count,
-    "homomorphism": _suite_homomorphism,
+def _up_to(top: int) -> Tuple[range, str]:
+    return range(1, top + 1), f"exact check needs n <= {top}"
+
+
+# each suite, the n it runs at, and the reason its SKIP line gives at any other n; the ranges
+# are the n that pair_dot, verify_independence, count_hankel_by_rank and verify_homomorphism
+# accept, and kerdock stops at 12, where its pairwise rank check (2^(2n-1) matrices) takes
+# about 8 s
+_SUITES: Dict[str, Tuple[Callable[[int], List[Check]], range, str]] = {
+    "field": (_suite_field, range(1, sys.maxsize), ""),
+    "kerdock": (_suite_kerdock, *_up_to(12)),
+    "dickson": (_suite_dickson, *_up_to(14)),
+    "independence": (_suite_independence, range(3, 6), "exhaustive check needs n in {3,4,5}"),
+    "rank-count": (_suite_rank_count, *_up_to(9)),
+    "homomorphism": (_suite_homomorphism, *_up_to(8)),
 }
-
-# largest n that pair_dot, count_hankel_by_rank and verify_homomorphism accept;
-# kerdock's pairwise rank check (2^(2n-1) matrices) takes about 8 s at n=12
-_MAX_N = {"dickson": 14, "rank-count": 9, "homomorphism": 8, "kerdock": 12}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -310,48 +276,46 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"verify needs n >= 1, got n={args.n}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     lines: List[str] = []
-    ok = True
+    skipped = failed = 0
     for name in names:
-        if args.n > _MAX_N.get(name, args.n):
-            lines.append(f"SKIP {name} (exact check needs n <= {_MAX_N[name]})")
+        suite, sizes, reason = _SUITES[name]
+        if args.n not in sizes:
+            lines.append(f"SKIP {name} ({reason})")
+            skipped += 1
             continue
-        ok &= _SUITES[name](args.n, lines)
+        for check, passed, detail in suite(args.n):
+            tail = f" {detail}" if detail else ""
+            lines.append(f"{'PASS' if passed else 'FAIL'} {check}{tail}")
+            failed += not passed
     for line in lines:
         print(line)
-    skipped = sum(line.startswith("SKIP ") for line in lines)
     tail = f", {skipped} skipped" if skipped else ""
-    verdict = "ALL PASS" if ok else "FAILURES PRESENT"
+    verdict = "FAILURES PRESENT" if failed else "ALL PASS"
     print(f"{verdict} ({len(lines) - skipped} checks{tail})")
-    return 0 if ok else 1
+    return 1 if failed else 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from kerdock.codebook import trace_kerdock
-
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
     # every n's field is built up front, so an untabled n fails before the first row is printed
     ctxs = [FieldContext.default(int(x)) for x in args.n_list.split(",")]
-    rows = []
+    params = DecoderParams(k=args.k, profile="lean")
+    peaks = []  # (n, max queries) for the fit
     for ctx in ctxs:
         n = ctx.n
         counts = []
         for trial in range(args.trials):
             rng = np.random.default_rng([args.seed, n, trial])
             alpha = int(rng.integers(1, 1 << n))
-            label = CodewordLabel(
-                trace_kerdock(ctx, alpha), int(rng.integers(1 << n)), 0
-            )
+            label = CodewordLabel(trace_kerdock(ctx, alpha), int(rng.integers(1 << n)), 0)
             oracle = SyntheticOracle(n, [(label, 1.0)], seed=trial)
-            params = DecoderParams(k=args.k, profile="lean")
-            results, stats = list_decode_hankel(
-                oracle, params, seed=args.seed + trial
-            )
+            results, stats = list_decode_hankel(oracle, params, seed=args.seed + trial)
             hit = any(lab == label for lab, _ in results)
             counts.append((stats.queries, hit, stats.seconds))
         qs = [q for q, _, _ in counts]
         hits = sum(1 for _, h, _ in counts if h)
-        rows.append((n, max(qs), hits))
+        peaks.append((n, max(qs)))
         print(
             f"n={n} k={args.k} trials={args.trials} max-queries={max(qs)} "
             f"mean-queries={sum(qs)/len(qs):.1f} domain={1 << n} "
@@ -361,8 +325,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"# n={n} seconds/trial {sum(d for _, _, d in counts)/len(counts):.4f}",
             file=sys.stderr,
         )
-    if len(rows) >= 2:
-        (n0, q0, _), (n1, q1, _) = rows[0], rows[-1]
+    if len(peaks) >= 2:
+        (n0, q0), (n1, q1) = peaks[0], peaks[-1]
         c = math.log(q1 / q0) / math.log(n1 / n0) if q1 != q0 else 0.0
         print(f"fit queries ~ n^c with c={c:.2f}")
     return 0

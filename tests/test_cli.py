@@ -6,7 +6,7 @@ import kerdock.field as field_mod
 from kerdock.cli import build_parser, main
 from kerdock.codebook import format_label, CodewordLabel, HankelMat, lf_kerdock, pack_hex, pair_dot
 from kerdock.field import FieldContext
-from kerdock.oracle import count_hankel_by_rank, verify_homomorphism
+from kerdock.oracle import count_hankel_by_rank, verify_homomorphism, verify_independence
 from kerdock.pursuit import read_representation
 from kerdock.signal import make_noisy, read_signal, write_signal
 
@@ -515,8 +515,8 @@ def test_verify_refuses_n_below_one(suite, capsys):
 
 
 def test_verify_ranges_match_the_references():
-    # one past each listed range, the exact reference itself refuses the input
-    ranges = cli_mod._MAX_N
+    # just outside each listed range, the exact reference itself refuses the input
+    ranges = {name: sizes[-1] for name, (_, sizes, _) in cli_mod._SUITES.items()}
     too_big = ranges["dickson"] + 1
     lab = CodewordLabel(HankelMat(too_big, 0), 0, 0)
     with pytest.raises(ValueError, match=f"n <= {ranges['dickson']}"):
@@ -526,6 +526,10 @@ def test_verify_ranges_match_the_references():
     ctx = FieldContext.default(ranges["homomorphism"] + 1)
     with pytest.raises(ValueError, match=f"n <= {ranges['homomorphism']}"):
         verify_homomorphism(ctx)
+    sizes = cli_mod._SUITES["independence"][1]
+    for n in (sizes[0] - 1, sizes[-1] + 1):
+        with pytest.raises(ValueError, match="supports n in"):
+            verify_independence(n)
 
 
 def test_verify_all_suites_skip_past_their_range(capsys):
