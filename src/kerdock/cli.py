@@ -308,9 +308,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for trial in range(args.trials):
             rng = np.random.default_rng([args.seed, n, trial])
             alpha = int(rng.integers(1, 1 << n))
-            label = CodewordLabel(trace_kerdock(ctx, alpha), int(rng.integers(1 << n)), 0)
+            label = CodewordLabel(
+                trace_kerdock(ctx, alpha), int(rng.integers(1 << n)), 0
+            )
             oracle = SyntheticOracle(n, [(label, 1.0)], seed=trial)
-            results, stats = list_decode_hankel(oracle, params, seed=args.seed + trial)
+            results, stats = list_decode_hankel(
+                oracle, params, seed=args.seed + trial
+            )
             hit = any(lab == label for lab, _ in results)
             counts.append((stats.queries, hit, stats.seconds))
         qs = [q for q, _, _ in counts]
